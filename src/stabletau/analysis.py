@@ -26,7 +26,6 @@ from .extension import (
     eval_hessian,
     hessian_signature,
     local_frame_hessian,
-    _det3,
 )
 from .geom import ConeDomain, SupportDomain, deform, domain_gap, _unit
 from .wos import WalkConfig, estimate_phi
@@ -324,7 +323,7 @@ def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
         worst = (math.inf, None)
         for bb in b_grid:
             hb = (1 - bb) * s.hess + bb * w_h
-            det = _det3(hb)
+            det = float(np.linalg.det(hb))
             dets.append(det)
             if det < worst[0]:
                 worst = (det, bb)

@@ -23,7 +23,7 @@ from .errors import (
     StableTauError,
 )
 from .extension import DiskPhi, ExtensionContext
-from .geom import ConeDomain, SupportDomain, deform, load_domain
+from .geom import ConeDomain, SupportDomain, builtin_domain, deform, load_domain
 from .quad import QuadSpec
 from .wos import PhiField, WalkConfig, build_field, estimate_phi, load_field, save_field
 
@@ -39,28 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def builtin_domain(spec: str):
-    """disk[:r] | ellipse:a,b | cone:theta,d"""
-    name, _, args = spec.partition(":")
-    try:
-        if name == "disk":
-            return SupportDomain.disk(float(args) if args else 1.0)
-        if name == "ellipse":
-            a, b = (float(t) for t in args.split(","))
-            return SupportDomain.ellipse(a, b)
-        if name == "cone":
-            theta, d = args.split(",")
-            return ConeDomain(float(theta), int(d))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"malformed builtin spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown builtin domain {spec!r}")
-
-
 def _resolve_domain(ns):
     if getattr(ns, "domain", None):
         return load_domain(ns.domain), ns.domain
     spec = getattr(ns, "builtin", None) or "disk"
-    return builtin_domain(spec), f"builtin:{spec}"
+    try:
+        return builtin_domain(spec), f"builtin:{spec}"
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_at(text: str) -> np.ndarray:

@@ -144,8 +144,8 @@ def kernel_K_grad(x):
     return np.stack([g1, g2, g3], axis=-1)
 
 
-def kernel_K_hess(x):
-    """All six second derivatives of K; trace is identically zero."""
+def kernel_K_hess_components(x):
+    """(k11, k22, k33, k12, k13, k23) of K's Hessian on the last axis; trace is zero."""
     x1, x2, x3 = _split3(x)
     r2 = x1 * x1 + x2 * x2 + x3 * x3
     if np.any(r2 == 0.0):
@@ -157,22 +157,15 @@ def kernel_K_hess(x):
     k12 = 15 * C_K * x3 * x1 * x2 * r7
     k13 = C_K * x1 * (12 * x3 * x3 - 3 * x1 * x1 - 3 * x2 * x2) * r7
     k23 = C_K * x2 * (12 * x3 * x3 - 3 * x1 * x1 - 3 * x2 * x2) * r7
-    out = np.empty(np.shape(x1) + (3, 3))
-    out[..., 0, 0] = k11
-    out[..., 1, 1] = k22
-    out[..., 2, 2] = k33
-    out[..., 0, 1] = out[..., 1, 0] = k12
-    out[..., 0, 2] = out[..., 2, 0] = k13
-    out[..., 1, 2] = out[..., 2, 1] = k23
-    return out
+    return np.stack([k11, k22, k33, k12, k13, k23], axis=-1)
 
 
-def kernel_K_hess_components(x):
-    """(k11, k22, k33, k12, k13, k23) stacked on the last axis, for integrands."""
-    h = kernel_K_hess(x)
-    return np.stack(
-        [h[..., 0, 0], h[..., 1, 1], h[..., 2, 2],
-         h[..., 0, 1], h[..., 0, 2], h[..., 1, 2]], axis=-1)
+_HESS_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # (i, j) -> component
+
+
+def kernel_K_hess(x):
+    """All second derivatives of K as a symmetric 3x3 on the last two axes."""
+    return kernel_K_hess_components(x)[..., _HESS_INDEX]
 
 
 # -- auxiliary shifted kernel w ----------------------------------------------------

@@ -12,7 +12,7 @@ field itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,26 +117,18 @@ def hessian_signature(h: np.ndarray, cut: float = _SIGNATURE_CUT) -> tuple:
     return (n_pos, n_neg, 3 - n_pos - n_neg)
 
 
-def _det3(h: np.ndarray) -> float:
-    return float(np.linalg.det(h))
-
-
 def _det_error(h: np.ndarray, entry_err: np.ndarray) -> float:
-    """First-order determinant error from per-entry errors via the adjugate."""
-    adj = np.abs(np.linalg.det(h) * np.linalg.inv(h)) if abs(np.linalg.det(h)) > 1e-300 \
-        else np.abs(_cofactors(h))
+    """First-order determinant error from per-entry errors via the adjugate.
+
+    The adjugate (d det / d h) of the symmetric 3x3 is written out, so it is
+    defined for singular matrices too.
+    """
+    (h11, h12, h13), (_, h22, h23), (_, _, h33) = h
     e11, e22, e33, e12, e13, e23 = entry_err
-    return float(adj[0, 0] * e11 + adj[1, 1] * e22 + adj[2, 2] * e33
-                 + 2 * (adj[0, 1] * e12 + adj[0, 2] * e13 + adj[1, 2] * e23))
-
-
-def _cofactors(h: np.ndarray) -> np.ndarray:
-    c = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(h, i, axis=0), j, axis=1)
-            c[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return c
+    return float(abs(h22 * h33 - h23 * h23) * e11 + abs(h11 * h33 - h13 * h13) * e22
+                 + abs(h11 * h22 - h12 * h12) * e33
+                 + 2 * (abs(h13 * h23 - h12 * h33) * e12 + abs(h12 * h23 - h22 * h13) * e13
+                        + abs(h12 * h13 - h11 * h23) * e23))
 
 
 def _assemble(entries: np.ndarray) -> np.ndarray:
@@ -144,8 +136,12 @@ def _assemble(entries: np.ndarray) -> np.ndarray:
     return np.array([[h11, h12, h13], [h12, h22, h23], [h13, h23, h33]])
 
 
-def _slab_side(dom: SupportDomain, xy) -> float:
-    return dom.signed_distance(np.asarray(xy, dtype=float))
+def _offsets(x, pts) -> np.ndarray:
+    """Kernel arguments x - (y, 0) for the planar quadrature nodes y."""
+    rel = np.empty((len(pts), 3))
+    rel[:, :2] = x[:2] - pts
+    rel[:, 2] = x[2]
+    return rel
 
 
 def eval_u(ctx: ExtensionContext, x) -> float:
@@ -153,25 +149,17 @@ def eval_u(ctx: ExtensionContext, x) -> float:
     x = np.asarray(x, dtype=float)
     x1, x2, x3 = x
     if x3 == 0.0:
-        sd = _slab_side(ctx.dom, x[:2])
+        sd = ctx.dom.signed_distance(x[:2])
         if sd < -1e-12:
             raise UndefinedOnCutError("u is undefined on int(D^c) x {0}")
         return float(ctx.phi.values_at(x[:2].reshape(1, 2))[0]) if sd > 0 else 0.0
     if x3 < 0.0:
         return eval_u(ctx, np.array([x1, x2, -x3])) - 2.0 * x3
-    spec = ctx.quad.with_singular_center(x[:2])
 
     def integrand(pts):
-        rel = np.empty((len(pts), 3))
-        rel[:, 0] = x1 - pts[:, 0]
-        rel[:, 1] = x2 - pts[:, 1]
-        rel[:, 2] = x3
-        return kernel_K(rel) * ctx.phi.values_at(pts)
+        return kernel_K(_offsets(x, pts)) * ctx.phi.values_at(pts)
 
-    try:
-        val, _ = integrate(ctx.dom, integrand, spec)
-    except NonConvergedError as exc:
-        val = exc.value
+    val, _ = integrate(ctx.dom, integrand, ctx.quad.with_singular_center(x[:2]))
     return float(val)
 
 
@@ -183,14 +171,9 @@ def eval_u_grad(ctx: ExtensionContext, x) -> np.ndarray:
     if x[2] < 0.0:
         g = eval_u_grad(ctx, np.array([x[0], x[1], -x[2]]))
         return np.array([g[0], g[1], -g[2] - 2.0])
-    x1, x2, x3 = x
 
     def integrand(pts):
-        rel = np.empty((len(pts), 3))
-        rel[:, 0] = x1 - pts[:, 0]
-        rel[:, 1] = x2 - pts[:, 1]
-        rel[:, 2] = x3
-        return kernel_K_grad(rel) * ctx.phi.values_at(pts)[:, None]
+        return kernel_K_grad(_offsets(x, pts)) * ctx.phi.values_at(pts)[:, None]
 
     val, _ = integrate(ctx.dom, integrand, ctx.quad.with_singular_center(x[:2]))
     return np.asarray(val)
@@ -222,26 +205,18 @@ def eval_hessian(ctx: ExtensionContext, x, which: str = "u", *,
         entry_err = (1.0 - b) * entry_err
     elif which != "u":
         raise ValueError(f"unknown hessian target {which!r}")
-    det = _det3(h)
     return HessianSample(
-        x=x, hess=h, det=det, trace=float(np.trace(h)),
+        x=x, hess=h, det=float(np.linalg.det(h)), trace=float(np.trace(h)),
         signature=hessian_signature(h), det_err=_det_error(h, entry_err),
         entry_err=entry_err, converged=conv)
 
 
 def _upper_hessian_entries(ctx: ExtensionContext, x):
-    from dataclasses import replace
-
-    x1, x2, x3 = x
     sigma = ctx.phi_stderr()
     with_noise = sigma > 0.0
 
     def integrand(pts):
-        rel = np.empty((len(pts), 3))
-        rel[:, 0] = x1 - pts[:, 0]
-        rel[:, 1] = x2 - pts[:, 1]
-        rel[:, 2] = x3
-        comps = kernel_K_hess_components(rel)
+        comps = kernel_K_hess_components(_offsets(x, pts))
         vals = comps * ctx.phi.values_at(pts)[:, None]
         if not with_noise:
             return vals
@@ -268,7 +243,7 @@ def _upper_hessian_entries(ctx: ExtensionContext, x):
 
 
 def _slab_hessian_entries(ctx: ExtensionContext, xy):
-    sd = _slab_side(ctx.dom, xy)
+    sd = ctx.dom.signed_distance(xy)
     if sd <= 1e-12:
         raise UndefinedOnCutError("slab Hessian defined only over the open domain")
     closed = getattr(ctx.phi, "slab_hessian", None)
@@ -276,7 +251,7 @@ def _slab_hessian_entries(ctx: ExtensionContext, xy):
         h11, h22, h12 = closed(xy)
         err = np.zeros(6)
     else:
-        h11, h22, h12, err = _stencil_slab_hessian(ctx, np.asarray(xy, dtype=float), sd)
+        h11, h22, h12, err = _stencil_slab_hessian(ctx, xy, sd)
     entries = np.array([h11, h22, -h11 - h22, h12, 0.0, 0.0])
     return entries, err, True
 
@@ -305,7 +280,7 @@ def _stencil_slab_hessian(ctx: ExtensionContext, xy, sd):
 def eval_u3_slab(ctx: ExtensionContext, xy) -> float:
     """Vertical derivative on the slab: -1 over the domain, positive outside."""
     xy = np.asarray(xy, dtype=float)
-    sd = _slab_side(ctx.dom, xy)
+    sd = ctx.dom.signed_distance(xy)
     if abs(sd) <= 1e-9:
         raise OnBoundaryError("u3 jumps across the domain boundary")
     if sd > 0:

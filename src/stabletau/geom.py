@@ -393,6 +393,23 @@ class ConeDomain:
         return f"ConeDomain(theta={self.theta:g}, dim={self.dim})"
 
 
+def builtin_domain(spec: str):
+    """disk[:r] | ellipse:a,b | cone:theta,d; raises ValueError on a bad spec."""
+    name, _, args = spec.partition(":")
+    try:
+        if name == "disk":
+            return SupportDomain.disk(float(args) if args else 1.0)
+        if name == "ellipse":
+            a, b = (float(t) for t in args.split(","))
+            return SupportDomain.ellipse(a, b)
+        if name == "cone":
+            theta, d = args.split(",")
+            return ConeDomain(float(theta), int(d))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"malformed builtin spec {spec!r}: {exc}") from exc
+    raise ValueError(f"unknown builtin domain {spec!r}")
+
+
 # -- file formats ----------------------------------------------------------------
 
 def save_domain(dom, path) -> None:

@@ -7,8 +7,8 @@ cell conforms to the boundary; each is integrated with a tensor Gauss-Kronrod
 7/15 pair and the worst cells (by error vs tolerance) are quadrisected until
 the component-wise tolerance is met or the cell budget runs out.
 
-Integrands may be vector valued: f maps an (n, 2) array of points to (n,) or
-(n, m); all components then share one adaptive mesh.
+Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
+(n, m) for a vector integrand whose components then share one adaptive mesh.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class _PolarChart:
         self.dom = dom
         self.center = np.asarray(center, dtype=float)
         if dom._disk_radius is None:
-            from .geom import _trig_eval, _unit
-            self._trig_eval = _trig_eval
+            from .geom import _unit
             self._unit = _unit
             self._g_grid = dom._seed_h - dom._seed_u @ self.center
 
@@ -99,22 +98,6 @@ class _PolarChart:
         return np.maximum(g / np.maximum(np.cos(theta - psi), 1e-12), 0.0)
 
 
-def _vectorize_integrand(f):
-    """Accept either a vectorised (n,2)->(n[,m]) integrand or a pointwise one."""
-    probe = np.array([[0.0, 0.0], [1e-3, -1e-3], [-1e-3, 2e-3]])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape[:1] == (3,):
-            return f
-    except Exception:
-        pass
-
-    def looped(pts):
-        return np.array([f(p) for p in pts], dtype=float)
-
-    return looped
-
-
 def _eval_cell(chart, f, cell, radial_cache):
     """Kronrod/Gauss pair on one chart rectangle.
 
@@ -137,7 +120,11 @@ def _eval_cell(chart, f, cell, radial_cache):
     rho = rm + rh * _XGK
     rad = rho[None, :] * R[:, None]
     pts = chart.center[None, None, :] + rad[:, :, None] * u[:, None, :]
-    vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
+    nodes = pts.reshape(-1, 2)
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape[:1] != (len(nodes),):
+        raise ValueError(f"integrand returned shape {vals.shape} for {len(nodes)} nodes; "
+                         f"expected ({len(nodes)},) or ({len(nodes)}, m)")
     if vals.ndim == 1:
         vals = vals[:, None]
     m = vals.shape[1]
@@ -170,7 +157,6 @@ def integrate(dom, f, spec: QuadSpec | None = None):
     else:
         center = np.zeros(2)
     chart = _PolarChart(dom, center)
-    fv = _vectorize_integrand(f)
 
     cells = {}
     counter = itertools.count()
@@ -179,7 +165,7 @@ def integrate(dom, f, spec: QuadSpec | None = None):
     radial_cache = {}
 
     def push(cell):
-        vk, err, axis = _eval_cell(chart, fv, cell, radial_cache)
+        vk, err, axis = _eval_cell(chart, f, cell, radial_cache)
         if scalar_result[0] is None:
             scalar_result[0] = vk.size == 1
         cid = next(counter)

@@ -25,7 +25,7 @@ from scipy.special import betainc, betaincinv
 
 from .closedform import BallSpec, StableParams, ball_exit_constant
 from .errors import DomainFileError, GridTooCoarseError, PointOutsideError
-from .geom import SupportDomain, load_domain, save_domain, _unit
+from .geom import SupportDomain, builtin_domain, load_domain, save_domain, _unit
 
 _BATCH = 16384
 _MASK64 = (1 << 64) - 1
@@ -289,13 +289,13 @@ class PhiField:
     Values on lattice nodes deeper than twice the spacing come from the Monte
     Carlo estimator; inside that collar the field follows c(y*) sqrt(delta)
     with a per-sector coefficient fitted to the nearest reliable nodes (plus a
-    second-order delta^(3/2) term kept in memory only).  Evaluation is bicubic
+    second-order delta^(3/2) term).  Evaluation is bicubic
     between reliable nodes, the blend profile in the collar, and zero outside.
     """
 
     def __init__(self, dom: SupportDomain, alpha: float, origin, spacing: float,
                  values: np.ndarray, stderr: np.ndarray, blend_c: np.ndarray,
-                 blend_c2: np.ndarray | None = None, blend_c_err: np.ndarray | None = None,
+                 blend_c2: np.ndarray, blend_c_err: np.ndarray,
                  domain_ref: str = "builtin:unknown"):
         from scipy.interpolate import RectBivariateSpline
 
@@ -306,10 +306,8 @@ class PhiField:
         self.values = np.asarray(values, dtype=float)
         self.stderr = np.asarray(stderr, dtype=float)
         self.blend_c = np.asarray(blend_c, dtype=float)
-        self.blend_c2 = (np.zeros_like(self.blend_c) if blend_c2 is None
-                         else np.asarray(blend_c2, dtype=float))
-        self.blend_c_err = (np.zeros_like(self.blend_c) if blend_c_err is None
-                            else np.asarray(blend_c_err, dtype=float))
+        self.blend_c2 = np.asarray(blend_c2, dtype=float)
+        self.blend_c_err = np.asarray(blend_c_err, dtype=float)
         self.domain_ref = domain_ref
         self.collar = 2.0 * self.spacing
         nx, ny = self.values.shape
@@ -480,12 +478,12 @@ def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):
     return c, c2, cerr
 
 
-# -- phifield v1 files -----------------------------------------------------------------
+# -- phifield v2 files -----------------------------------------------------------------
 
 def save_field(field: PhiField, path) -> None:
     nx, ny = field.values.shape
     with open(path, "w") as fh:
-        fh.write("phifield v1\n")
+        fh.write("phifield v2\n")
         fh.write(f"domain={field.domain_ref}\n")
         fh.write(f"alpha={field.alpha:.17g}\n")
         fh.write(f"spacing={field.spacing:.17g}\n")
@@ -496,15 +494,14 @@ def save_field(field: PhiField, path) -> None:
         for i, j in idx:
             fh.write(f"{i} {j} {field.values[i, j]:.17g} {field.stderr[i, j]:.17g}\n")
         fh.write(f"blend={field.blend_c.size}\n")
-        for t, cv in zip(field.sector_thetas, field.blend_c):
-            fh.write(f"{t:.17g} {cv:.17g}\n")
+        for row in zip(field.sector_thetas, field.blend_c, field.blend_c2, field.blend_c_err):
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_field(path, dom: SupportDomain | None = None) -> PhiField:
-    """Load a `phifield v1` file.
+    """Load a `phifield v2` file; the reloaded field evaluates bitwise as saved.
 
-    The in-memory second-order blend coefficient is not part of the format and
-    reloads as zero.  If dom is not given the domain reference is resolved:
+    If dom is not given the domain reference is resolved:
     `builtin:...` specs directly, anything else as a path relative to the
     field file.
     """
@@ -512,8 +509,11 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
 
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "phifield v1":
-        raise DomainFileError(f"{path}: not a phifield v1 file")
+    if lines[:1] == ["phifield v1"]:
+        raise DomainFileError(f"{path}: phifield v1 files lack the full boundary blend "
+                              "and are no longer read; rebuild the field with field-build")
+    if lines[:1] != ["phifield v2"]:
+        raise DomainFileError(f"{path}: not a phifield v2 file")
 
     def field_line(i, key):
         if not lines[i].startswith(key + "="):
@@ -535,16 +535,17 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
         stderr[int(i), int(j)] = float(s)
     row += n_nodes
     n_blend = int(field_line(row, "blend"))
-    blend_c = np.zeros(n_blend)
+    blend = np.zeros((n_blend, 3))
     for k, ln in enumerate(lines[row + 1:row + 1 + n_blend]):
-        _, cv = ln.split()
-        blend_c[k] = float(cv)
+        blend[k] = [float(t) for t in ln.split()[1:]]
     if dom is None:
         if domain_ref.startswith("builtin:"):
-            from .cli import builtin_domain
-            dom = builtin_domain(domain_ref.split(":", 1)[1])
+            try:
+                dom = builtin_domain(domain_ref.split(":", 1)[1])
+            except ValueError as exc:
+                raise DomainFileError(f"{path}: {exc}") from exc
         else:
             dom = load_domain(os.path.join(os.path.dirname(os.path.abspath(path)),
                                            domain_ref))
-    return PhiField(dom, alpha, origin, spacing, values, stderr, blend_c,
+    return PhiField(dom, alpha, origin, spacing, values, stderr, *blend.T,
                     domain_ref=domain_ref)

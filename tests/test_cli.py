@@ -10,10 +10,9 @@ from stabletau.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    builtin_domain,
     main,
 )
-from stabletau.geom import ConeDomain, SupportDomain, save_domain
+from stabletau.geom import ConeDomain, SupportDomain, builtin_domain, save_domain
 
 
 def run(args):
@@ -27,6 +26,10 @@ def test_builtin_domains():
     assert ell.contains([0.79, 0.0])
     cone = builtin_domain("cone:0.1,3")
     assert isinstance(cone, ConeDomain) and cone.dim == 3
+    for bad in ("bogus", "ellipse:0.8", "cone:2,3"):
+        with pytest.raises(ValueError):
+            builtin_domain(bad)
+    assert run(["solve", "--builtin", "bogus", "--alpha", "1", "--at", "0,0"]) == EXIT_USAGE
 
 
 def test_solve_ok(capsys):
@@ -119,7 +122,7 @@ def test_field_build_and_scan_roundtrip(tmp_path):
     assert run(["field-build", "--builtin", "disk", "--alpha", "1",
                 "--spacing", "0.15", "--walks-per-node", "2000",
                 "--seed", "5", "--out", str(fpath)]) == EXIT_OK
-    assert fpath.read_text().startswith("phifield v1")
+    assert fpath.read_text().startswith("phifield v2")
     out = tmp_path / "scan.csv"
     assert run(["hessian-scan", "--builtin", "disk", "--field", str(fpath),
                 "--points", "halton:4", "--out", str(out)]) == EXIT_OK

