@@ -40,15 +40,16 @@ def fmt17(x) -> str:
 def halton(n: int, dim: int, skip: int = 0) -> np.ndarray:
     """Unscrambled Halton points in [0, 1)^dim (bases 2, 3, 5, 7, ...)."""
     bases = [2, 3, 5, 7, 11, 13][:dim]
-    out = np.empty((n, dim))
+    out = np.zeros((n, dim))
     for d, b in enumerate(bases):
-        for i in range(n):
-            k, f, x = i + 1 + skip, 1.0, 0.0
-            while k > 0:
-                f /= b
-                x += f * (k % b)
-                k //= b
-            out[i, d] = x
+        # radical inverse, one digit position at a time across all indices;
+        # indices out of digits add 0.0, so every value is the same sum, in the
+        # same order, as a per-index digit loop
+        k, f = np.arange(1 + skip, n + 1 + skip), 1.0
+        while np.any(k > 0):
+            f /= b
+            out[:, d] += f * (k % b)
+            k //= b
     return out
 
 

@@ -57,6 +57,10 @@ class DomainFileError(StableTauError):
     """A domain or field file is malformed."""
 
 
+class NewtonError(StableTauError):
+    """A Newton iteration did not reach its tolerance within its step budget."""
+
+
 class NonConvergedError(StableTauError):
     """Adaptive quadrature exhausted its cell budget.
 

@@ -4,8 +4,11 @@ The domain is charted in polar coordinates about an interior (or boundary)
 anchor: y = c + rho * R(psi) u(psi) with (psi, rho) in [0, 2pi] x [0, 1] and
 Jacobian rho R(psi)^2.  Cells are rectangles in chart coordinates, so every
 cell conforms to the boundary; each is integrated with a tensor Gauss-Kronrod
-7/15 pair and the worst cells (by error vs tolerance) are quadrisected until
-the component-wise tolerance is met or the cell budget runs out.
+7/15 pair.  Refinement runs in rounds, as in DCUHRE (Berntsen, Espelid & Genz,
+ACM TOMS 1991): each round bisects the cells with the largest error relative
+to tolerance, at most 32 of them, and evaluates the integrand once on the
+nodes of all their children.  Rounds stop when the component-wise tolerance
+is met or the cell budget runs out.
 
 Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
 (n, m) for a vector integrand whose components then share one adaptive mesh.
@@ -13,13 +16,11 @@ Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergedError
+from .errors import NewtonError, NonConvergedError
 
 # QUADPACK Gauss-Kronrod 7/15 nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -41,8 +42,12 @@ _WG15 = np.zeros(15)
 _WG15[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
                0.417959183673469, 0.381830050505119, 0.279705391489277,
                0.129484966168870]
-_WK2 = np.multiply.outer(_WGK, _WGK)
-_WG2 = np.multiply.outer(_WG15, _WG15)
+# flattened (psi, rho) tensor weights: Kronrod, Gauss, Gauss in psi only, Gauss in rho only
+_W = np.stack([np.multiply.outer(_WGK, _WGK), np.multiply.outer(_WG15, _WG15),
+               np.multiply.outer(_WG15, _WGK), np.multiply.outer(_WGK, _WG15)]).reshape(4, -1)
+_ROUND = 32  # most cells bisected per round, which bounds the integrand's batch
+_NEWTON_STEPS = 50   # radial-extent Newton: step budget and angle tolerance
+_NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,61 +89,61 @@ class _PolarChart:
         ratio = np.where(ct > 0.05, self._g_grid[None, :] / np.maximum(ct, 0.05), np.inf)
         theta = dom._seed_theta[np.argmin(ratio, axis=1)]
         cap = 2 * np.pi / dom._seed_theta.size
-        for _ in range(4):
-            h, h1, h2 = dom._support_012(theta)
-            cth, sth = np.cos(theta), np.sin(theta)
+        todo = np.arange(psi.size)  # angles whose last Newton step was not below tolerance
+        for _ in range(_NEWTON_STEPS):
+            th = theta[todo]
+            h, h1, h2 = dom._support_012(th)
+            cth, sth = np.cos(th), np.sin(th)
             g = h - (c[0] * cth + c[1] * sth)
             gp = h1 - (-c[0] * sth + c[1] * cth)
-            t = theta - psi
+            t = th - psi[todo]
             num = gp * np.cos(t) + g * np.sin(t)
             den = (h + h2) * np.cos(t)
             den = np.where(np.abs(den) < 1e-14, 1e-14, den)
-            theta = theta - np.clip(num / den, -cap, cap)
+            step = np.clip(num / den, -cap, cap)
+            theta[todo] = th - step
+            todo = todo[np.abs(step) > _NEWTON_TOL]
+            if todo.size == 0:
+                break
+        else:
+            raise NewtonError(f"radial extent: Newton did not converge at {todo.size} "
+                              f"of {psi.size} angles in {_NEWTON_STEPS} steps")
         g = dom.support(theta) - self._unit(theta) @ c
         return np.maximum(g / np.maximum(np.cos(theta - psi), 1e-12), 0.0)
 
 
-def _eval_cell(chart, f, cell, radial_cache):
-    """Kronrod/Gauss pair on one chart rectangle.
+def _eval_cell(chart, f, cells):
+    """Kronrod/Gauss pairs on a (c, 4) array of chart rectangles (psi0, psi1, rho0, rho1).
 
-    Returns (value, error, split_axis) where split_axis picks the direction
-    whose one-axis Gauss downgrade loses the most accuracy (0 = psi, 1 = rho).
+    Evaluates f once on all c * 225 nodes.  Returns per-cell (value, error,
+    split_axis) of shapes (c, m), (c, m) and (c,); split_axis picks the
+    direction whose one-axis Gauss downgrade loses the most accuracy
+    (0 = psi, 1 = rho).
     """
-    p0, p1, r0, r1 = cell
-    pm, ph = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-    rm, rh = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
-    key = (p0, p1)
-    cached = radial_cache.get(key)
-    if cached is None:
-        psi = pm + ph * _XGK
-        R = chart.radial_extent(psi)
-        u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        cached = radial_cache[key] = (R, u)
-        if len(radial_cache) > 4096:
-            radial_cache.clear()
-    R, u = cached
-    rho = rm + rh * _XGK
-    rad = rho[None, :] * R[:, None]
-    pts = chart.center[None, None, :] + rad[:, :, None] * u[:, None, :]
-    nodes = pts.reshape(-1, 2)
+    p0, p1, r0, r1 = cells.T
+    ph, rh = 0.5 * (p1 - p0), 0.5 * (r1 - r0)
+    rho = 0.5 * (r0 + r1)[:, None] + rh[:, None] * _XGK
+    # the halves of a rho bisection share their psi nodes: chart each span once
+    spans, span_of = np.unique(cells[:, :2], axis=0, return_inverse=True)
+    s0, s1 = spans.T
+    psi = 0.5 * (s0 + s1)[:, None] + 0.5 * (s1 - s0)[:, None] * _XGK
+    R = chart.radial_extent(psi.ravel()).reshape(psi.shape)[span_of]
+    u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)[span_of]
+    rad = rho[:, None, :] * R[:, :, None]  # (cell, psi node, rho node)
+    nodes = (chart.center + rad[..., None] * u[:, :, None, :]).reshape(-1, 2)
     vals = np.asarray(f(nodes), dtype=float)
-    if vals.shape[:1] != (len(nodes),):
-        raise ValueError(f"integrand returned shape {vals.shape} for {len(nodes)} nodes; "
-                         f"expected ({len(nodes)},) or ({len(nodes)}, m)")
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    m = vals.shape[1]
-    vals = vals.reshape(15, 15, m)
-    jac = (rad * R[:, None]) * (ph * rh)
-    wv = jac[:, :, None] * vals
-    vk = np.einsum("ij,ijm->m", _WK2, wv)
-    v_gpsi = np.einsum("i,j,ijm->m", _WG15, _WGK, wv)   # Gauss in psi only
-    v_grho = np.einsum("i,j,ijm->m", _WGK, _WG15, wv)   # Gauss in rho only
+    n = len(nodes)
+    if vals.shape[:1] != (n,):
+        raise ValueError(f"integrand returned shape {vals.shape} for {n} nodes "
+                         f"({len(cells)} cells of {_XGK.size ** 2} nodes); "
+                         f"expected ({n},) or ({n}, m)")
+    jac = rad * R[:, :, None] * (ph * rh)[:, None, None]
+    wv = jac.reshape(len(cells), -1, 1) * vals.reshape(len(cells), jac[0].size, -1)
+    vk, vg, v_gpsi, v_grho = np.moveaxis(_W @ wv, 1, 0)
     err_psi = np.abs(vk - v_gpsi)
     err_rho = np.abs(vk - v_grho)
-    err = np.abs(vk - np.einsum("ij,ijm->m", _WG2, wv))
-    err = np.maximum(err, np.maximum(err_psi, err_rho))
-    axis = 0 if float(np.max(err_psi)) >= float(np.max(err_rho)) else 1
+    err = np.maximum(np.abs(vk - vg), np.maximum(err_psi, err_rho))
+    axis = (np.max(err_psi, axis=1) < np.max(err_rho, axis=1)).astype(int)
     return vk, err, axis
 
 
@@ -158,77 +163,44 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         center = np.zeros(2)
     chart = _PolarChart(dom, center)
 
-    cells = {}
-    counter = itertools.count()
-    heap = []
-    scalar_result = [None]
-    radial_cache = {}
-
-    def push(cell):
-        vk, err, axis = _eval_cell(chart, f, cell, radial_cache)
-        if scalar_result[0] is None:
-            scalar_result[0] = vk.size == 1
-        cid = next(counter)
-        cells[cid] = (cell, vk, err, axis)
-        return cid, vk, err
-
-    total_val = None
-    total_err = None
-    for i in range(8):
-        for j in range(4):
-            _, vk, err = push((2 * np.pi * i / 8, 2 * np.pi * (i + 1) / 8, j / 4, (j + 1) / 4))
-            total_val = vk.copy() if total_val is None else total_val + vk
-            total_err = err.copy() if total_err is None else total_err + err
-
-    def tol_vec():
-        return np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
-
-    for cid, (cell, vk, err, axis) in cells.items():
-        pri = float(np.max(err / tol_vec()))
-        heapq.heappush(heap, (-pri, cid))
-
-    def finish():
-        # re-sum in cell-id order: removes incremental float drift and keeps
-        # results bitwise deterministic
-        val = np.zeros_like(total_val)
-        err = np.zeros_like(total_err)
-        for cid in sorted(cells):
-            _, vk, ek, _ = cells[cid]
-            val = val + vk
-            err = err + ek
-        if scalar_result[0]:
-            return float(val[0]), float(err[0])
-        return val, err
-
-    while np.any(total_err > tol_vec()):
-        if len(cells) >= spec.max_cells or not heap:
-            val, err = finish()
-            raise NonConvergedError(val, err)
-        _, cid = heapq.heappop(heap)
-        if cid not in cells:
-            continue
-        cell, vk, err, axis = cells.pop(cid)
-        p0, p1, r0, r1 = cell
+    i, j = np.divmod(np.arange(32), 4)
+    cells = np.stack([2 * np.pi * i / 8, 2 * np.pi * (i + 1) / 8, j / 4, (j + 1) / 4], axis=1)
+    vals, errs, axes = _eval_cell(chart, f, cells)
+    while True:
+        # totals are re-summed in array order each round, so results are
+        # bitwise deterministic
+        total_val, total_err = vals.sum(axis=0), errs.sum(axis=0)
+        result = ((float(total_val[0]), float(total_err[0])) if vals.shape[1] == 1
+                  else (total_val, total_err))
+        tol = np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
+        if not np.any(total_err > tol):
+            return result
         # below ~1e-12 width the Kronrod nodes collide with the cell edge in
         # floating point (edge-singular integrands would be sampled at the edge)
-        can_psi = (p1 - p0) >= 1e-12
-        can_rho = (r1 - r0) >= 1e-12
-        if not (can_psi or can_rho):
-            cells[cid] = (cell, vk, err, axis)  # cannot refine further; keep it
-            continue
-        total_val = total_val - vk
-        total_err = total_err - err
-        if (axis == 0 and can_psi) or not can_rho:
-            pm = 0.5 * (p0 + p1)
-            children = [(p0, pm, r0, r1), (pm, p1, r0, r1)]
-        else:
-            rm = 0.5 * (r0 + r1)
-            children = [(p0, p1, r0, rm), (p0, p1, rm, r1)]
-        for child in children:
-            ncid, nvk, nerr = push(child)
-            total_val = total_val + nvk
-            total_err = total_err + nerr
-            pri = float(np.max(nerr / tol_vec()))
-            heapq.heappush(heap, (-pri, ncid))
+        can_psi = cells[:, 1] - cells[:, 0] >= 1e-12
+        can_rho = cells[:, 3] - cells[:, 2] >= 1e-12
+        live = np.flatnonzero(can_psi | can_rho)
+        budget = min(_ROUND, spec.max_cells - len(cells))
+        if budget <= 0 or live.size == 0:
+            raise NonConvergedError(*result)
+        order = live[np.argsort(-np.max(errs[live] / tol, axis=1), kind="stable")][:budget]
+        # the shortest prefix whose removal leaves at most half the tolerance
+        left = total_err - np.cumsum(errs[order], axis=0)
+        enough = np.all(left <= 0.5 * tol, axis=1)
+        split = order[:np.argmax(enough) + 1] if enough.any() else order
 
-    return finish()
+        by_psi = ((axes[split] == 0) & can_psi[split]) | ~can_rho[split]
+        lo = np.where(by_psi, 0, 2)
+        rows = np.arange(len(split))
+        first, second = cells[split], cells[split]
+        mid = 0.5 * (first[rows, lo] + first[rows, lo + 1])
+        first[rows, lo + 1] = mid
+        second[rows, lo] = mid
+        children = np.concatenate([first, second])
+        c_vals, c_errs, c_axes = _eval_cell(chart, f, children)
+        keep = np.ones(len(cells), dtype=bool)
+        keep[split] = False
+        cells = np.concatenate([cells[keep], children])
+        vals = np.concatenate([vals[keep], c_vals])
+        errs = np.concatenate([errs[keep], c_errs])
+        axes = np.concatenate([axes[keep], c_axes])

@@ -42,6 +42,27 @@ def test_halton_deterministic_and_in_range():
     assert not np.array_equal(c, a[:10, :2])
 
 
+def _halton_scalar(n, dim, skip=0):
+    # digit-by-digit radical inverse, one index at a time
+    out = np.empty((n, dim))
+    for d, b in enumerate([2, 3, 5, 7, 11, 13][:dim]):
+        for i in range(n):
+            k, f, x = i + 1 + skip, 1.0, 0.0
+            while k > 0:
+                f /= b
+                x += f * (k % b)
+                k //= b
+            out[i, d] = x
+    return out
+
+
+@pytest.mark.parametrize("skip", [0, 1, 37, 4000])
+def test_halton_matches_scalar_reference(skip):
+    for dim in range(1, 7):
+        fast = an.halton(1000, dim, skip=skip)
+        assert fast.tobytes() == _halton_scalar(1000, dim, skip).tobytes(), (dim, skip)
+
+
 def test_cylinder_and_slab_points():
     pts = an.cylinder_points(3.0, 100)
     assert np.all(np.hypot(pts[:, 0], pts[:, 1]) < 3.0)

@@ -6,6 +6,7 @@ from numpy.random import Generator, Philox
 from scipy.integrate import quad as quad1d
 from scipy.interpolate import PchipInterpolator
 
+from stabletau.analysis import cylinder_points
 from stabletau.closedform import (
     aux_w_hess_det,
     exterior_half_laplacian,
@@ -299,3 +300,43 @@ def test_stencil_slab_hessian_on_quadratic():
     assert s.hess[1, 1] == pytest.approx(-1.0, abs=1e-6)
     assert s.hess[0, 1] == pytest.approx(0.3, abs=1e-6)
     assert s.hess[2, 2] == pytest.approx(2.6, abs=1e-6)
+
+
+class _CountingPhi(DiskPhi):
+    """DiskPhi recording the node count of every integrand call."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def values_at(self, pts):
+        self.batches.append(len(pts))
+        return super().values_at(pts)
+
+
+_CRITERION5_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=3e-8, max_cells=30000)
+# integrand nodes of eval_hessian for the first two criterion-5 cylinder
+# points and the S1 probe at h = 0.01 (boundary angle 0) when refinement split
+# one 225-node cell per step, in the order of _budget_points()
+_ONE_CELL_PER_STEP_NODES = (23400, 25200, 124200)
+
+
+def _budget_points():
+    return [*cylinder_points(3.0, 500)[:2], np.array([1.01, 0.0, 0.125 * 0.01])]
+
+
+def test_round_refinement_node_budget():
+    for x, serial in zip(_budget_points(), _ONE_CELL_PER_STEP_NODES):
+        phi = _CountingPhi()
+        sample = eval_hessian(ExtensionContext(SupportDomain.disk(1.0), phi, _CRITERION5_QUAD), x)
+        assert sample.converged
+        assert sum(phi.batches) <= 1.1 * serial, (x, sum(phi.batches), serial)
+
+
+def test_round_refinement_batches_cells():
+    phi = _CountingPhi()
+    eval_hessian(ExtensionContext(SupportDomain.disk(1.0), phi, _CRITERION5_QUAD),
+                 _budget_points()[2])
+    assert max(phi.batches) <= 64 * 225
+    assert max(phi.batches) > 225
+    assert all(n % 225 == 0 for n in phi.batches)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from stabletau.errors import NonConvergedError
+from stabletau import quad
+from stabletau.errors import NewtonError, NonConvergedError
 from stabletau.geom import SupportDomain
 from stabletau.quad import QuadSpec, integrate
+
+SQUARE = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +122,49 @@ def test_pointwise_integrand(disk):
     # integrands are vectorised; a pointwise one is rejected, not looped over
     with pytest.raises(ValueError, match="225 nodes"):
         integrate(disk, lambda p: 1.0 + p[0] * p[1], QuadSpec(max_cells=256))
+
+
+def _radial_extent_bisection(dom, c, psi):
+    """R(psi) about c by bisection on the boundary parametrisation.
+
+    The boundary point with outer normal theta, b = h u + h' u_perp, turns
+    monotonically about an interior c as theta grows, so the normal angle of
+    the boundary point on the ray psi is bracketed on a grid and bisected;
+    no distance query and no Newton step is involved.
+    """
+    def polar(theta):
+        h, hp = dom.support(theta), dom.support(theta, 1)
+        bx = h * np.cos(theta) - hp * np.sin(theta) - c[0]
+        by = h * np.sin(theta) + hp * np.cos(theta) - c[1]
+        return np.arctan2(by, bx), np.hypot(bx, by)
+
+    grid = np.linspace(0.0, 2 * np.pi, 4097)
+    turn = np.unwrap(polar(grid)[0])
+    target = turn[0] + np.mod(psi - turn[0], 2 * np.pi)
+    k = np.clip(np.searchsorted(turn, target) - 1, 0, grid.size - 2)
+    lo, hi = grid[k], grid[k + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        before = np.mod(polar(mid)[0] - target + np.pi, 2 * np.pi) < np.pi
+        lo, hi = np.where(before, mid, lo), np.where(before, hi, mid)
+    return polar(0.5 * (lo + hi))[1]
+
+
+@pytest.mark.parametrize("dom, anchor", [
+    (SupportDomain.from_polygon(SQUARE), (0.1, -0.2)),
+    (SupportDomain.from_polygon(SQUARE), (0.45, 0.4)),
+    (SupportDomain.ellipse(0.9, 0.15), (0.0, 0.0)),
+    (SupportDomain.ellipse(0.9, 0.15), (0.7, -0.05)),
+])
+def test_radial_extent_matches_bisection(dom, anchor):
+    psi = np.linspace(0.0, 2 * np.pi, 2000, endpoint=False)
+    R = quad._PolarChart(dom, anchor).radial_extent(psi)
+    oracle = _radial_extent_bisection(dom, np.asarray(anchor), psi)
+    assert np.max(np.abs(R - oracle)) < 1e-11
+
+
+def test_radial_extent_raises_when_newton_stalls(monkeypatch):
+    chart = quad._PolarChart(SupportDomain.from_polygon(SQUARE), (0.1, -0.2))
+    monkeypatch.setattr(quad, "_NEWTON_STEPS", 1)
+    with pytest.raises(NewtonError):
+        chart.radial_extent(np.linspace(0.0, 2 * np.pi, 200, endpoint=False))
