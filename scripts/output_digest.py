@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""SHA-256 digest of fixed-seed outputs, for checking that a change is byte-identical.
+
+Hashes the raw float64 bytes of:
+
+- `build_field` on the ellipse (0.8, 0.5) at alpha = 0.5, 1 and 1.5;
+- `estimate_phi` (with exit points) on the unit disk, on the ellipse and on
+  a three-dimensional cone;
+- `PhiField.values_at` and `.stderr_at` of the alpha = 1 field on fixed points;
+- `hessian_scan` with `DiskPhi` and with the alpha = 1 ellipse `PhiField`,
+  on points above, below and on the slab;
+- `_signed_distance_foot` (distance and foot angle) on fixed points for the
+  disk, the ellipse and `from_polygon` of the square [-0.5, 0.5]^2.
+
+Prints one line per output and the combined digest last.  Run it on two
+checkouts and compare:
+
+    PYTHONPATH=src python scripts/output_digest.py
+"""
+
+import hashlib
+
+import numpy as np
+
+from stabletau.analysis import hessian_scan
+from stabletau.closedform import StableParams
+from stabletau.extension import DiskPhi, ExtensionContext
+from stabletau.geom import ConeDomain, SupportDomain
+from stabletau.wos import WalkConfig, build_field, estimate_phi
+
+SQUARE = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
+SCAN_POINTS = np.array([[0.2, 0.1, 0.3], [-0.4, 0.2, 0.6], [0.9, -0.3, 0.15],
+                        [0.2, 0.1, -0.3], [0.1, -0.05, 0.0]])
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for a in parts:
+        if isinstance(a, str):
+            h.update(a.encode())
+        else:
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _field_arrays(f):
+    return (f.values, f.stderr, f.blend_c, f.blend_c2, f.blend_c_err, f.node_delta)
+
+
+def _estimate_arrays(est, finals):
+    return ([est.mean, est.std_error, est.truncated, est.mean_steps], finals)
+
+
+def _scan_arrays(report):
+    return (report.values, " ".join(map(str, report.verdicts)))
+
+
+def outputs():
+    disk = SupportDomain.disk(1.0)
+    ellipse = SupportDomain.ellipse(0.8, 0.5)
+    square = SupportDomain.from_polygon(SQUARE)
+    fields = {}
+    for alpha in (0.5, 1.0, 1.5):
+        fields[alpha] = build_field(ellipse, StableParams(alpha, 2), 0.1,
+                                    WalkConfig(n_walks=600, seed=11))
+        yield f"build_field ellipse alpha={alpha:g}", _field_arrays(fields[alpha])
+    for name, dom, x in (("disk", disk, [0.3, 0.1]), ("ellipse", ellipse, [0.3, 0.1]),
+                         ("cone", ConeDomain(0.4, 3), [0.5, 0.05, -0.05])):
+        est, finals = estimate_phi(dom, StableParams(1.0, 2), x,
+                                   WalkConfig(n_walks=40_000, seed=5),
+                                   return_final_points=True)
+        yield f"estimate_phi {name}", _estimate_arrays(est, finals)
+    for name, ctx in (("DiskPhi", ExtensionContext(disk, DiskPhi())),
+                      ("ellipse PhiField", ExtensionContext(ellipse, fields[1.0]))):
+        pts = SCAN_POINTS if name == "DiskPhi" else SCAN_POINTS * [0.7, 0.7, 1.0]
+        yield f"hessian_scan {name}", _scan_arrays(hessian_scan(ctx, pts))
+    rng = np.random.default_rng(20261018)
+    pts = rng.uniform(-1.2, 1.2, size=(4000, 2))
+    yield "PhiField values_at stderr_at", (fields[1.0].values_at(pts), fields[1.0].stderr_at(pts))
+    for name, dom in (("disk", disk), ("ellipse", ellipse), ("square", square)):
+        yield f"_signed_distance_foot {name}", dom._signed_distance_foot(pts)
+
+
+def main():
+    total = hashlib.sha256()
+    for label, arrays in outputs():
+        d = _digest(*arrays)
+        total.update(d.encode())
+        print(f"{d}  {label}")
+    print(f"{total.hexdigest()}  all")
+
+
+if __name__ == "__main__":
+    main()

@@ -47,6 +47,9 @@ class DiskPhi:
     def stderr_at(self, pts) -> np.ndarray:
         return np.zeros(len(np.atleast_2d(pts)))
 
+    def values_and_stderr_at(self, pts):
+        return self.values_at(pts), self.stderr_at(pts)
+
     def slab_hessian(self, x):
         """(phi_11, phi_22, phi_12) at an interior point, differentiated exactly."""
         x = np.asarray(x, dtype=float)
@@ -217,11 +220,10 @@ def _upper_hessian_entries(ctx: ExtensionContext, x):
 
     def integrand(pts):
         comps = kernel_K_hess_components(_offsets(x, pts))
-        vals = comps * ctx.phi.values_at(pts)[:, None]
         if not with_noise:
-            return vals
-        noise = np.abs(comps) * ctx.phi.stderr_at(pts)[:, None]
-        return np.concatenate([vals, noise], axis=1)
+            return comps * ctx.phi.values_at(pts)[:, None]
+        vals, errs = ctx.phi.values_and_stderr_at(pts)
+        return np.concatenate([comps * vals[:, None], np.abs(comps) * errs[:, None]], axis=1)
 
     spec = ctx.quad.with_singular_center(x[:2])
     if with_noise:
@@ -265,12 +267,11 @@ def _stencil_slab_hessian(ctx: ExtensionContext, xy, sd):
         [x0, y0], [x0 + h, y0], [x0 - h, y0], [x0, y0 + h], [x0, y0 - h],
         [x0 + h, y0 + h], [x0 + h, y0 - h], [x0 - h, y0 + h], [x0 - h, y0 - h],
     ])
-    v = ctx.phi.values_at(pts)
+    v, v_err = ctx.phi.values_and_stderr_at(pts)
     h11 = (v[1] - 2 * v[0] + v[2]) / h ** 2
     h22 = (v[3] - 2 * v[0] + v[4]) / h ** 2
     h12 = (v[5] - v[6] - v[7] + v[8]) / (4 * h ** 2)
-    sig = float(np.max(ctx.phi.stderr_at(pts))) if hasattr(ctx.phi, "stderr_at") else 0.0
-    noise = 4.0 * sig / h ** 2
+    noise = 4.0 * float(np.max(v_err)) / h ** 2
     err = np.full(6, noise)
     err[2] = 2 * noise
     err[4] = err[5] = 0.0

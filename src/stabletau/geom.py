@@ -23,6 +23,15 @@ from .errors import (
 
 _CERT_GRID = 4096       # convexity certification grid
 _SEED_GRID = 256        # seeding grid for distance minimisation
+_SEED_BLOCK = 512       # query rows per seed block: the (block, 256) temporary stays in cache
+_NEWTON_REFINE = 1e-5   # rows whose third Newton step exceeds this (rad) iterate on ...
+_NEWTON_STEPS = 8       # ... for at most this many steps, until a step is below ...
+_NEWTON_TOL = 1e-8      # ... this (rad)
+_SCAN_CELLS = 4         # rescan window: this many seed steps either side of the seed ...
+_SCAN_FINE = 4          # ... sampled this many times finer than the seed grid
+_RESCAN_GAIN = 1e-12    # a rescan replaces the Newton value only if lower by more than this
+_ZOOM_LEVELS = 7        # rescan refinement: each level samples +- one step at a quarter
+                        # of it, so the angle is pinned to 2 pi / 1024 / 4^7 = 4e-7 rad
 _TABLE_GRID = 4096      # Hermite-interpolation table for hot-path evaluation
 _CONVEXITY_REFINE = 0.01  # refine intervals where h+h'' drops below this
 _BOUNDARY_TOL = 1e-12   # points this close to the boundary count as outside
@@ -90,11 +99,25 @@ class SupportDomain:
         self._seed_h = _trig_eval(self.coeffs, tg)
         self._seed_u = _unit(tg)
         # cubic-Hermite tables of h, h', h'' on a fine grid: the walk and
-        # quadrature hot paths evaluate these instead of summing the series
+        # quadrature hot paths evaluate these instead of summing the series.
+        # Row i holds (h, h', h'', h''') at knot i, so a lookup gathers two rows.
         nt = _TABLE_GRID
         tt = np.linspace(0.0, 2 * np.pi, nt + 1)
         self._tab_step = 2 * np.pi / nt
-        self._tab = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)])
+        self._tab = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)], axis=1)
+        # g = h - x.u has g'' = h + h'' - g, so g can have several minima in
+        # the rescan window about a seed angle only where g exceeds the least
+        # radius of curvature there; for an interior x, g climbs at most
+        # _window_rise above the seed value within the window (|g'| <=
+        # |h'| + |x|).  A minimum's best seed sample sits at most _seed_slack
+        # = 1/2 max g'' (step / 2)^2 above it.
+        rc = self._tab[:-1, 0] + self._tab[:-1, 2]
+        per = _TABLE_GRID // _SEED_GRID
+        reach = np.arange(-per * _SCAN_CELLS, per * _SCAN_CELLS + 1)
+        self._rc_window_min = rc[(per * np.arange(_SEED_GRID)[:, None] + reach) % _TABLE_GRID].min(axis=1)
+        self._window_rise = (_SCAN_CELLS * 2 * np.pi / _SEED_GRID
+                             * float(np.max(np.abs(self._tab[:, 1])) + np.max(self._tab[:, 0])))
+        self._seed_slack = 0.5 * float(rc.max()) * (np.pi / _SEED_GRID) ** 2
         # disk fast path: only the constant mode present
         self._disk_radius = None
         if self.n_modes == 1 or not np.any(self.coeffs[1:]):
@@ -144,6 +167,11 @@ class SupportDomain:
 
     def _support_012(self, theta):
         """(h, h', h'') by cubic Hermite interpolation of the cached tables."""
+        out = self._hermite(theta, 3)
+        return out[..., 0], out[..., 1], out[..., 2]
+
+    def _hermite(self, theta, m):
+        """The first m of (h, h', h'') at theta, stacked on a last axis of length m."""
         theta = np.asarray(theta, dtype=float)
         pos = np.mod(theta, 2 * np.pi) / self._tab_step
         i = np.minimum(pos.astype(np.int64), _TABLE_GRID - 1)
@@ -154,13 +182,9 @@ class SupportDomain:
         b10 = (t3 - 2 * t2 + t) * self._tab_step
         b01 = 3 * t2 - 2 * t3
         b11 = (t3 - t2) * self._tab_step
-        tab = self._tab
-        out = []
-        for k in range(3):
-            y0, y1 = tab[k, i], tab[k, i + 1]
-            d0, d1 = tab[k + 1, i], tab[k + 1, i + 1]
-            out.append(b00 * y0 + b10 * d0 + b01 * y1 + b11 * d1)
-        return out[0], out[1], out[2]
+        r0, r1 = self._tab[i], self._tab[i + 1]
+        return (b00[..., None] * r0[..., :m] + b10[..., None] * r0[..., 1:m + 1]
+                + b01[..., None] * r1[..., :m] + b11[..., None] * r1[..., 1:m + 1])
 
     def _certify(self):
         tg = np.linspace(0.0, 2 * np.pi, _CERT_GRID, endpoint=False)
@@ -211,27 +235,112 @@ class SupportDomain:
             theta = np.arctan2(pts[:, 1], pts[:, 0])
             theta[r == 0] = 0.0
             return self._disk_radius - r, theta
-        g = self._seed_h[None, :] - pts @ self._seed_u.T
-        k = np.argmin(g, axis=1)
+        k, grid_val = self._seed(pts)
         theta = self._seed_theta[k]
-        step_cap = 2 * np.pi / _SEED_GRID
         x1, x2 = pts[:, 0], pts[:, 1]
-        val = None
-        for it in range(3):
-            h, h1, h2 = self._support_012(theta)
-            ct, st = np.cos(theta), np.sin(theta)
-            xu = x1 * ct + x2 * st
-            if it == 2:
-                val = h - xu
-            gp = h1 - (-x1 * st + x2 * ct)
-            gpp = h2 + xu
-            gpp = np.where(np.abs(gpp) < 1e-14, 1e-14, gpp)
-            theta = theta - np.clip(gp / gpp, -step_cap, step_cap)
-        grid_val = g[np.arange(len(pts)), k]
+        for _ in range(3):
+            val, theta, step = self._newton_step(theta, x1, x2)
+        # rows whose third step still exceeds _NEWTON_REFINE take more steps
+        rows = np.nonzero(np.abs(step) > _NEWTON_REFINE)[0]
+        for _ in range(_NEWTON_STEPS):
+            if rows.size == 0:
+                break
+            val[rows], theta[rows], step = self._newton_step(theta[rows], x1[rows], x2[rows])
+            rows = rows[np.abs(step) > _NEWTON_TOL]
         better = grid_val < val  # Newton should only improve; guard regressions
         val = np.where(better, grid_val, val)
         theta = np.where(better, self._seed_theta[k], theta)
+        # Newton finds the minimum in the seed's basin.  Where g is not convex
+        # (near sharp corners) it can settle above the seed or keep moving, or
+        # a second basin in the window can hold the lower minimum; those rows
+        # rescan the window
+        rescan = better
+        rescan[rows] = True
+        maybe = np.nonzero(self._rc_window_min[k] < grid_val + self._window_rise)[0]
+        rescan[maybe[self._second_basin(k[maybe], grid_val[maybe], pts[maybe])]] = True
+        rows = np.nonzero(rescan)[0]
+        if rows.size:
+            v, t = self._rescan(k[rows], pts[rows])
+            lower = v < val[rows] - _RESCAN_GAIN
+            val[rows[lower]], theta[rows[lower]] = v[lower], t[lower]
         return val, np.mod(theta, 2 * np.pi)
+
+    def _second_basin(self, k, grid_val, pts):
+        """Rows whose seed window is not convex and holds a seed sample, not
+        next to the best one k, within _seed_slack of it: another minimum of g
+        there may be the lower one."""
+        c = _SCAN_CELLS
+        j = (k[:, None] + np.arange(-c, c + 1)) % _SEED_GRID
+        g = self._seed_h[j] - (pts[:, :1] * self._seed_u[j, 0] + pts[:, 1:] * self._seed_u[j, 1])
+        near = g <= grid_val[:, None] + self._seed_slack
+        near[:, c - 1:c + 2] = False
+        return (g.max(axis=1) > self._rc_window_min[k]) & near.any(axis=1)
+
+    def _newton_step(self, theta, x1, x2):
+        """g = h - x.u at theta, the next angle and the step of one capped Newton step."""
+        h, h1, h2 = self._support_012(theta)
+        ct, st = np.cos(theta), np.sin(theta)
+        xu = x1 * ct + x2 * st
+        gp = h1 - (-x1 * st + x2 * ct)
+        gpp = h2 + xu
+        gpp = np.where(np.abs(gpp) < 1e-14, 1e-14, gpp)
+        step = np.clip(gp / gpp, -2 * np.pi / _SEED_GRID, 2 * np.pi / _SEED_GRID)
+        return h - xu, theta - step, step
+
+    def _g(self, theta, pts):
+        """g = h - x.u at the angles theta (n, m) of each of the n points."""
+        return self._hermite(theta, 1)[..., 0] - (pts[:, :1] * np.cos(theta)
+                                                  + pts[:, 1:] * np.sin(theta))
+
+    def _rescan(self, k, pts):
+        """(g, theta) at the lowest minimum of g within _SCAN_CELLS seed steps of seed angle k.
+
+        g is sampled _SCAN_FINE times finer than the seed grid.  Every sampled
+        minimum within the (finer) sampling slack of the lowest sample is
+        refined by zooming: a sample no higher than its two neighbours
+        brackets a minimum between them, which needs no convexity.  The
+        lowest refined minimum is kept.
+        """
+        step = 2 * np.pi / (_SEED_GRID * _SCAN_FINE)
+        reach = _SCAN_CELLS * _SCAN_FINE
+        theta = self._seed_theta[k][:, None] + step * np.arange(-reach, reach + 1)
+        g = self._g(theta, pts)
+        low = np.zeros(g.shape, dtype=bool)
+        low[:, 1:-1] = (g[:, 1:-1] <= g[:, :-2]) & (g[:, 1:-1] <= g[:, 2:])
+        low &= g <= g.min(axis=1, keepdims=True) + self._seed_slack / _SCAN_FINE ** 2
+        low[np.arange(len(g)), np.argmin(g, axis=1)] = True
+        row, col = np.nonzero(low)
+        th, val, pts = theta[row, col], g[row, col], pts[row]
+        quarter = np.arange(-4, 5) / 4
+        for _ in range(_ZOOM_LEVELS):
+            zoom = th[:, None] + step * quarter
+            gz = self._g(zoom, pts)
+            j = np.argmin(gz, axis=1)
+            th, val = zoom[np.arange(len(j)), j], gz[np.arange(len(j)), j]
+            step /= 4
+        best = np.lexsort((val, row))  # candidates by row, lowest first
+        first = best[np.r_[True, row[best][1:] != row[best][:-1]]]
+        return val[first], th[first]
+
+    def _seed(self, pts: np.ndarray):
+        """Best seed-grid angle index and value per row, in blocks of _SEED_BLOCK rows.
+
+        A one-row remainder joins the block before it: numpy hands a one-row
+        product to matrix-vector BLAS, whose last bits differ from the
+        matrix-matrix product the other rows get.
+        """
+        n = len(pts)
+        k = np.empty(n, dtype=np.intp)
+        val = np.empty(n)
+        lo = 0
+        while lo < n:
+            hi = n if n - lo <= _SEED_BLOCK + 1 else lo + _SEED_BLOCK
+            g = pts[lo:hi] @ self._seed_u.T
+            np.subtract(self._seed_h, g, out=g)
+            k[lo:hi] = np.argmin(g, axis=1)
+            val[lo:hi] = g[np.arange(hi - lo), k[lo:hi]]
+            lo = hi
+        return k, val
 
     def contains(self, x) -> bool:
         """True iff x is interior; boundary points within 1e-12 report False."""

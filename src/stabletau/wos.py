@@ -25,7 +25,7 @@ from scipy.special import betainc, betaincinv
 
 from .closedform import BallSpec, StableParams, ball_exit_constant
 from .errors import DomainFileError, GridTooCoarseError, PointOutsideError
-from .geom import SupportDomain, builtin_domain, load_domain, save_domain, _unit
+from .geom import _BOUNDARY_TOL, SupportDomain, builtin_domain, load_domain, save_domain, _unit
 
 _BATCH = 16384
 _MASK64 = (1 << 64) - 1
@@ -183,11 +183,12 @@ def sample_exit(ball: BallSpec, p: StableParams, rng: Generator):
     return np.asarray(ball.center, dtype=float) + rho * direction
 
 
-def _run_batch(dom, p, pos0, cfg, stream, batch_start, law, width,
+def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
                collect_finals, group_of=None, n_groups=1):
     """Advance one batch of walks to termination.
 
-    pos0 holds each walk's start; group_of (optional) maps walks to result
+    pos0 holds each walk's start and delta0 its boundary distance, which the
+    caller has already queried; group_of (optional) maps walks to result
     groups.  Returns per-group (sum_t, sum_t^2, truncated, steps) arrays plus
     the final exit points when requested.
     """
@@ -197,7 +198,7 @@ def _run_batch(dom, p, pos0, cfg, stream, batch_start, law, width,
     tacc = np.zeros(batch_size)
     steps = np.zeros(batch_size, dtype=np.int64)
     # distance to the boundary is carried forward so each round polishes it once
-    delta = dom.boundary_distance_batch(pos)
+    delta = np.array(delta0, dtype=float)
     finals = np.full((batch_size, dim), np.nan) if collect_finals else None
     cb = ball_exit_constant(p)
     exit_cut = cfg.shell if p.alpha == 2.0 else 1e-12
@@ -238,7 +239,10 @@ def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
     (dom, p, x, cfg, stream) regardless of n_threads.
     """
     x0 = np.asarray(x, dtype=float)
-    if not dom.contains(x0):
+    # one start query for all batches, made on two rows so that it takes the
+    # matrix-matrix path of the batch queries in the walk loop (geom._seed)
+    d0 = dom.boundary_distance_batch(np.stack([x0, x0]))[0]
+    if not d0 > _BOUNDARY_TOL:
         raise PointOutsideError(f"start point {x} lies outside the domain")
     law = ExitRadiusLaw(p.alpha)
     width = _uniform_width(x0.size)
@@ -247,8 +251,8 @@ def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
 
     def work(i):
         pos0 = np.tile(x0, (sizes[i], 1))
-        return _run_batch(dom, p, pos0, cfg, stream, starts[i], law,
-                          width, return_final_points)
+        return _run_batch(dom, p, pos0, np.full(sizes[i], d0), cfg, stream, starts[i],
+                          law, width, return_final_points)
 
     if n_threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -343,9 +347,10 @@ class PhiField:
         c2 = self._sector_interp(self.blend_c2, theta)
         return c * np.sqrt(d) + c2 * d ** 1.5
 
-    def values_at(self, pts) -> np.ndarray:
+    def values_at(self, pts, foot=None) -> np.ndarray:
+        """Field values; foot is the (distance, angle) query of pts if already made."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._signed_distance_foot(pts)
+        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
         collar = (d > 0) & (d <= self.collar)
         deep = d > self.collar
@@ -355,9 +360,10 @@ class PhiField:
             out[deep] = self._spline.ev(pts[deep, 0], pts[deep, 1])
         return out
 
-    def stderr_at(self, pts) -> np.ndarray:
+    def stderr_at(self, pts, foot=None) -> np.ndarray:
+        """Error bars of values_at; foot as there."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._signed_distance_foot(pts)
+        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
         collar = (d > 0) & (d <= self.collar)
         deep = d > self.collar
@@ -367,6 +373,12 @@ class PhiField:
         if np.any(deep):
             out[deep] = np.abs(self._err_spline.ev(pts[deep, 0], pts[deep, 1]))
         return out
+
+    def values_and_stderr_at(self, pts):
+        """(values_at(pts), stderr_at(pts)) from one distance query."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        foot = self.dom._signed_distance_foot(pts)
+        return self.values_at(pts, foot), self.stderr_at(pts, foot)
 
     def __call__(self, pts):
         return self.values_at(pts)
@@ -408,8 +420,8 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
         hi = min(lo + _BATCH, total)
         walk_ids = np.arange(lo, hi)
         gid = (walk_ids // nw).astype(np.int64)
-        pos0 = grid[reliable_idx[gid]]
-        sums, _ = _run_batch(dom, p, pos0, cfg, stream=1, batch_start=lo,
+        node = reliable_idx[gid]
+        sums, _ = _run_batch(dom, p, grid[node], d[node], cfg, stream=1, batch_start=lo,
                              law=law, width=2, collect_finals=False,
                              group_of=gid, n_groups=n_nodes)
         return sums

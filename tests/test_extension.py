@@ -6,8 +6,10 @@ from numpy.random import Generator, Philox
 from scipy.integrate import quad as quad1d
 from scipy.interpolate import PchipInterpolator
 
+from stabletau import extension
 from stabletau.analysis import cylinder_points
 from stabletau.closedform import (
+    StableParams,
     aux_w_hess_det,
     exterior_half_laplacian,
     kernel_K_grad,
@@ -27,6 +29,7 @@ from stabletau.extension import (
 )
 from stabletau.geom import SupportDomain
 from stabletau.quad import QuadSpec, integrate
+from stabletau.wos import WalkConfig, build_field
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +294,9 @@ def test_stencil_slab_hessian_on_quadratic():
         def stderr_at(self, pts):
             return np.zeros(len(np.atleast_2d(pts)))
 
+        def values_and_stderr_at(self, pts):
+            return self.values_at(pts), self.stderr_at(pts)
+
         def typical_stderr(self):
             return 0.0
 
@@ -340,3 +346,40 @@ def test_round_refinement_batches_cells():
     assert max(phi.batches) <= 64 * 225
     assert max(phi.batches) > 225
     assert all(n % 225 == 0 for n in phi.batches)
+
+
+def test_disk_values_and_stderr_at():
+    phi = DiskPhi()
+    pts = np.random.default_rng(5).uniform(-1.2, 1.2, size=(500, 2))
+    values, errs = phi.values_and_stderr_at(pts)
+    assert values.tobytes() == phi.values_at(pts).tobytes()
+    assert errs.tobytes() == phi.stderr_at(pts).tobytes()
+
+
+def test_noisy_integrand_reads_field_with_one_distance_query(monkeypatch):
+    dom = SupportDomain.ellipse(0.8, 0.5)
+    field = build_field(dom, StableParams(1.0, 2), 0.1, WalkConfig(n_walks=200, seed=4))
+    queries = [0]
+    query = dom._signed_distance_foot
+
+    def counting(pts):
+        queries[0] += 1
+        return query(pts)
+
+    per_call = []
+    real_integrate = extension.integrate
+
+    def integrate_counting(dom_, f, spec):
+        def g(pts):
+            before = queries[0]
+            out = f(pts)
+            per_call.append(queries[0] - before)
+            return out
+        return real_integrate(dom_, g, spec)
+
+    monkeypatch.setattr(dom, "_signed_distance_foot", counting)
+    monkeypatch.setattr(extension, "integrate", integrate_counting)
+    sample = eval_hessian(ExtensionContext(dom, field), [0.1, 0.05, 0.3])
+    assert field.typical_stderr() > 0.0  # the integrand carries the noise columns
+    assert np.all(sample.entry_err > 0.0)
+    assert per_call and all(n == 1 for n in per_call)

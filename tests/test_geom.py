@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabletau import geom
 from stabletau.errors import DomainFileError, NonConvexError, NotInUnitBallError, PointOutsideError
 from stabletau.geom import (
     ConeDomain,
@@ -229,3 +230,148 @@ def test_domain_file_errors(tmp_path):
     bad.write_text("wrong-header v9\n")
     with pytest.raises(DomainFileError):
         load_domain(bad)
+
+
+# -- the distance oracle against a dense brute-force minimiser -------------------------
+
+SQUARE = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
+ECCENTRIC = SupportDomain.ellipse(0.9, 0.15)
+SMOOTH_SQUARE = SupportDomain.from_polygon(SQUARE)
+
+
+def _dense_signed_distance(dom, pts, n_grid=1 << 14):
+    """min over theta of h(theta) - x.u(theta) from the exact Fourier series.
+
+    A dense grid brackets the minimum and golden-section search on the series
+    refines it; no seed grid, Hermite table or Newton step is involved.
+    """
+    tg = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
+    h = dom.support(tg)
+    k = np.argmin(h[None, :] - pts @ np.stack([np.cos(tg), np.sin(tg)]), axis=1)
+    lo, hi = tg[k] - 2 * np.pi / n_grid, tg[k] + 2 * np.pi / n_grid
+
+    def g(t):
+        return dom.support(t) - pts[:, 0] * np.cos(t) - pts[:, 1] * np.sin(t)
+
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+    ga, gb = g(a), g(b)
+    for _ in range(80):
+        left = ga < gb
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        ga, gb = g(a), g(b)
+    return np.minimum(ga, gb)
+
+
+def _points(x_max, y_max):
+    coord = st.tuples(st.floats(-x_max, x_max), st.floats(-y_max, y_max))
+    return st.lists(coord, min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points(1.5, 1.5))
+def test_distance_matches_dense_oracle_disk(pts):
+    dom = SupportDomain.disk(1.0)
+    d, _ = dom._signed_distance_foot(pts)
+    assert np.max(np.abs(d - _dense_signed_distance(dom, pts))) <= 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points(1.1, 0.35))
+def test_distance_matches_dense_oracle_eccentric_ellipse(pts):
+    d, _ = ECCENTRIC._signed_distance_foot(pts)
+    assert np.max(np.abs(d - _dense_signed_distance(ECCENTRIC, pts))) <= 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points(0.5, 0.5))
+def test_distance_matches_dense_oracle_smoothed_square(pts):
+    oracle = _dense_signed_distance(SMOOTH_SQUARE, pts)
+    inside = oracle > 0
+    d, _ = SMOOTH_SQUARE._signed_distance_foot(pts[inside])
+    err = d - oracle[inside]
+    assert np.all(err <= 1e-9), np.max(err)   # no interior overestimate
+    assert np.all(err >= -1e-9), np.min(err)
+
+
+def test_distance_smoothed_square_seeded_points():
+    # three capped Newton steps overestimated about 7% of these by more
+    # than 1e-9, up to 7e-6
+    pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4000, 2))
+    d, _ = SMOOTH_SQUARE._signed_distance_foot(pts)
+    assert np.max(np.abs(d - _dense_signed_distance(SMOOTH_SQUARE, pts))) <= 1e-9
+
+
+def test_distance_smoothed_square_corner_patch():
+    # near a corner g = h - x.u has a shallow minimum per Fejer ripple; Newton
+    # cycles on some points and the seed grid picks the wrong ripple on others
+    xs = np.linspace(0.35, 0.5, 70)
+    pts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    oracle = _dense_signed_distance(SMOOTH_SQUARE, pts)
+    inside = oracle > 0
+    d, _ = SMOOTH_SQUARE._signed_distance_foot(pts[inside])
+    assert np.max(np.abs(d - oracle[inside])) <= 1e-9
+
+
+# -- bitwise equality of the blocked seed and the packed table ---------------------------
+
+def _one_matrix_signed_distance_foot(dom, pts):
+    """The distance query with its seed built as one (n, 256) matrix and
+    exactly three capped Newton steps, as before the seed was blocked."""
+    g = dom._seed_h[None, :] - pts @ dom._seed_u.T
+    k = np.argmin(g, axis=1)
+    theta = dom._seed_theta[k]
+    step_cap = 2 * np.pi / geom._SEED_GRID
+    x1, x2 = pts[:, 0], pts[:, 1]
+    val = None
+    for it in range(3):
+        h, h1, h2 = dom._support_012(theta)
+        ct, st_ = np.cos(theta), np.sin(theta)
+        xu = x1 * ct + x2 * st_
+        if it == 2:
+            val = h - xu
+        gp = h1 - (-x1 * st_ + x2 * ct)
+        gpp = h2 + xu
+        gpp = np.where(np.abs(gpp) < 1e-14, 1e-14, gpp)
+        theta = theta - np.clip(gp / gpp, -step_cap, step_cap)
+    grid_val = g[np.arange(len(pts)), k]
+    better = grid_val < val
+    val = np.where(better, grid_val, val)
+    theta = np.where(better, dom._seed_theta[k], theta)
+    return val, np.mod(theta, 2 * np.pi)
+
+
+_B = geom._SEED_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+def test_blocked_seed_bitwise(ellipse, n):
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
+    for dom in (ellipse, SMOOTH_SQUARE):
+        g = dom._seed_h[None, :] - pts @ dom._seed_u.T
+        k, val = dom._seed(pts)
+        assert np.array_equal(k, np.argmin(g, axis=1))
+        assert val.tobytes() == g[np.arange(n), k].tobytes()
+    # on the ellipse no row needs more than three Newton steps
+    got = ellipse._signed_distance_foot(pts)
+    want = _one_matrix_signed_distance_foot(ellipse, pts)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_packed_hermite_table_bitwise(ellipse):
+    theta = np.random.default_rng(7).uniform(-7.0, 7.0, size=5000)
+    theta[:3] = [0.0, 2 * np.pi, 2 * np.pi - 1e-17]
+    tab = ellipse._tab.T  # (4, K+1): one row per derivative
+    pos = np.mod(theta, 2 * np.pi) / ellipse._tab_step
+    i = np.minimum(pos.astype(np.int64), geom._TABLE_GRID - 1)
+    t = pos - i
+    t2 = t * t
+    t3 = t2 * t
+    b00 = 2 * t3 - 3 * t2 + 1
+    b10 = (t3 - 2 * t2 + t) * ellipse._tab_step
+    b01 = 3 * t2 - 2 * t3
+    b11 = (t3 - t2) * ellipse._tab_step
+    for k, got in enumerate(ellipse._support_012(theta)):
+        want = b00 * tab[k, i] + b10 * tab[k + 1, i] + b01 * tab[k, i + 1] + b11 * tab[k + 1, i + 1]
+        assert got.tobytes() == want.tobytes()

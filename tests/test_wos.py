@@ -245,6 +245,38 @@ def test_field_file_roundtrip(tmp_path, disk_field):
     assert np.all(back.stderr_at(pts[200:]) > 0.0)  # collar error bars survive
 
 
+@pytest.fixture(scope="module")
+def ellipse_field():
+    return build_field(SupportDomain.ellipse(0.8, 0.5), CAUCHY, 0.1,
+                       WalkConfig(n_walks=200, seed=4))
+
+
+def test_values_and_stderr_at_matches_separate_reads(ellipse_field):
+    f = ellipse_field
+    pts = np.random.default_rng(9).uniform([-0.9, -0.6], [0.9, 0.6], size=(3000, 2))
+    d = f.dom.boundary_distance_batch(pts)
+    for where in (d > f.collar, (d > 0) & (d <= f.collar), d <= 0):
+        assert np.count_nonzero(where) > 50  # interior, collar and exterior points
+    values, errs = f.values_and_stderr_at(pts)
+    assert values.tobytes() == f.values_at(pts).tobytes()
+    assert errs.tobytes() == f.stderr_at(pts).tobytes()
+
+
+def test_estimate_phi_queries_start_once(monkeypatch):
+    dom = SupportDomain.ellipse(0.8, 0.5)
+    rows = []
+    query = dom._signed_distance_foot
+
+    def counting(pts):
+        rows.append(len(pts))
+        return query(pts)
+
+    monkeypatch.setattr(dom, "_signed_distance_foot", counting)
+    est = estimate_phi(dom, CAUCHY, [0.3, 0.1], WalkConfig(n_walks=20000, seed=2))
+    # one two-row start query for both batches, then one row per walk step
+    assert sum(rows) == 2 + round(est.mean_steps * est.n_walks)
+
+
 def test_field_file_rejects_v1_and_bad_domain(tmp_path, disk_field):
     path = tmp_path / "disk.pf"
     save_field(disk_field, path)
