@@ -325,11 +325,15 @@ class SupportDomain:
     def _seed(self, pts: np.ndarray):
         """Best seed-grid angle index and value per row, in blocks of _SEED_BLOCK rows.
 
-        A one-row remainder joins the block before it: numpy hands a one-row
-        product to matrix-vector BLAS, whose last bits differ from the
-        matrix-matrix product the other rows get.
+        numpy hands a one-row product to matrix-vector BLAS, whose last bits
+        differ from the matrix-matrix product the other rows get, so a
+        one-row remainder joins the block before it and a one-row query is
+        computed as two copies of its row.
         """
         n = len(pts)
+        if n == 1:
+            k, val = self._seed(np.concatenate([pts, pts]))
+            return k[:1], val[:1]
         k = np.empty(n, dtype=np.intp)
         val = np.empty(n)
         lo = 0

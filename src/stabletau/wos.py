@@ -8,13 +8,16 @@ exactly when it lands in the exterior of the domain; no boundary shell is
 needed.  For alpha = 2 the classical variant is used (uniform exit on the
 sphere) with a tiny absorption shell.
 
-Randomness is counter-based: walk w of batch b at step k reads Philox output
-at a counter derived from (b, k) under key (seed, stream), so runs are
+Randomness is counter-based: at step k, the walks of batch b still alive
+draw one block of uniforms at a Philox counter derived from (b, k) under key
+(seed, stream), and the j-th live walk in walk order reads column j.  The
+live set is itself a deterministic function of the inputs, so runs are
 bitwise reproducible for any thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -130,6 +133,12 @@ class ExitRadiusLaw:
         return out
 
 
+@functools.lru_cache(maxsize=32)
+def _exit_law(alpha: float) -> ExitRadiusLaw:
+    """One ExitRadiusLaw per alpha: its quantile table costs milliseconds to build."""
+    return ExitRadiusLaw(alpha)
+
+
 def _uniform_width(dim: int) -> int:
     if dim == 2:
         return 2
@@ -139,10 +148,20 @@ def _uniform_width(dim: int) -> int:
 
 
 def _uniform_block(seed: int, stream: int, batch_start: int, step: int,
-                   width: int, n: int) -> np.ndarray:
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    counter = (int(step) << 128) | (int(batch_start) << 64)
-    gen = Generator(Philox(key=key, counter=counter))
+                   width: int, n: int, gen: Generator | None = None) -> np.ndarray:
+    """(width, n) uniforms at Philox counter (step, batch_start) under key (seed, stream).
+
+    gen, if given, is a Generator over a Philox bit generator; its state is
+    reset to that counter, so one generator serves every step of a batch.
+    """
+    if gen is None:
+        gen = Generator(Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, batch_start, step, 0], dtype=np.uint64),
+                  "key": np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
     return gen.random((width, n))
 
 
@@ -175,7 +194,7 @@ def sample_exit(ball: BallSpec, p: StableParams, rng: Generator):
     The walk itself derives randomness from counter-based substreams; this is
     the standalone sampler for the same law.
     """
-    law = ExitRadiusLaw(p.alpha)
+    law = _exit_law(p.alpha)
     width = _uniform_width(p.dim)
     u = rng.random(width).reshape(width, 1)
     rho = float(ball.radius * law.factor(u[0])[0])
@@ -191,44 +210,53 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     caller has already queried; group_of (optional) maps walks to result
     groups.  Returns per-group (sum_t, sum_t^2, truncated, steps) arrays plus
     the final exit points when requested.
+
+    Only live walks are carried: ids maps them to walk indices in increasing
+    order, and at step k the j-th live walk reads column j of the step's
+    (width, n_live) uniform block.  A walk's time and step count are written
+    back when it exits; walks still live after cfg.max_steps keep their
+    accrued time and count as truncated.
     """
     batch_size, dim = pos0.shape
-    pos = np.array(pos0, dtype=float)
-    alive = np.ones(batch_size, dtype=bool)
     tacc = np.zeros(batch_size)
-    steps = np.zeros(batch_size, dtype=np.int64)
+    steps = np.full(batch_size, cfg.max_steps, dtype=np.int64)
+    finals = np.full((batch_size, dim), np.nan) if collect_finals else None
+    ids = np.arange(batch_size)
+    pos = np.array(pos0, dtype=float)
     # distance to the boundary is carried forward so each round polishes it once
     delta = np.array(delta0, dtype=float)
-    finals = np.full((batch_size, dim), np.nan) if collect_finals else None
+    t = np.zeros(batch_size)
     cb = ball_exit_constant(p)
     exit_cut = cfg.shell if p.alpha == 2.0 else 1e-12
+    gen = Generator(Philox(0))  # reset to each step's counter by _uniform_block
     for k in range(cfg.max_steps):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+        if ids.size == 0:
             break
-        uni = _uniform_block(cfg.seed, stream, batch_start, k, width, batch_size)
-        s = cfg.ball_fraction * delta[idx]
-        tacc[idx] += cb * s ** p.alpha
-        rho = s * law.factor(uni[0, idx])
-        new = pos[idx] + rho[:, None] * _directions(uni[1:, idx], dim)
-        d_new = dom.boundary_distance_batch(new)
-        pos[idx] = new
-        delta[idx] = d_new
-        steps[idx] += 1
-        exited = d_new <= exit_cut
-        done = idx[exited]
-        alive[done] = False
-        if collect_finals and done.size:
-            finals[done] = new[exited]
+        uni = _uniform_block(cfg.seed, stream, batch_start, k, width, ids.size, gen)
+        s = cfg.ball_fraction * delta
+        t += cb * s ** p.alpha
+        rho = s * law.factor(uni[0])
+        pos = pos + rho[:, None] * _directions(uni[1:], dim)
+        delta = dom.boundary_distance_batch(pos)
+        exited = delta <= exit_cut
+        if exited.any():
+            done = ids[exited]
+            tacc[done] = t[exited]
+            steps[done] = k + 1
+            if collect_finals:
+                finals[done] = pos[exited]
+            live = ~exited
+            ids, pos, delta, t = ids[live], pos[live], delta[live], t[live]
+    tacc[ids] = t  # truncated walks keep their accrued time
     if group_of is None:
         sums = (np.array([tacc.sum()]), np.array([np.dot(tacc, tacc)]),
-                np.array([np.count_nonzero(alive)]), np.array([steps.sum()]))
+                np.array([ids.size]), np.array([steps.sum()]))
     else:
         sums = (np.bincount(group_of, weights=tacc, minlength=n_groups),
                 np.bincount(group_of, weights=tacc * tacc, minlength=n_groups),
-                np.bincount(group_of[alive], minlength=n_groups),
+                np.bincount(group_of[ids], minlength=n_groups),
                 np.bincount(group_of, weights=steps, minlength=n_groups))
-    return (sums, finals) if collect_finals else (sums, None)
+    return sums, finals
 
 
 def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
@@ -239,12 +267,10 @@ def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
     (dom, p, x, cfg, stream) regardless of n_threads.
     """
     x0 = np.asarray(x, dtype=float)
-    # one start query for all batches, made on two rows so that it takes the
-    # matrix-matrix path of the batch queries in the walk loop (geom._seed)
-    d0 = dom.boundary_distance_batch(np.stack([x0, x0]))[0]
+    d0 = dom.boundary_distance_batch(x0[None])[0]  # one start query for all batches
     if not d0 > _BOUNDARY_TOL:
         raise PointOutsideError(f"start point {x} lies outside the domain")
-    law = ExitRadiusLaw(p.alpha)
+    law = _exit_law(p.alpha)
     width = _uniform_width(x0.size)
     starts = list(range(0, cfg.n_walks, _BATCH))
     sizes = [min(_BATCH, cfg.n_walks - s) for s in starts]
@@ -413,7 +439,7 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
     n_nodes = reliable_idx.size
     nw = cfg.n_walks
     total = n_nodes * nw
-    law = ExitRadiusLaw(p.alpha)
+    law = _exit_law(p.alpha)
     batch_bounds = list(range(0, total, _BATCH))
 
     def work(lo):

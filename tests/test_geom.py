@@ -316,10 +316,16 @@ def test_distance_smoothed_square_corner_patch():
 
 # -- bitwise equality of the blocked seed and the packed table ---------------------------
 
+def _matrix_product(a, b):
+    """a @ b on the matrix-matrix path even for one row of a: numpy hands a
+    one-row product to matrix-vector BLAS, whose last bits differ."""
+    return (np.concatenate([a, a]) @ b)[:len(a)]
+
+
 def _one_matrix_signed_distance_foot(dom, pts):
     """The distance query with its seed built as one (n, 256) matrix and
     exactly three capped Newton steps, as before the seed was blocked."""
-    g = dom._seed_h[None, :] - pts @ dom._seed_u.T
+    g = dom._seed_h[None, :] - _matrix_product(pts, dom._seed_u.T)
     k = np.argmin(g, axis=1)
     theta = dom._seed_theta[k]
     step_cap = 2 * np.pi / geom._SEED_GRID
@@ -349,7 +355,7 @@ _B = geom._SEED_BLOCK
 def test_blocked_seed_bitwise(ellipse, n):
     pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
     for dom in (ellipse, SMOOTH_SQUARE):
-        g = dom._seed_h[None, :] - pts @ dom._seed_u.T
+        g = dom._seed_h[None, :] - _matrix_product(pts, dom._seed_u.T)
         k, val = dom._seed(pts)
         assert np.array_equal(k, np.argmin(g, axis=1))
         assert val.tobytes() == g[np.arange(n), k].tobytes()
@@ -375,3 +381,27 @@ def test_packed_hermite_table_bitwise(ellipse):
     for k, got in enumerate(ellipse._support_012(theta)):
         want = b00 * tab[k, i] + b10 * tab[k + 1, i] + b01 * tab[k, i + 1] + b11 * tab[k + 1, i + 1]
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["square", "eccentric ellipse"])
+def test_single_row_query_matches_batch_bitwise(name):
+    # half the points lie on axes of symmetry (the square's diagonals, the
+    # ellipse's axes), where two seed angles tie and the seed's last bits
+    # pick the foot angle; on the diagonals the one-row matrix-vector seed
+    # disagreed with the batch query
+    rng = np.random.default_rng(2000)
+    if name == "square":
+        dom, box = SMOOTH_SQUARE, np.array([0.6, 0.6])
+        a = rng.uniform(-0.6, 0.6, 1000)
+        axes = np.stack([a, rng.choice([-1.0, 1.0], 1000) * a], axis=1)
+    else:
+        dom, box = ECCENTRIC, np.array([1.0, 0.2])
+        axes = rng.uniform(-box, box, size=(1000, 2))
+        axes[rng.uniform(size=1000) < 0.5, 0] = 0.0
+        axes[axes[:, 0] != 0.0, 1] = 0.0
+    pts = np.concatenate([rng.uniform(-box, box, size=(1000, 2)), axes])
+    d, theta = dom._signed_distance_foot(pts)
+    for i in range(len(pts)):
+        d1, theta1 = dom._signed_distance_foot(pts[i:i + 1])
+        assert d1.tobytes() == d[i:i + 1].tobytes(), pts[i]
+        assert theta1.tobytes() == theta[i:i + 1].tobytes(), pts[i]

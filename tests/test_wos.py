@@ -5,7 +5,8 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.integrate import quad as quad1d
 
-from stabletau.closedform import StableParams, ball_phi
+from stabletau import wos
+from stabletau.closedform import StableParams, ball_exit_constant, ball_phi
 from stabletau.errors import DomainFileError, GridTooCoarseError, PointOutsideError
 from stabletau.geom import ConeDomain, SupportDomain
 from stabletau.wos import (
@@ -273,8 +274,8 @@ def test_estimate_phi_queries_start_once(monkeypatch):
 
     monkeypatch.setattr(dom, "_signed_distance_foot", counting)
     est = estimate_phi(dom, CAUCHY, [0.3, 0.1], WalkConfig(n_walks=20000, seed=2))
-    # one two-row start query for both batches, then one row per walk step
-    assert sum(rows) == 2 + round(est.mean_steps * est.n_walks)
+    # one one-row start query for both batches, then one row per walk step
+    assert sum(rows) == 1 + round(est.mean_steps * est.n_walks)
 
 
 def test_field_file_rejects_v1_and_bad_domain(tmp_path, disk_field):
@@ -298,3 +299,142 @@ def test_walk_estimate_is_frozen():
     est = WalkEstimate(1.0, 0.1, 10, 0, 2.0)
     with pytest.raises(Exception):
         est.mean = 2.0
+
+
+# -- the walk loop's random stream ---------------------------------------------------------
+
+def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
+    """Per-walk reference for wos._run_batch: walks advance one at a time, and
+    at step k the j-th live walk (in walk order) reads column j of the step's
+    (width, n_live) uniform block.  Each walk's arithmetic runs on one-element
+    arrays, so it takes the same numpy loops as the batch.  Returns per-walk
+    times, steps and exit points, and the walks still live at the cut."""
+    law = ExitRadiusLaw(p.alpha)
+    width = wos._uniform_width(p.dim)
+    cb = ball_exit_constant(p)
+    exit_cut = cfg.shell if p.alpha == 2.0 else 1e-12
+    n = len(pos0)
+    pos = np.array(pos0, dtype=float)
+    delta = np.array(delta0, dtype=float)
+    tacc = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    finals = np.full(pos.shape, np.nan)
+    live = list(range(n))
+    for k in range(cfg.max_steps):
+        if not live:
+            break
+        uni = wos._uniform_block(cfg.seed, stream, batch_start, k, width, len(live))
+        survivors = []
+        for j, w in enumerate(live):
+            u = uni[:, j:j + 1]
+            s = cfg.ball_fraction * delta[w:w + 1]
+            tacc[w:w + 1] += cb * s ** p.alpha
+            new = pos[w:w + 1] + (s * law.factor(u[0]))[:, None] * wos._directions(u[1:], p.dim)
+            delta[w:w + 1] = dom.boundary_distance_batch(new)
+            pos[w] = new[0]
+            steps[w] += 1
+            if delta[w] <= exit_cut:
+                finals[w] = new[0]
+            else:
+                survivors.append(w)
+        live = survivors
+    return tacc, steps, finals, live
+
+
+def _check_batch_against_reference(dom, p, pos0, cfg, stream, batch_start, group_of=None):
+    delta0 = dom.boundary_distance_batch(pos0)
+    tacc, steps, finals, live = _reference_walks(dom, p, pos0, delta0, cfg, stream,
+                                                 batch_start)
+    n = len(pos0)
+    args = (dom, p, pos0, delta0, cfg, stream, batch_start, wos._exit_law(p.alpha),
+            wos._uniform_width(p.dim))
+    # one group per walk gives the per-walk times, truncation flags and steps
+    (t1, t2, tr, st), fin = wos._run_batch(*args, True, np.arange(n), n)
+    assert t1.tobytes() == tacc.tobytes()
+    assert t2.tobytes() == (tacc * tacc).tobytes()
+    assert np.array_equal(np.nonzero(tr)[0], live)
+    assert np.array_equal(st, steps)
+    assert fin.tobytes() == finals.tobytes()
+    if group_of is None:
+        want = (np.array([tacc.sum()]), np.array([np.dot(tacc, tacc)]),
+                np.array([len(live)]), np.array([steps.sum()]))
+        sums, _ = wos._run_batch(*args, False)
+    else:
+        g = group_of.max() + 1
+        want = (np.bincount(group_of, weights=tacc, minlength=g),
+                np.bincount(group_of, weights=tacc * tacc, minlength=g),
+                np.bincount(group_of[live], minlength=g),
+                np.bincount(group_of, weights=steps, minlength=g))
+        sums, _ = wos._run_batch(*args, False, group_of, g)
+    for got, ref in zip(sums, want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    return tacc, steps, finals, live
+
+
+def test_run_batch_matches_per_walk_reference_disk():
+    p = StableParams(1.5, 2)
+    x = np.array([0.3, 0.2])
+    cfg = WalkConfig(n_walks=400, seed=17)
+    tacc, steps, finals, live = _check_batch_against_reference(
+        DISK, p, np.tile(x, (400, 1)), cfg, stream=0, batch_start=0)
+    assert not live and steps.max() > 20  # the heavy step tail is covered
+    est, fin = estimate_phi(DISK, p, x, cfg, return_final_points=True)
+    assert fin.tobytes() == finals.tobytes()
+    assert est.mean == tacc.sum() / 400 and est.mean_steps == steps.sum() / 400
+    assert est.truncated == 0
+
+
+def test_run_batch_matches_per_walk_reference_truncated():
+    cfg = WalkConfig(n_walks=400, max_steps=3, seed=5)
+    _, steps, _, live = _check_batch_against_reference(
+        DISK, StableParams(1.5, 2), np.zeros((400, 2)), cfg, stream=0, batch_start=0)
+    assert 0 < len(live) < 400
+    assert np.all(steps[live] == 3)
+    est = estimate_phi(DISK, StableParams(1.5, 2), [0.0, 0.0], cfg)
+    assert est.truncated == len(live) and est.mean_steps == steps.sum() / 400
+
+
+def test_run_batch_matches_per_walk_reference_grouped_ellipse():
+    dom = SupportDomain.ellipse(0.8, 0.5)
+    starts = np.array([[0.0, 0.0], [0.5, 0.1], [-0.3, -0.3], [0.1, 0.4]])
+    group_of = np.repeat(np.arange(4), 60)
+    _check_batch_against_reference(dom, CAUCHY, starts[group_of], WalkConfig(n_walks=60, seed=9),
+                                   stream=1, batch_start=16384, group_of=group_of)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_every_uniform_drawn_is_used(monkeypatch, alpha):
+    block = wos._uniform_block
+    columns = []
+
+    def counting(*args):
+        out = block(*args)
+        columns.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(wos, "_uniform_block", counting)
+    n = 20000 if alpha < 2 else 3000
+    est = estimate_phi(DISK, StableParams(alpha, 2), [0.3, 0.2], WalkConfig(n_walks=n, seed=6))
+    assert sum(columns) == round(est.mean_steps * est.n_walks)
+
+
+@pytest.mark.parametrize("seed, stream, batch_start, step",
+                         [(0, 0, 0, 0), (3, 1, 16384, 7), (2 ** 62 + 5, 0, 49152, 9999),
+                          (-1, 2, 0, 1)])
+def test_uniform_block_reuses_generator_bitwise(seed, stream, batch_start, step):
+    gen = Generator(Philox(0))
+    gen.random(11)  # a used generator, mid-buffer
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    fresh = Generator(Philox(key=key, counter=(step << 128) | (batch_start << 64)))
+    want = fresh.random((3, 1001))
+    assert wos._uniform_block(seed, stream, batch_start, step, 3, 1001, gen).tobytes() \
+        == want.tobytes()
+    assert wos._uniform_block(seed, stream, batch_start, step, 3, 1001).tobytes() \
+        == want.tobytes()
+
+
+def test_exit_law_cached_per_alpha():
+    assert wos._exit_law(1.5) is wos._exit_law(1.5)
+    u = Generator(Philox(key=4)).random(1000)
+    assert wos._exit_law(0.7).factor(u).tobytes() == ExitRadiusLaw(0.7).factor(u).tobytes()
