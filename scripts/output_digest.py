@@ -66,7 +66,7 @@ def outputs():
         yield f"build_field ellipse alpha={alpha:g}", _field_arrays(fields[alpha])
     for name, dom, x in (("disk", disk, [0.3, 0.1]), ("ellipse", ellipse, [0.3, 0.1]),
                          ("cone", ConeDomain(0.4, 3), [0.5, 0.05, -0.05])):
-        est, finals = estimate_phi(dom, StableParams(1.0, 2), x,
+        est, finals = estimate_phi(dom, StableParams(1.0, dom.dim), x,
                                    WalkConfig(n_walks=40_000, seed=5),
                                    return_final_points=True)
         yield f"estimate_phi {name}", _estimate_arrays(est, finals)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .extension import (
     local_frame_hessian,
 )
 from .geom import ConeDomain, SupportDomain, deform, domain_gap, _unit
-from .wos import WalkConfig, estimate_phi
+from .wos import WalkConfig, _parallel_map, estimate_phi
 
 _PASS, _FAIL, _INDET = "pass", "fail", "indeterminate"
 
@@ -232,13 +231,6 @@ def _interior_points(dom, n, rng, margin=0.0):
     return out
 
 
-def _run_points(worker, n, n_threads):
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(worker, range(n)))
-    return [worker(i) for i in range(n)]
-
-
 # -- Hessian scans -------------------------------------------------------------------
 
 _HESS_COLUMNS = ["u11", "u12", "u13", "u22", "u23", "u33",
@@ -298,7 +290,7 @@ def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
                s.det, s.trace, s.signature[0], s.signature[1], s.det_err]
         return row, _verdict(s.det, s.det_err, s.signature, s.converged)
 
-    results = _run_points(worker, len(points), n_threads)
+    results = _parallel_map(worker, range(len(points)), n_threads)
     values = np.array([r[0] for r in results])
     verdicts = [r[1] for r in results]
     return ScanReport(
@@ -336,7 +328,7 @@ def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
         verdict = _verdict(min_det, err, (1, 2, 0) if sig_ok else (0, 0, 3), s.converged)
         return [min_det, float(worst[1]), err], verdict
 
-    results = _run_points(worker, len(points), n_threads)
+    results = _parallel_map(worker, range(len(points)), n_threads)
     values = np.array([r[0] for r in results])
     verdicts = [r[1] for r in results]
     return ScanReport(

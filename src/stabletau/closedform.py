@@ -186,10 +186,6 @@ def aux_w(x):
     return kernel_K(_shifted(x))
 
 
-def aux_w_grad(x):
-    return kernel_K_grad(_shifted(x))
-
-
 def aux_w_hess(x):
     return kernel_K_hess(_shifted(x))
 

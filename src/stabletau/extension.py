@@ -79,8 +79,7 @@ class ExtensionContext:
     quad: QuadSpec = field(default_factory=QuadSpec)
 
     def phi_stderr(self) -> float:
-        fn = getattr(self.phi, "typical_stderr", None)
-        return float(fn()) if fn is not None else 0.0
+        return float(self.phi.typical_stderr())
 
 
 @dataclass(frozen=True)

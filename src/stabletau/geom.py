@@ -204,14 +204,8 @@ class SupportDomain:
                 raise NonConvexError("h + h'' <= 0 on refined grid")
 
     def max_support(self) -> float:
-        return float(np.max(self._cert_h()))
-
-    def min_support(self) -> float:
-        return float(np.min(self._cert_h()))
-
-    def _cert_h(self):
         tg = np.linspace(0.0, 2 * np.pi, _CERT_GRID, endpoint=False)
-        return _trig_eval(self.coeffs, tg)
+        return float(np.max(_trig_eval(self.coeffs, tg)))
 
     # -- boundary geometry -----------------------------------------------------
 

@@ -259,6 +259,53 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     return sums, finals
 
 
+def _parallel_map(fn, items, n_threads: int) -> list:
+    """[fn(i) for i in items], on a pool when n_threads > 1 and len(items) > 1."""
+    if n_threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(i) for i in items]
+
+
+def _walk_starts(dom, p, starts, cfg, stream, n_threads, collect_finals=False, deltas=None):
+    """cfg.n_walks walks from each row of starts; walk i starts from row i // n_walks.
+
+    Batches of _BATCH walks go through _parallel_map and merge in batch
+    order, so results do not depend on n_threads.  deltas are the rows'
+    boundary distances; if omitted they are queried and every row must lie
+    inside.  Returns per-row mean, std_error, truncated and mean_steps
+    arrays, and the exit points in walk order if collect_finals.
+    """
+    n_starts, dim = starts.shape
+    if dim != dom.dim or dim != p.dim:
+        raise PointOutsideError(f"start points have {dim} coordinates, but the domain "
+                                f"has dimension {dom.dim} and the process {p.dim}")
+    if deltas is None:
+        deltas = dom.boundary_distance_batch(starts)
+        if not np.all(deltas > _BOUNDARY_TOL):
+            raise PointOutsideError(
+                f"start point {starts[np.argmin(deltas)].tolist()} lies outside the domain")
+    nw = cfg.n_walks
+    total = n_starts * nw
+
+    def batch(lo):  # lo, the batch's first walk, is its batch_start
+        gid = np.arange(lo, min(lo + _BATCH, total)) // nw
+        # a single start keeps the ungrouped reduction and its pairwise sum
+        return _run_batch(dom, p, starts[gid], deltas[gid], cfg, stream, lo,
+                          _exit_law(p.alpha), _uniform_width(dim), collect_finals,
+                          None if n_starts == 1 else gid, n_starts)
+
+    results = _parallel_map(batch, range(0, total, _BATCH), n_threads)
+    sums = np.zeros((4, n_starts))
+    for batch_sums, _ in results:  # merged in batch order
+        sums += batch_sums
+    tsum, t2sum, truncated, steps = sums
+    mean = tsum / nw
+    var = np.maximum(t2sum - nw * mean * mean, 0.0) / max(nw - 1, 1)
+    finals = np.concatenate([f for _, f in results]) if collect_finals else None
+    return mean, np.sqrt(var / nw), truncated, steps / nw, finals
+
+
 def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
                  n_threads: int = 1, return_final_points: bool = False):
     """Monte Carlo estimate of the expected exit time from x.
@@ -266,45 +313,12 @@ def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
     Reproducible: the result is a deterministic function of
     (dom, p, x, cfg, stream) regardless of n_threads.
     """
-    x0 = np.asarray(x, dtype=float)
-    d0 = dom.boundary_distance_batch(x0[None])[0]  # one start query for all batches
-    if not d0 > _BOUNDARY_TOL:
-        raise PointOutsideError(f"start point {x} lies outside the domain")
-    law = _exit_law(p.alpha)
-    width = _uniform_width(x0.size)
-    starts = list(range(0, cfg.n_walks, _BATCH))
-    sizes = [min(_BATCH, cfg.n_walks - s) for s in starts]
-
-    def work(i):
-        pos0 = np.tile(x0, (sizes[i], 1))
-        return _run_batch(dom, p, pos0, np.full(sizes[i], d0), cfg, stream, starts[i],
-                          law, width, return_final_points)
-
-    if n_threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, range(len(starts))))
-    else:
-        results = [work(i) for i in range(len(starts))]
-
-    tsum = t2sum = 0.0
-    truncated = 0
-    step_sum = 0
-    finals = []
-    for (s1, s2, tr, st), fin in results:  # merged in batch order
-        tsum += float(s1[0])
-        t2sum += float(s2[0])
-        truncated += int(tr[0])
-        step_sum += int(st[0])
-        if fin is not None:
-            finals.append(fin)
-    n = cfg.n_walks
-    mean = tsum / n
-    var = max(t2sum - n * mean * mean, 0.0) / max(n - 1, 1)
-    est = WalkEstimate(mean=mean, std_error=math.sqrt(var / n), n_walks=n,
-                       truncated=truncated, mean_steps=step_sum / n)
-    if return_final_points:
-        return est, np.concatenate(finals) if finals else np.empty((0, x0.size))
-    return est
+    mean, err, truncated, steps, finals = _walk_starts(
+        dom, p, np.asarray(x, dtype=float).reshape(1, -1), cfg, stream, n_threads,
+        return_final_points)
+    est = WalkEstimate(float(mean[0]), float(err[0]), cfg.n_walks, int(truncated[0]),
+                       float(steps[0]))
+    return (est, finals) if return_final_points else est
 
 
 # -- gridded field -------------------------------------------------------------------
@@ -436,36 +450,8 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
         raise GridTooCoarseError(
             f"spacing {spacing:g} leaves {int(np.count_nonzero(interior))} interior nodes")
     reliable_idx = np.nonzero(d > 2.0 * spacing)[0]
-    n_nodes = reliable_idx.size
-    nw = cfg.n_walks
-    total = n_nodes * nw
-    law = _exit_law(p.alpha)
-    batch_bounds = list(range(0, total, _BATCH))
-
-    def work(lo):
-        hi = min(lo + _BATCH, total)
-        walk_ids = np.arange(lo, hi)
-        gid = (walk_ids // nw).astype(np.int64)
-        node = reliable_idx[gid]
-        sums, _ = _run_batch(dom, p, grid[node], d[node], cfg, stream=1, batch_start=lo,
-                             law=law, width=2, collect_finals=False,
-                             group_of=gid, n_groups=n_nodes)
-        return sums
-
-    if n_threads > 1 and len(batch_bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, batch_bounds))
-    else:
-        results = [work(lo) for lo in batch_bounds]
-
-    tsum = np.zeros(n_nodes)
-    t2sum = np.zeros(n_nodes)
-    for s1, s2, _, _ in results:  # merged in batch order
-        tsum += s1
-        t2sum += s2
-    means = tsum / nw
-    var = np.maximum(t2sum - nw * means * means, 0.0) / max(nw - 1, 1)
-    errs = np.sqrt(var / nw)
+    means, errs, _, _, _ = _walk_starts(dom, p, grid[reliable_idx], cfg, 1, n_threads,
+                                        deltas=d[reliable_idx])
 
     values = np.zeros(grid.shape[0])
     stderr = np.zeros(grid.shape[0])
@@ -558,24 +544,32 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
             raise DomainFileError(f"{path}: expected {key}= on line {i + 1}")
         return lines[i].split("=", 1)[1]
 
-    domain_ref = field_line(1, "domain")
-    alpha = float(field_line(2, "alpha"))
-    spacing = float(field_line(3, "spacing"))
-    origin = np.array([float(t) for t in field_line(4, "origin").split()])
-    nx, ny = (int(t) for t in field_line(5, "shape").split())
-    n_nodes = int(field_line(6, "nodes"))
-    values = np.zeros((nx, ny))
-    stderr = np.zeros((nx, ny))
-    row = 7
-    for ln in lines[row:row + n_nodes]:
-        i, j, v, s = ln.split()
-        values[int(i), int(j)] = float(v)
-        stderr[int(i), int(j)] = float(s)
-    row += n_nodes
-    n_blend = int(field_line(row, "blend"))
-    blend = np.zeros((n_blend, 3))
-    for k, ln in enumerate(lines[row + 1:row + 1 + n_blend]):
-        blend[k] = [float(t) for t in ln.split()[1:]]
+    try:
+        domain_ref = field_line(1, "domain")
+        alpha = float(field_line(2, "alpha"))
+        spacing = float(field_line(3, "spacing"))
+        origin = np.array([float(t) for t in field_line(4, "origin").split()])
+        nx, ny = (int(t) for t in field_line(5, "shape").split())
+        n_nodes = int(field_line(6, "nodes"))
+        if origin.shape != (2,):
+            raise ValueError("origin needs two coordinates")
+        values = np.zeros((nx, ny))
+        stderr = np.zeros((nx, ny))
+        for row in range(7, 7 + n_nodes):
+            i, j, v, s = lines[row].split()
+            i, j = int(i), int(j)
+            if not (0 <= i < nx and 0 <= j < ny):
+                raise ValueError(f"node ({i}, {j}) on line {row + 1} lies outside shape={nx} {ny}")
+            values[i, j] = float(v)
+            stderr[i, j] = float(s)
+        row = 7 + n_nodes
+        n_blend = int(field_line(row, "blend"))
+        if n_blend < 1:
+            raise ValueError("the blend needs at least one sector")
+        blend = np.array([[float(t) for t in lines[row + 1 + k].split()[1:]]
+                          for k in range(n_blend)]).reshape(n_blend, 3)
+    except (ValueError, IndexError) as exc:
+        raise DomainFileError(f"{path}: malformed or truncated phifield v2 file ({exc})") from exc
     if dom is None:
         if domain_ref.startswith("builtin:"):
             try:

@@ -44,6 +44,19 @@ def test_solve_point_outside():
                 "--walks", "10"]) == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("builtin", ["disk", "ellipse:0.8,0.5"])
+def test_solve_point_of_wrong_dimension(builtin, capsys):
+    assert run(["solve", "--builtin", builtin, "--alpha", "1", "--at", "0.1,0.2,0.3",
+                "--walks", "2000"]) == EXIT_DOMAIN
+    assert "coordinates" in capsys.readouterr().err
+
+
+def test_hessian_scan_bad_field_file(tmp_path):
+    bad = tmp_path / "bad.pf"
+    bad.write_text("phifield v2\ndomain=builtin:disk\nalpha=1\nspacing=0.1\n")
+    assert run(["hessian-scan", "--field", str(bad), "--points", "halton:2"]) == EXIT_IO
+
+
 def test_solve_bad_domain_file():
     assert run(["solve", "--domain", "/nonexistent.sf", "--alpha", "1",
                 "--at", "0,0", "--walks", "10"]) == EXIT_IO

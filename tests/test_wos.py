@@ -124,6 +124,26 @@ def test_determinism_across_threads_and_reruns():
     assert a == b == c  # bitwise-identical dataclasses
 
 
+def test_exit_points_independent_of_threads():
+    cfg = WalkConfig(n_walks=40000, seed=12)  # three batches
+    a, fa = estimate_phi(DISK, CAUCHY, [0.3, 0.2], cfg, return_final_points=True)
+    b, fb = estimate_phi(DISK, CAUCHY, [0.3, 0.2], cfg, n_threads=2, return_final_points=True)
+    assert a == b
+    assert fa.shape == (40000, 2) and fa.tobytes() == fb.tobytes()
+
+
+@pytest.mark.parametrize("dom, p, x", [
+    (DISK, StableParams(1.0, 3), [0.1, 0.2, 0.3]),
+    (SupportDomain.ellipse(0.8, 0.5), StableParams(1.0, 3), [0.1, 0.2, 0.3]),
+    (DISK, StableParams(1.0, 3), [0.1, 0.2]),
+    (ConeDomain(0.4, 3), StableParams(1.0, 2), [0.5, 0.05, -0.05]),
+    (ConeDomain(0.4, 3), StableParams(1.0, 3), [0.5, 0.05]),
+])
+def test_start_dimension_must_match_domain_and_process(dom, p, x):
+    with pytest.raises(PointOutsideError, match="coordinates"):
+        estimate_phi(dom, p, x, WalkConfig(n_walks=10, seed=1))
+
+
 def test_termination_is_exact_for_jumps():
     # alpha < 2: every finished walk ends strictly outside the domain
     est, finals = estimate_phi(DISK, CAUCHY, [0.2, 0.1],
@@ -288,6 +308,42 @@ def test_field_file_rejects_v1_and_bad_domain(tmp_path, disk_field):
     path.write_text(text.replace("domain=builtin:disk", "domain=builtin:bogus", 1))
     with pytest.raises(DomainFileError, match="unknown builtin domain"):
         load_field(path)
+
+
+def _field_lines(tmp_path, disk_field):
+    path = tmp_path / "disk.pf"
+    save_field(disk_field, path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_field_file_rejects_truncation(tmp_path, disk_field):
+    path, lines = _field_lines(tmp_path, disk_field)
+    for keep in (3, 20, len(lines) - 5):  # in the header, the nodes and the blend
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(DomainFileError, match="truncated"):
+            load_field(path)
+
+
+def test_field_file_rejects_bad_numbers(tmp_path, disk_field):
+    path, lines = _field_lines(tmp_path, disk_field)
+    i, j, v, s = lines[10].split()
+    for bad in (f"{i} {j} 0.1x {s}\n", f"{i} {j} {v}\n", f"{i}.5 {j} {v} {s}\n"):
+        path.write_text("".join(lines[:10] + [bad] + lines[11:]))
+        with pytest.raises(DomainFileError):
+            load_field(path)
+    path.write_text("".join(lines).replace("alpha=1\n", "alpha=one\n", 1))
+    with pytest.raises(DomainFileError):
+        load_field(path)
+
+
+def test_field_file_rejects_nodes_outside_shape(tmp_path, disk_field):
+    path, lines = _field_lines(tmp_path, disk_field)
+    nx, ny = disk_field.values.shape
+    _, _, v, s = lines[10].split()
+    for i, j in ((-1, 5), (5, -1), (nx, 5), (5, ny)):
+        path.write_text("".join(lines[:10] + [f"{i} {j} {v} {s}\n"] + lines[11:]))
+        with pytest.raises(DomainFileError, match="outside shape"):
+            load_field(path)
 
 
 def test_field_grid_too_coarse():
