@@ -10,6 +10,7 @@ D(t) = (1-t) D + t B(0,1) exact.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ _ZOOM_LEVELS = 7        # rescan refinement: each level samples +- one step at a
 _TABLE_GRID = 4096      # Hermite-interpolation table for hot-path evaluation
 _CONVEXITY_REFINE = 0.01  # refine intervals where h+h'' drops below this
 _BOUNDARY_TOL = 1e-12   # points this close to the boundary count as outside
+_LATTICE_CELLS = 128    # distance lattice: cells per side of the bounding box
+_LATTICE_MARGIN = 1e-9  # the lattice lower bound's allowance for the oracle's error at the nodes
+_EXACT_BELOW = 1e-4     # walk rows whose lower bound is at most this query the exact distance
 
 
 def _trig_eval(coeffs: np.ndarray, theta, deriv: int = 0):
@@ -80,7 +84,8 @@ class SupportDomain:
     """A strictly convex planar domain with the origin strictly inside.
 
     Immutable after construction; all operations are pure, so instances are
-    safe to share across threads.
+    safe to share across threads.  The distance lattice behind the distance
+    bounds is built on first use, under a lock, and then only read.
     """
 
     dim = 2
@@ -122,6 +127,8 @@ class SupportDomain:
         self._disk_radius = None
         if self.n_modes == 1 or not np.any(self.coeffs[1:]):
             self._disk_radius = float(self.coeffs[0, 0])
+        self._lattice_cache = None  # the distance lattice, built on first use
+        self._lattice_lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------------
 
@@ -191,6 +198,7 @@ class SupportDomain:
         h = _trig_eval(self.coeffs, tg)
         if np.min(h) <= 0:
             raise NonConvexError("support function must be positive (origin inside)")
+        self._max_h = float(np.max(h))
         rc = h + _trig_eval(self.coeffs, tg, 2)
         if np.min(rc) <= 0:
             raise NonConvexError("h + h'' <= 0: boundary not strictly convex")
@@ -204,8 +212,8 @@ class SupportDomain:
                 raise NonConvexError("h + h'' <= 0 on refined grid")
 
     def max_support(self) -> float:
-        tg = np.linspace(0.0, 2 * np.pi, _CERT_GRID, endpoint=False)
-        return float(np.max(_trig_eval(self.coeffs, tg)))
+        """max h on the certification grid, kept from _certify."""
+        return self._max_h
 
     # -- boundary geometry -----------------------------------------------------
 
@@ -258,6 +266,53 @@ class SupportDomain:
             lower = v < val[rows] - _RESCAN_GAIN
             val[rows[lower]], theta[rows[lower]] = v[lower], t[lower]
         return val, np.mod(theta, 2 * np.pi)
+
+    def lower_distance(self, pts: np.ndarray) -> np.ndarray:
+        """A certified lower bound of the signed distance, per row (_DistanceLattice).
+
+        The disk returns its closed form.
+        """
+        pts = np.asarray(pts, dtype=float)
+        if self._disk_radius is not None:
+            return self._disk_radius - np.hypot(pts[:, 0], pts[:, 1])
+        return self._lattice().lower(pts)
+
+    def upper_distance(self, pts: np.ndarray) -> np.ndarray:
+        """A certified upper bound of the signed distance, per row (_DistanceLattice).
+
+        The disk returns its closed form.
+        """
+        pts = np.asarray(pts, dtype=float)
+        if self._disk_radius is not None:
+            return self._disk_radius - np.hypot(pts[:, 0], pts[:, 1])
+        return self._lattice().upper(pts)
+
+    def step_distance(self, pts: np.ndarray, cut: float) -> np.ndarray:
+        """Per row, the distance r a walk steps on from x.
+
+        r is at most cut iff delta_D(x) <= cut (the walk has left D), and
+        otherwise lies in (cut, delta_D(x)], so B(x, kappa r) lies inside D for
+        any kappa < 1.  A row whose lower bound exceeds max(_EXACT_BELOW, cut)
+        steps on it; of the rest, near the boundary or outside, a row whose
+        upper bound is at most cut reports that, and the others query the
+        exact oracle.
+        """
+        r = self.lower_distance(pts)
+        if self._disk_radius is not None:  # exact
+            return r
+        rows = np.nonzero(r <= max(_EXACT_BELOW, cut))[0]
+        if rows.size:
+            r[rows] = self.upper_distance(pts[rows])
+            rows = rows[r[rows] > cut]
+            if rows.size:
+                r[rows], _ = self._signed_distance_foot(pts[rows])
+        return r
+
+    def _lattice(self) -> "_DistanceLattice":
+        with self._lattice_lock:
+            if self._lattice_cache is None:
+                self._lattice_cache = _DistanceLattice(self)
+            return self._lattice_cache
 
     def _second_basin(self, k, grid_val, pts):
         """Rows whose seed window is not convex and holds a seed sample, not
@@ -422,6 +477,84 @@ class SupportDomain:
         return f"SupportDomain(n_modes={self.n_modes})"
 
 
+class _DistanceLattice:
+    """Certified bounds of a SupportDomain's signed distance from a node lattice.
+
+    delta(x) = min_theta (h(theta) - x.u(theta)) is a minimum of affine
+    functions of x, so it is concave on all of R^2.  The nodes split the
+    bounding box [-h(pi), h(0)] x [-h(3 pi/2), h(pi/2)] into _LATTICE_CELLS^2
+    cells and hold the oracle's distance and foot angle.  In a cell:
+
+    - the bilinear interpolation of the corner distances is a convex
+      combination of them at weights that reproduce x, so by Jensen it is at
+      most delta(x); less _LATTICE_MARGIN it is the lower bound;
+    - each corner's foot angle theta_i gives h(theta_i) - x.u(theta_i) >=
+      delta(x); the least of the four is the upper bound.
+
+    Outside the box, where D has no point, the lower bound is -inf and the
+    upper bound is at most the (negative) gap to the box: the sides' normal
+    angles give h(theta) - x.u(theta) = the signed distance to the side.
+    """
+
+    def __init__(self, dom: SupportDomain):
+        n = _LATTICE_CELLS
+        h_axes = _trig_eval(dom.coeffs, np.arange(4) * (np.pi / 2))
+        self.lo = np.array([-h_axes[2], -h_axes[3]])
+        self.hi = h_axes[:2].copy()
+        self.scale = n / (self.hi - self.lo)
+        ax = [np.linspace(self.lo[c], self.hi[c], n + 1) for c in range(2)]
+        nodes = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 2)
+        d, theta = dom._signed_distance_foot(nodes)
+        # row i: h(theta_i) from the series, cos theta_i and sin theta_i
+        foot = np.stack([_series(dom.coeffs, theta), np.cos(theta), np.sin(theta)], axis=1)
+        # copies made once the query's temporaries are freed sit low in the
+        # heap, so the memory those temporaries took can go back to the system
+        self.delta, self.foot = d.copy(), foot.copy()
+
+    def _cell(self, pts):
+        """Lower-left node index and in-cell coordinates (s, t) of each row."""
+        n = _LATTICE_CELLS
+        fx = (pts[:, 0] - self.lo[0]) * self.scale[0]
+        fy = (pts[:, 1] - self.lo[1]) * self.scale[1]
+        i = np.minimum(np.maximum(fx, 0.0), n - 1).astype(np.intp)
+        j = np.minimum(np.maximum(fy, 0.0), n - 1).astype(np.intp)
+        return i * (n + 1) + j, fx - i, fy - j
+
+    def lower(self, pts: np.ndarray) -> np.ndarray:
+        n = _LATTICE_CELLS
+        k, s, t = self._cell(pts)
+        d = self.delta
+        d00, d01 = d.take(k), d.take(k + 1)
+        d10, d11 = d.take(k + (n + 1)), d.take(k + (n + 2))
+        a = d00 + t * (d01 - d00)
+        lb = a + s * (d10 + t * (d11 - d10) - a) - _LATTICE_MARGIN
+        inside = (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
+        return np.where(inside, lb, -np.inf)
+
+    def upper(self, pts: np.ndarray) -> np.ndarray:
+        n = _LATTICE_CELLS
+        k, _, _ = self._cell(pts)
+        x, y = pts[:, 0], pts[:, 1]
+        ub = np.minimum(np.minimum(x - self.lo[0], self.hi[0] - x),
+                        np.minimum(y - self.lo[1], self.hi[1] - y))
+        for corner in (k, k + 1, k + (n + 1), k + (n + 2)):
+            f = self.foot[corner]
+            np.minimum(ub, f[:, 0] - x * f[:, 1] - y * f[:, 2], out=ub)
+        return ub
+
+
+def _series(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """h(theta) from the Fourier series, the sum of _trig_eval, by Horner's rule
+    in exp(i theta): one complex exponential per angle, not two per angle and mode."""
+    z = np.exp(1j * theta)
+    c = coeffs[:, 0] - 1j * coeffs[:, 1]
+    p = np.full(z.shape, c[-1])
+    for cj in c[-2::-1]:
+        p *= z
+        p += cj
+    return p.real
+
+
 @dataclass(frozen=True)
 class ClassFParams:
     """Lambda = (C1, R1, kappa1, kappa2): curvature Lipschitz constant, inner
@@ -489,6 +622,10 @@ class ConeDomain:
         lateral = x1 * self._sin - perp * self._cos
         sphere = 1.0 - np.linalg.norm(pts, axis=1)
         return np.minimum(lateral, sphere)
+
+    def step_distance(self, pts: np.ndarray, cut: float) -> np.ndarray:
+        """The exact distance (see SupportDomain.step_distance)."""
+        return self.boundary_distance_batch(pts)
 
     def boundary_distance(self, x) -> float:
         d = float(self.boundary_distance_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])

@@ -1,12 +1,17 @@
 """Kernel-exact walk-on-spheres for symmetric stable processes.
 
 Each step sits at a point x inside the domain, inscribes the ball
-B(x, kappa * delta_D(x)), banks the ball's exact mean exit time
-C_B (kappa delta)^alpha, and jumps to a sample of the ball's exit law.  For
-alpha < 2 the jump lands strictly outside the ball, so the walk terminates
-exactly when it lands in the exterior of the domain; no boundary shell is
-needed.  For alpha = 2 the classical variant is used (uniform exit on the
-sphere) with a tiny absorption shell.
+B(x, kappa * r) for a step distance 0 < r <= delta_D(x), banks the ball's
+exact mean exit time C_B (kappa r)^alpha, and jumps to a sample of the ball's
+exit law.  Any centred ball inside D gives an exact step, so the estimator
+is unbiased for every such r.  The domain supplies r (step_distance): on a
+support-function domain other than the disk it is a certified lower bound
+of delta_D read from a lattice (geom._DistanceLattice), and the exact
+distance only near the boundary; on the disk and the cone it is the exact
+distance.  For alpha < 2 the jump lands strictly outside the ball, so the
+walk terminates exactly when it lands in the exterior of the domain; no
+boundary shell is needed.  For alpha = 2 the classical variant is used
+(uniform exit on the sphere) with a tiny absorption shell.
 
 Randomness is counter-based: at step k, the walks of batch b still alive
 draw one block of uniforms at a Philox counter derived from (b, k) under key
@@ -207,9 +212,11 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     """Advance one batch of walks to termination.
 
     pos0 holds each walk's start and delta0 its boundary distance, which the
-    caller has already queried; group_of (optional) maps walks to result
-    groups.  Returns per-group (sum_t, sum_t^2, truncated, steps) arrays plus
-    the final exit points when requested.
+    caller has already queried; later steps use the domain's step_distance,
+    a certified lower bound of the distance away from the boundary.
+    group_of (optional) maps walks to result groups.  Returns per-group
+    (sum_t, sum_t^2, truncated, steps) arrays plus the final exit points
+    when requested.
 
     Only live walks are carried: ids maps them to walk indices in increasing
     order, and at step k the j-th live walk reads column j of the step's
@@ -223,7 +230,7 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     finals = np.full((batch_size, dim), np.nan) if collect_finals else None
     ids = np.arange(batch_size)
     pos = np.array(pos0, dtype=float)
-    # distance to the boundary is carried forward so each round polishes it once
+    # the step distance is carried forward so each round queries it once
     delta = np.array(delta0, dtype=float)
     t = np.zeros(batch_size)
     cb = ball_exit_constant(p)
@@ -237,7 +244,7 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
         t += cb * s ** p.alpha
         rho = s * law.factor(uni[0])
         pos = pos + rho[:, None] * _directions(uni[1:], dim)
-        delta = dom.boundary_distance_batch(pos)
+        delta = dom.step_distance(pos, exit_cut)
         exited = delta <= exit_cut
         if exited.any():
             done = ids[exited]
@@ -415,10 +422,19 @@ class PhiField:
         return out
 
     def values_and_stderr_at(self, pts):
-        """(values_at(pts), stderr_at(pts)) from one distance query."""
+        """(values_at(pts), stderr_at(pts)) from one distance query.
+
+        Rows whose lower distance bound exceeds the collar read the splines,
+        which use neither the distance nor the angle, so only the other rows
+        query the oracle; the results are those of the all-rows query.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        foot = self.dom._signed_distance_foot(pts)
-        return self.values_at(pts, foot), self.stderr_at(pts, foot)
+        d = self.dom.lower_distance(pts)
+        theta = np.zeros(len(pts))
+        near = np.nonzero(d <= self.collar)[0]
+        if near.size:
+            d[near], theta[near] = self.dom._signed_distance_foot(pts[near])
+        return self.values_at(pts, (d, theta)), self.stderr_at(pts, (d, theta))
 
     def __call__(self, pts):
         return self.values_at(pts)
@@ -525,6 +541,9 @@ def save_field(field: PhiField, path) -> None:
 def load_field(path, dom: SupportDomain | None = None) -> PhiField:
     """Load a `phifield v2` file; the reloaded field evaluates bitwise as saved.
 
+    The node lines must list each node of the reloaded field's reliable mask
+    once, and no other node.
+
     If dom is not given the domain reference is resolved:
     `builtin:...` specs directly, anything else as a path relative to the
     field file.
@@ -555,11 +574,15 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
             raise ValueError("origin needs two coordinates")
         values = np.zeros((nx, ny))
         stderr = np.zeros((nx, ny))
+        listed = np.zeros((nx, ny), dtype=bool)
         for row in range(7, 7 + n_nodes):
             i, j, v, s = lines[row].split()
             i, j = int(i), int(j)
             if not (0 <= i < nx and 0 <= j < ny):
                 raise ValueError(f"node ({i}, {j}) on line {row + 1} lies outside shape={nx} {ny}")
+            if listed[i, j]:
+                raise ValueError(f"node ({i}, {j}) on line {row + 1} is listed twice")
+            listed[i, j] = True
             values[i, j] = float(v)
             stderr[i, j] = float(s)
         row = 7 + n_nodes
@@ -579,5 +602,12 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
         else:
             dom = load_domain(os.path.join(os.path.dirname(os.path.abspath(path)),
                                            domain_ref))
-    return PhiField(dom, alpha, origin, spacing, values, stderr, *blend.T,
-                    domain_ref=domain_ref)
+    field = PhiField(dom, alpha, origin, spacing, values, stderr, *blend.T,
+                     domain_ref=domain_ref)
+    if not np.array_equal(listed, field.reliable):
+        i, j = np.argwhere(listed != field.reliable)[0]
+        raise DomainFileError(f"{path}: the node lines must list exactly the field's reliable "
+                              f"nodes, but node ({i}, {j}) is "
+                              + ("listed and not reliable" if listed[i, j] else
+                                 "reliable and not listed"))
+    return field

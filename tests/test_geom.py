@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -405,3 +406,164 @@ def test_single_row_query_matches_batch_bitwise(name):
         d1, theta1 = dom._signed_distance_foot(pts[i:i + 1])
         assert d1.tobytes() == d[i:i + 1].tobytes(), pts[i]
         assert theta1.tobytes() == theta[i:i + 1].tobytes(), pts[i]
+
+
+# -- the oracle on row subsets, and the distance lattice's bounds ------------------------
+
+@pytest.mark.parametrize("name", ["ellipse", "eccentric ellipse", "square"])
+def test_oracle_rows_independent_of_subset(name):
+    # the walks query the exact oracle on the rows no bound decides, and the
+    # field reads on the rows near the boundary: each row's bits must not
+    # depend on which other rows share the query
+    dom = {"ellipse": ELLIPSE, "eccentric ellipse": ECCENTRIC, "square": SMOOTH_SQUARE}[name]
+    rng = np.random.default_rng(77)
+    pts = rng.uniform(-1.0, 1.0, size=(3000, 2))
+    d, theta = dom._signed_distance_foot(pts)
+    subsets = [np.sort(rng.choice(len(pts), n, replace=False))
+               for n in (1, 2, _B - 1, _B, _B + 1, 2 * _B + 1)]
+    subsets += [np.nonzero(rng.uniform(size=len(pts)) < q)[0] for q in (0.01, 0.3, 0.9)]
+    for idx in subsets:
+        d1, theta1 = dom._signed_distance_foot(pts[idx])
+        assert d1.tobytes() == d[idx].tobytes(), len(idx)
+        assert theta1.tobytes() == theta[idx].tobytes(), len(idx)
+
+
+def _rotated_ellipse(a, b, phi=0.3):
+    return SupportDomain.from_function(
+        lambda t: np.sqrt(a * a * np.cos(t - phi) ** 2 + b * b * np.sin(t - phi) ** 2))
+
+
+ELLIPSE = SupportDomain.ellipse(0.8, 0.5)
+ROTATED = {(0.8, 0.5): _rotated_ellipse(0.8, 0.5), (0.9, 0.15): _rotated_ellipse(0.9, 0.15)}
+
+
+@functools.lru_cache(maxsize=8)
+def _series_grid(dom, n_grid):
+    tg = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
+    return tg, dom.support(tg), np.cos(tg), np.sin(tg)
+
+
+def _all_minima_signed_distance(dom, pts, n_grid=1 << 16, block=32):
+    """min over theta of h(theta) - x.u(theta), refining every local minimum of
+    a dense grid of the exact series (within 1e-6 of the grid's least value)
+    by golden section.  _dense_signed_distance refines only the least sample,
+    so it misses a lower minimum in another basin."""
+    tg, h, c, s = _series_grid(dom, n_grid)
+    rows, ks = [], []
+    for lo in range(0, len(pts), block):
+        g = h - pts[lo:lo + block, :1] * c - pts[lo:lo + block, 1:] * s
+        low = (g <= np.roll(g, 1, axis=1)) & (g <= np.roll(g, -1, axis=1))
+        low &= g <= g.min(axis=1, keepdims=True) + 1e-6
+        r, k = np.nonzero(low)
+        rows.append(r + lo)
+        ks.append(k)
+    row, k = np.concatenate(rows), np.concatenate(ks)
+    x1, x2 = pts[row, 0], pts[row, 1]
+
+    def g(t):
+        return dom.support(t) - x1 * np.cos(t) - x2 * np.sin(t)
+
+    lo, hi = tg[k] - 2 * np.pi / n_grid, tg[k] + 2 * np.pi / n_grid
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+    ga, gb = g(a), g(b)
+    for _ in range(60):
+        left = ga < gb
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        ga, gb = g(a), g(b)
+    out = np.full(len(pts), np.inf)
+    np.minimum.at(out, row, np.minimum(ga, gb))
+    return out
+
+
+@st.composite
+def _bound_points(draw, dom, axis=None):
+    """Points in and around the lattice box, on its edges, or (given the
+    semi-axis a of an ellipse rotated by 0.3) within 1e-9..1e-3 of its major axis."""
+    lat = dom._lattice()
+    lo, hi = lat.lo, lat.hi
+    kinds = ["box", "edge"] + (["axis"] if axis else [])
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 30))
+    unit = st.floats(0.0, 1.0)
+    u = np.array(draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n)))
+    if kind == "box":
+        return lo - 0.1 * (hi - lo) + 1.2 * (hi - lo) * u
+    if kind == "edge":
+        side = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pts = lo + (hi - lo) * u
+        for r, sd in enumerate(side):
+            pts[r, sd % 2] = (lo, hi)[sd // 2][sd % 2]
+        return pts
+    along = axis * (2 * u[:, 0] - 1)
+    offset = 10.0 ** (-9 + 6 * u[:, 1]) * np.array(
+        draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    return np.stack([along * math.cos(0.3) - offset * math.sin(0.3),
+                     along * math.sin(0.3) + offset * math.cos(0.3)], axis=1)
+
+
+def _check_bounds(dom, pts):
+    ref = _all_minima_signed_distance(dom, pts)
+    lb, ub = dom.lower_distance(pts), dom.upper_distance(pts)
+    assert np.all(lb <= ref), np.max(lb - ref)
+    # at a node the upper bound is the series at the oracle's converged foot
+    # angle, the reference's own minimum: the two sums differ by rounding
+    assert np.all(ub >= ref - 1e-14), np.min(ub - ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lattice_bounds_enclose_distance_ellipses(data):
+    for dom in (ELLIPSE, ECCENTRIC):
+        _check_bounds(dom, data.draw(_bound_points(dom)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bound_points(SMOOTH_SQUARE))
+def test_lattice_bounds_enclose_distance_square(pts):
+    _check_bounds(SMOOTH_SQUARE, pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lattice_bounds_enclose_distance_rotated_ellipses(data):
+    for (a, _), dom in ROTATED.items():
+        _check_bounds(dom, data.draw(_bound_points(dom, axis=a)))
+
+
+@pytest.mark.parametrize("axes", list(ROTATED))
+def test_lattice_bounds_near_rotated_major_axis(axes):
+    # where the oracle can pick the wrong one of two nearly tied basins
+    # (a lattice node value read too high would break the lower bound)
+    dom, a = ROTATED[axes], axes[0]
+    rng = np.random.default_rng(5)
+    n = 3000
+    along = rng.uniform(-a, a, n)
+    offset = 10.0 ** rng.uniform(-9, -3, n) * rng.choice([-1.0, 1.0], n)
+    pts = np.stack([along * math.cos(0.3) - offset * math.sin(0.3),
+                    along * math.sin(0.3) + offset * math.cos(0.3)], axis=1)
+    _check_bounds(dom, pts)
+
+
+def test_lattice_node_values_match_dense_reference():
+    # the lower bound interpolates the node distances: on every domain here,
+    # no node reads more than 1e-9 above the all-minima reference
+    for dom in (ROTATED[(0.8, 0.5)], ROTATED[(0.9, 0.15)]):
+        lat = dom._lattice()
+        n = geom._LATTICE_CELLS + 1
+        ax = [np.linspace(lat.lo[c], lat.hi[c], n) for c in range(2)]
+        nodes = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 2)
+        near = np.abs(-nodes[:, 0] * math.sin(0.3) + nodes[:, 1] * math.cos(0.3)) < 0.02
+        ref = _all_minima_signed_distance(dom, nodes[near])
+        assert np.all(lat.delta[near] - ref <= 1e-10), np.max(lat.delta[near] - ref)
+
+
+def test_disk_bounds_are_the_closed_form():
+    disk = SupportDomain.disk(0.7)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(500, 2))
+    d, _ = disk._signed_distance_foot(pts)
+    for got in (disk.lower_distance(pts), disk.upper_distance(pts),
+                disk.step_distance(pts, 1e-12)):
+        assert got.tobytes() == d.tobytes()
+    assert disk._lattice_cache is None  # the disk never builds a lattice

@@ -132,6 +132,53 @@ def test_exit_points_independent_of_threads():
     assert fa.shape == (40000, 2) and fa.tobytes() == fb.tobytes()
 
 
+class _RecordingDomain(SupportDomain):
+    """A SupportDomain that records the rows and step distances of every walk step."""
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.steps = []
+
+    def step_distance(self, pts, cut):
+        r = super().step_distance(pts, cut)
+        self.steps.append((pts.copy(), r.copy(), cut))
+        return r
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_every_ball_stays_inside_the_ellipse(alpha):
+    dom = _RecordingDomain(SupportDomain.ellipse(0.8, 0.5).coeffs)
+    p = StableParams(alpha, 2)
+    estimate_phi(dom, p, [0.5, 0.3], WalkConfig(n_walks=3000, seed=21))
+    build_field(dom, p, 0.1, WalkConfig(n_walks=20, seed=22))
+    pts = np.concatenate([q for q, _, _ in dom.steps])
+    r = np.concatenate([r for _, r, _ in dom.steps])
+    cut = np.concatenate([np.full(len(q), c) for q, _, c in dom.steps])
+    exact = dom.boundary_distance_batch(pts)
+    step = r > cut
+    # a step's ball has radius kappa r: r is at most the exact distance, and
+    # a row exits exactly when its exact distance is at most the cut
+    assert np.all(r[step] <= exact[step])
+    assert np.array_equal(step, exact > cut)
+    # many rows step on the lattice bound (exact rows return the oracle's
+    # bits); at alpha = 2 walks creep to the shell, so only 47% do
+    assert np.count_nonzero(r[step] < exact[step]) > 0.4 * np.count_nonzero(step)
+
+
+def test_ellipse_walks_independent_of_threads():
+    cfg = WalkConfig(n_walks=40000, seed=13)  # three batches
+    p = StableParams(1.5, 2)
+    runs = []
+    for n_threads in (1, 2):
+        dom = SupportDomain.ellipse(0.8, 0.5)  # each run builds its lattice inside the pool
+        est, fin = estimate_phi(dom, p, [0.2, -0.1], cfg, n_threads=n_threads,
+                                return_final_points=True)
+        field = build_field(dom, CAUCHY, 0.1, WalkConfig(n_walks=120, seed=14),
+                            n_threads=n_threads)
+        runs.append((est, fin.tobytes(), field.values.tobytes(), field.stderr.tobytes()))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("dom, p, x", [
     (DISK, StableParams(1.0, 3), [0.1, 0.2, 0.3]),
     (SupportDomain.ellipse(0.8, 0.5), StableParams(1.0, 3), [0.1, 0.2, 0.3]),
@@ -283,19 +330,51 @@ def test_values_and_stderr_at_matches_separate_reads(ellipse_field):
     assert errs.tobytes() == f.stderr_at(pts).tobytes()
 
 
+def test_deep_field_reads_skip_the_oracle_bitwise(ellipse_field, monkeypatch):
+    f = ellipse_field
+    rng = np.random.default_rng(31)
+    pts = rng.uniform([-0.95, -0.65], [0.95, 0.65], size=(10_000, 2))
+    pts[:2000] = f.dom.boundary_point(rng.uniform(0, 2 * np.pi, 2000)) * rng.uniform(
+        0.8, 1.02, (2000, 1))  # the collar and just outside
+    foot = f.dom._signed_distance_foot(pts)
+    d = foot[0]
+    for where in (d > f.collar, (d > 0) & (d <= f.collar), d <= 0):
+        assert np.count_nonzero(where) > 500  # deep, collar and exterior points
+    want = f.values_at(pts, foot), f.stderr_at(pts, foot)  # every row queried
+    queried = []
+    query = f.dom._signed_distance_foot
+
+    def counting(q):
+        queried.append(len(q))
+        return query(q)
+
+    monkeypatch.setattr(f.dom, "_signed_distance_foot", counting)
+    values, errs = f.values_and_stderr_at(pts)
+    assert values.tobytes() == want[0].tobytes()
+    assert errs.tobytes() == want[1].tobytes()
+    deep = np.count_nonzero(f.dom.lower_distance(pts) > f.collar)
+    assert deep > 0.3 * np.count_nonzero(d > f.collar)
+    assert queried == [len(pts) - deep]
+
+
 def test_estimate_phi_queries_start_once(monkeypatch):
     dom = SupportDomain.ellipse(0.8, 0.5)
-    rows = []
+    queried = []
     query = dom._signed_distance_foot
 
     def counting(pts):
-        rows.append(len(pts))
+        queried.append(pts.copy())
         return query(pts)
 
+    dom._lattice()  # built once per domain, with its own query
     monkeypatch.setattr(dom, "_signed_distance_foot", counting)
     est = estimate_phi(dom, CAUCHY, [0.3, 0.1], WalkConfig(n_walks=20000, seed=2))
-    # one one-row start query for both batches, then one row per walk step
-    assert sum(rows) == 1 + round(est.mean_steps * est.n_walks)
+    rows = np.concatenate(queried)
+    # one start query for both batches; walk steps query only rows near the
+    # boundary, about 1.5% of them at alpha = 1
+    assert len(queried[0]) == 1
+    assert np.count_nonzero(np.all(rows == [0.3, 0.1], axis=1)) == 1
+    assert 0 < len(rows) - 1 < 0.05 * round(est.mean_steps * est.n_walks)
 
 
 def test_field_file_rejects_v1_and_bad_domain(tmp_path, disk_field):
@@ -346,6 +425,28 @@ def test_field_file_rejects_nodes_outside_shape(tmp_path, disk_field):
             load_field(path)
 
 
+def test_field_file_rejects_duplicate_and_missing_nodes(tmp_path, disk_field):
+    path, lines = _field_lines(tmp_path, disk_field)
+    n = int(lines[6].split("=")[1])
+    where = {tuple(map(int, lines[k].split()[:2])): k for k in range(7, 7 + n)}
+    a, b = where[(4, 10)], where[(4, 11)]
+    # the line for (4, 11) replaced by a copy of the line for (4, 10): it used
+    # to load, and the reloaded field read 0 at the interior node (4, 11)
+    path.write_text("".join(lines[:b] + [lines[a]] + lines[b + 1:]))
+    with pytest.raises(DomainFileError, match=r"\(4, 10\) .* listed twice"):
+        load_field(path)
+    dropped = lines[:b] + lines[b + 1:]
+    dropped[6] = f"nodes={n - 1}\n"
+    path.write_text("".join(dropped))
+    with pytest.raises(DomainFileError, match=r"\(4, 11\) is reliable and not listed"):
+        load_field(path)
+    extra = lines[:7] + ["0 0 0.5 0.01\n"] + lines[7:]
+    extra[6] = f"nodes={n + 1}\n"
+    path.write_text("".join(extra))
+    with pytest.raises(DomainFileError, match=r"\(0, 0\) is listed and not reliable"):
+        load_field(path)
+
+
 def test_field_grid_too_coarse():
     with pytest.raises(GridTooCoarseError):
         build_field(DISK, CAUCHY, 0.5, WalkConfig(n_walks=100, seed=1))
@@ -364,7 +465,8 @@ def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
     at step k the j-th live walk (in walk order) reads column j of the step's
     (width, n_live) uniform block.  Each walk's arithmetic runs on one-element
     arrays, so it takes the same numpy loops as the batch.  Returns per-walk
-    times, steps and exit points, and the walks still live at the cut."""
+    times, steps and exit points, and the walks still live at the cut.  Each
+    step's distance is the domain's step_distance of its one row."""
     law = ExitRadiusLaw(p.alpha)
     width = wos._uniform_width(p.dim)
     cb = ball_exit_constant(p)
@@ -386,7 +488,7 @@ def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
             s = cfg.ball_fraction * delta[w:w + 1]
             tacc[w:w + 1] += cb * s ** p.alpha
             new = pos[w:w + 1] + (s * law.factor(u[0]))[:, None] * wos._directions(u[1:], p.dim)
-            delta[w:w + 1] = dom.boundary_distance_batch(new)
+            delta[w:w + 1] = dom.step_distance(new, exit_cut)
             pos[w] = new[0]
             steps[w] += 1
             if delta[w] <= exit_cut:
