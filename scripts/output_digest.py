@@ -6,11 +6,14 @@ Hashes the raw float64 bytes of:
 - `build_field` on the ellipse (0.8, 0.5) at alpha = 0.5, 1 and 1.5;
 - `estimate_phi` (with exit points) on the unit disk, on the ellipse and on
   a three-dimensional cone;
-- `PhiField.values_at` and `.stderr_at` of the alpha = 1 field on fixed points;
+- `PhiField.values_at` and `.stderr_at` of the alpha = 1 field on fixed points,
+  and `.values_and_stderr_at` on fixed points in and near its collar;
 - `hessian_scan` with `DiskPhi` and with the alpha = 1 ellipse `PhiField`,
   on points above, below and on the slab;
 - `_signed_distance_foot` (distance and foot angle) on fixed points for the
-  disk, the ellipse and `from_polygon` of the square [-0.5, 0.5]^2.
+  disk, the ellipse and `from_polygon` of the square [-0.5, 0.5]^2;
+- the ellipse's `step_distance` on fixed points within 1e-3 of its boundary,
+  the rows that query the exact distance.
 
 Prints one line per output and the combined digest last.  Run it on two
 checkouts and compare:
@@ -79,6 +82,12 @@ def outputs():
     yield "PhiField values_at stderr_at", (fields[1.0].values_at(pts), fields[1.0].stderr_at(pts))
     for name, dom in (("disk", disk), ("ellipse", ellipse), ("square", square)):
         yield f"_signed_distance_foot {name}", dom._signed_distance_foot(pts)
+    theta = rng.uniform(0.0, 2 * np.pi, 4000)
+    near = ellipse.boundary_point(theta) - rng.uniform(-1e-3, 1e-3, (4000, 1)) * np.stack(
+        [np.cos(theta), np.sin(theta)], axis=1)
+    yield "step_distance ellipse near boundary", (ellipse.step_distance(near, 1e-12),)
+    collar = ellipse.boundary_point(theta) * rng.uniform(0.6, 1.02, (4000, 1))
+    yield "PhiField values_and_stderr_at collar", fields[1.0].values_and_stderr_at(collar)
 
 
 def main():

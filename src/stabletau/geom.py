@@ -5,6 +5,13 @@ theta in [0, 2pi).  The radius of curvature at the boundary point with outer
 normal angle theta is h + h'', so strict convexity is h + h'' > 0.  Minkowski
 sums act coefficient-wise on support functions, which makes the deformation
 D(t) = (1-t) D + t B(0,1) exact.
+
+The signed distance is min over theta of g = h - x.u.  Near the boundary it
+is found by Newton from a lattice seed and certified by a rolling disk of
+radius r0 <= min(h + h'') (SupportDomain._certified_distance_foot); deeper
+rows, and domains where r0 cannot be made positive, run a search from a
+256-angle seed grid that rescans every basin whose best sample comes close
+to the least one (SupportDomain._signed_distance_foot).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ _SEED_BLOCK = 512       # query rows per seed block: the (block, 256) temporary 
 _NEWTON_REFINE = 1e-5   # rows whose third Newton step exceeds this (rad) iterate on ...
 _NEWTON_STEPS = 8       # ... for at most this many steps, until a step is below ...
 _NEWTON_TOL = 1e-8      # ... this (rad)
-_SCAN_CELLS = 4         # rescan window: this many seed steps either side of the seed ...
+_SCAN_CELLS = 4         # rescan window: this many seed steps either side of a candidate ...
 _SCAN_FINE = 4          # ... sampled this many times finer than the seed grid
 _RESCAN_GAIN = 1e-12    # a rescan replaces the Newton value only if lower by more than this
 _ZOOM_LEVELS = 7        # rescan refinement: each level samples +- one step at a quarter
@@ -39,6 +46,9 @@ _BOUNDARY_TOL = 1e-12   # points this close to the boundary count as outside
 _LATTICE_CELLS = 128    # distance lattice: cells per side of the bounding box
 _LATTICE_MARGIN = 1e-9  # the lattice lower bound's allowance for the oracle's error at the nodes
 _EXACT_BELOW = 1e-4     # walk rows whose lower bound is at most this query the exact distance
+_ROLL_MARGIN = 1e-9     # a certified row's distance lies at least this far below r0
+_ROLL_CAP = np.pi / 4   # the certified path's Newton step cap (rad): seeds off the
+                        # lattice box can be 0.2 rad off, and a wild step only fails
 
 
 def _trig_eval(coeffs: np.ndarray, theta, deriv: int = 0):
@@ -105,24 +115,25 @@ class SupportDomain:
         self._seed_u = _unit(tg)
         # cubic-Hermite tables of h, h', h'' on a fine grid: the walk and
         # quadrature hot paths evaluate these instead of summing the series.
-        # Row i holds (h, h', h'', h''') at knot i, so a lookup gathers two rows.
+        # Row i holds (h, h', h'', h''') at knot i; a lookup gathers from
+        # _tab_cols, the same table stored by column.
         nt = _TABLE_GRID
         tt = np.linspace(0.0, 2 * np.pi, nt + 1)
         self._tab_step = 2 * np.pi / nt
         self._tab = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)], axis=1)
-        # g = h - x.u has g'' = h + h'' - g, so g can have several minima in
-        # the rescan window about a seed angle only where g exceeds the least
-        # radius of curvature there; for an interior x, g climbs at most
-        # _window_rise above the seed value within the window (|g'| <=
-        # |h'| + |x|).  A minimum's best seed sample sits at most _seed_slack
-        # = 1/2 max g'' (step / 2)^2 above it.
+        self._tab_cols = self._tab.T.copy()  # one contiguous column per derivative
+        # certified bounds of h + h'' (the knots are the 4096-angle grid of
+        # _certify): its maximum, its maximum within half a seed step of each
+        # seed angle, and its minimum within one and a half steps
         rc = self._tab[:-1, 0] + self._tab[:-1, 2]
+        self._rc_max = float(np.max(rc)) + self._rc_dip
         per = _TABLE_GRID // _SEED_GRID
-        reach = np.arange(-per * _SCAN_CELLS, per * _SCAN_CELLS + 1)
-        self._rc_window_min = rc[(per * np.arange(_SEED_GRID)[:, None] + reach) % _TABLE_GRID].min(axis=1)
-        self._window_rise = (_SCAN_CELLS * 2 * np.pi / _SEED_GRID
-                             * float(np.max(np.abs(self._tab[:, 1])) + np.max(self._tab[:, 0])))
-        self._seed_slack = 0.5 * float(rc.max()) * (np.pi / _SEED_GRID) ** 2
+        ring = per * np.arange(_SEED_GRID)[:, None]
+        reach = np.arange(-(per // 2) - 1, per // 2 + 2)
+        self._rc_near = rc[(ring + reach) % _TABLE_GRID].max(axis=1) + self._rc_dip
+        reach = np.arange(-(3 * per // 2) - 1, 3 * per // 2 + 2)
+        self._rc_low = rc[(ring + reach) % _TABLE_GRID].min(axis=1) - self._rc_dip
+        self._max_h1 = float(np.max(np.abs(self._tab[:, 1])))
         # disk fast path: only the constant mode present
         self._disk_radius = None
         if self.n_modes == 1 or not np.any(self.coeffs[1:]):
@@ -174,11 +185,10 @@ class SupportDomain:
 
     def _support_012(self, theta):
         """(h, h', h'') by cubic Hermite interpolation of the cached tables."""
-        out = self._hermite(theta, 3)
-        return out[..., 0], out[..., 1], out[..., 2]
+        return tuple(self._hermite(theta, 3))
 
     def _hermite(self, theta, m):
-        """The first m of (h, h', h'') at theta, stacked on a last axis of length m."""
+        """The first m of (h, h', h'') at theta, a list of arrays shaped like theta."""
         theta = np.asarray(theta, dtype=float)
         pos = np.mod(theta, 2 * np.pi) / self._tab_step
         i = np.minimum(pos.astype(np.int64), _TABLE_GRID - 1)
@@ -189,9 +199,10 @@ class SupportDomain:
         b10 = (t3 - 2 * t2 + t) * self._tab_step
         b01 = 3 * t2 - 2 * t3
         b11 = (t3 - t2) * self._tab_step
-        r0, r1 = self._tab[i], self._tab[i + 1]
-        return (b00[..., None] * r0[..., :m] + b10[..., None] * r0[..., 1:m + 1]
-                + b01[..., None] * r1[..., :m] + b11[..., None] * r1[..., 1:m + 1])
+        i1 = i + 1
+        at = [(col.take(i), col.take(i1)) for col in self._tab_cols[:m + 1]]
+        return [b00 * at[k][0] + b10 * at[k + 1][0] + b01 * at[k][1] + b11 * at[k + 1][1]
+                for k in range(m)]
 
     def _certify(self):
         tg = np.linspace(0.0, 2 * np.pi, _CERT_GRID, endpoint=False)
@@ -202,6 +213,16 @@ class SupportDomain:
         rc = h + _trig_eval(self.coeffs, tg, 2)
         if np.min(rc) <= 0:
             raise NonConvexError("h + h'' <= 0: boundary not strictly convex")
+        # r0, a certified lower bound of min(h + h''): between grid angles w
+        # apart, rc strays at most w^2/8 max|rc''| from its samples (_rc_dip),
+        # and mode j adds at most (j^4 - j^2) |(a_j, b_j)| to |rc''| =
+        # |h'' + h''''|; the last term allows for the rounding of the sums.
+        # 0 means no certificate.
+        j = np.arange(self.n_modes, dtype=float)
+        amp = np.hypot(self.coeffs[:, 0], self.coeffs[:, 1])
+        self._rc_dip = ((2 * np.pi / _CERT_GRID) ** 2 / 8 * float(np.sum((j ** 4 - j ** 2) * amp))
+                        + 1e-12 * float(np.sum((1 + j * j) * amp)))
+        self._r0 = max(float(np.min(rc)) - self._rc_dip, 0.0)
         # interval refinement where the certificate margin is thin
         thin = np.nonzero(rc < _CONVEXITY_REFINE)[0]
         if thin.size:
@@ -237,7 +258,7 @@ class SupportDomain:
             theta = np.arctan2(pts[:, 1], pts[:, 0])
             theta[r == 0] = 0.0
             return self._disk_radius - r, theta
-        k, grid_val = self._seed(pts)
+        k, grid_val, far = self._seed(pts)
         theta = self._seed_theta[k]
         x1, x2 = pts[:, 0], pts[:, 1]
         for _ in range(3):
@@ -252,19 +273,97 @@ class SupportDomain:
         better = grid_val < val  # Newton should only improve; guard regressions
         val = np.where(better, grid_val, val)
         theta = np.where(better, self._seed_theta[k], theta)
-        # Newton finds the minimum in the seed's basin.  Where g is not convex
-        # (near sharp corners) it can settle above the seed or keep moving, or
-        # a second basin in the window can hold the lower minimum; those rows
-        # rescan the window
-        rescan = better
-        rescan[rows] = True
-        maybe = np.nonzero(self._rc_window_min[k] < grid_val + self._window_rise)[0]
-        rescan[maybe[self._second_basin(k[maybe], grid_val[maybe], pts[maybe])]] = True
-        rows = np.nonzero(rescan)[0]
+        # Newton finds a minimum in the seed's basin.  Where g is not convex
+        # (near sharp corners) it can settle above the seed, keep moving or
+        # sit on a maximum between two close minima.  The lowest minimum lies
+        # within half a step of a seed sample within the slack of the best
+        # one, with g'' bounded near that sample (_rc_near).  _seed flagged
+        # the rows with a sample two or more steps away within the (larger)
+        # global slack.  Flagged rows whose samples within the slack all lie
+        # next to the best one rescan the seed's window unless g is certified
+        # convex within one and a half steps of it (|g'| <= |h'| + |x| bounds
+        # g there, and g'' = h + h'' - g), and so do rows where Newton went
+        # uphill or did not settle.  The other flagged rows rescan windows
+        # that cover every sample within the slack; a window serves the
+        # samples within _SCAN_CELLS - 1 steps of its centre.
+        stuck = better
+        stuck[rows] = True
+        rows = np.nonzero(far)[0]
+        sub = pts[rows]
+        g = self._seed_h - (sub[:, :1] * self._seed_u[:, 0] + sub[:, 1:] * self._seed_u[:, 1])
+        near = g <= grid_val[rows, None] + self._slack(grid_val[rows, None], self._rc_near)
+        off = (np.arange(_SEED_GRID) - k[rows, None]) % _SEED_GRID
+        apart = np.any(near & (off > 1) & (off < _SEED_GRID - 1), axis=1)
+        rise = 1.5 * (2 * np.pi / _SEED_GRID) * (self._max_h1 + np.hypot(sub[:, 0], sub[:, 1]))
+        stuck[rows] |= ~apart & (grid_val[rows] + rise >= self._rc_low[k[rows]])
+        stuck[rows[apart]] = False
+        rows, near = rows[apart], near[apart]
+        stuck = np.nonzero(stuck)[0]
+        row, cand = np.nonzero(near)
+        span = 2 * _SCAN_CELLS - 1
+        cand = np.minimum(cand // span * span + _SCAN_CELLS - 1, _SEED_GRID - 1)
+        row, cand = np.divmod(np.unique(row * _SEED_GRID + cand), _SEED_GRID)
+        row = np.concatenate([stuck, rows[row]])
+        if row.size:
+            v, t = self._rescan(np.concatenate([k[stuck], cand]), pts[row])
+            best = np.lexsort((v, row))  # candidates by row, lowest first
+            best = best[np.r_[True, row[best][1:] != row[best][:-1]]]
+            row, v, t = row[best], v[best], t[best]
+            lower = v < val[row] - _RESCAN_GAIN
+            val[row[lower]], theta[row[lower]] = v[lower], t[lower]
+        return val, np.mod(theta, 2 * np.pi)
+
+    def _slack(self, best, rc=None):
+        """How far above best, the least seed sample of a row, the sample
+        nearest the row's minimum of g can lie, given rc >= h + h'' within
+        half a step of that sample (default: everywhere, _rc_max).
+
+        A minimum's nearest seed sample is at most half a step s away, so it
+        lies at most c (max g'') above it, c = s^2 / 8.  g'' = h + h'' - g is at
+        most rc - delta, and best <= delta + c (rc - delta) bounds -delta for
+        exterior points (best < 0).
+        """
+        c = (2 * np.pi / _SEED_GRID) ** 2 / 8
+        return c * ((self._rc_max if rc is None else rc) - np.minimum(best, 0.0)) / (1.0 - c)
+
+    def _certified_distance_foot(self, pts: np.ndarray, seed=None):
+        """_signed_distance_foot, by the rolling-disk certificate where it holds.
+
+        g(theta) = h - x.u has g'' = h + h'' - g.  Let r0 <= min(h + h'') (see
+        _certify) and theta* a critical point of g with g(theta*) < r0.
+        Inside D, x lies in the disk of radius r0 that touches the boundary
+        from inside at b(theta*), and that disk lies in D (Blaschke's rolling
+        theorem); outside D, b(theta*) is the projection of x onto D.  Either
+        way g(theta*) is the signed distance.
+
+        Newton starts from seed, by default the best cell-corner foot angle
+        of the lattice, and may take steps up to _ROLL_CAP, since the
+        certificate does not depend on where it converges.  A row is accepted
+        if its last step is below _NEWTON_TOL, its value is not above the
+        seed's and lies _ROLL_MARGIN below r0.  Other rows, and every row of a
+        domain with r0 = 0, run the search; the disk returns its closed form.
+        Each row's result does not depend on the other rows.
+        """
+        pts = np.asarray(pts, dtype=float)
+        if self._disk_radius is not None or self._r0 == 0.0:
+            return self._signed_distance_foot(pts)
+        if seed is None:
+            _, seed = self._lattice().upper_foot(pts)
+        x1, x2 = pts[:, 0], pts[:, 1]
+        val, theta, step = self._newton_step(seed, x1, x2, _ROLL_CAP)
+        start = val.copy()
+        rows = np.nonzero(np.abs(step) >= _NEWTON_TOL)[0]
+        for _ in range(_NEWTON_STEPS):
+            if rows.size == 0:
+                break
+            val[rows], theta[rows], step = self._newton_step(theta[rows], x1[rows], x2[rows],
+                                                             _ROLL_CAP)
+            rows = rows[np.abs(step) >= _NEWTON_TOL]
+        search = (val > start) | (val >= self._r0 - _ROLL_MARGIN)
+        search[rows] = True
+        rows = np.nonzero(search)[0]
         if rows.size:
-            v, t = self._rescan(k[rows], pts[rows])
-            lower = v < val[rows] - _RESCAN_GAIN
-            val[rows[lower]], theta[rows[lower]] = v[lower], t[lower]
+            val[rows], theta[rows] = self._signed_distance_foot(pts[rows])
         return val, np.mod(theta, 2 * np.pi)
 
     def lower_distance(self, pts: np.ndarray) -> np.ndarray:
@@ -285,7 +384,7 @@ class SupportDomain:
         pts = np.asarray(pts, dtype=float)
         if self._disk_radius is not None:
             return self._disk_radius - np.hypot(pts[:, 0], pts[:, 1])
-        return self._lattice().upper(pts)
+        return self._lattice().upper_foot(pts)[0]
 
     def step_distance(self, pts: np.ndarray, cut: float) -> np.ndarray:
         """Per row, the distance r a walk steps on from x.
@@ -295,17 +394,19 @@ class SupportDomain:
         any kappa < 1.  A row whose lower bound exceeds max(_EXACT_BELOW, cut)
         steps on it; of the rest, near the boundary or outside, a row whose
         upper bound is at most cut reports that, and the others query the
-        exact oracle.
+        exact distance (_certified_distance_foot, seeded at the upper bound's
+        foot angle).
         """
         r = self.lower_distance(pts)
         if self._disk_radius is not None:  # exact
             return r
         rows = np.nonzero(r <= max(_EXACT_BELOW, cut))[0]
         if rows.size:
-            r[rows] = self.upper_distance(pts[rows])
-            rows = rows[r[rows] > cut]
+            r[rows], seed = self._lattice().upper_foot(pts[rows])
+            exact = r[rows] > cut
+            rows = rows[exact]
             if rows.size:
-                r[rows], _ = self._signed_distance_foot(pts[rows])
+                r[rows], _ = self._certified_distance_foot(pts[rows], seed[exact])
         return r
 
     def _lattice(self) -> "_DistanceLattice":
@@ -314,38 +415,27 @@ class SupportDomain:
                 self._lattice_cache = _DistanceLattice(self)
             return self._lattice_cache
 
-    def _second_basin(self, k, grid_val, pts):
-        """Rows whose seed window is not convex and holds a seed sample, not
-        next to the best one k, within _seed_slack of it: another minimum of g
-        there may be the lower one."""
-        c = _SCAN_CELLS
-        j = (k[:, None] + np.arange(-c, c + 1)) % _SEED_GRID
-        g = self._seed_h[j] - (pts[:, :1] * self._seed_u[j, 0] + pts[:, 1:] * self._seed_u[j, 1])
-        near = g <= grid_val[:, None] + self._seed_slack
-        near[:, c - 1:c + 2] = False
-        return (g.max(axis=1) > self._rc_window_min[k]) & near.any(axis=1)
-
-    def _newton_step(self, theta, x1, x2):
-        """g = h - x.u at theta, the next angle and the step of one capped Newton step."""
+    def _newton_step(self, theta, x1, x2, cap=2 * np.pi / _SEED_GRID):
+        """g = h - x.u at theta, the next angle and the step of one Newton step capped at cap."""
         h, h1, h2 = self._support_012(theta)
         ct, st = np.cos(theta), np.sin(theta)
         xu = x1 * ct + x2 * st
         gp = h1 - (-x1 * st + x2 * ct)
         gpp = h2 + xu
         gpp = np.where(np.abs(gpp) < 1e-14, 1e-14, gpp)
-        step = np.clip(gp / gpp, -2 * np.pi / _SEED_GRID, 2 * np.pi / _SEED_GRID)
+        step = np.clip(gp / gpp, -cap, cap)
         return h - xu, theta - step, step
 
     def _g(self, theta, pts):
         """g = h - x.u at the angles theta (n, m) of each of the n points."""
-        return self._hermite(theta, 1)[..., 0] - (pts[:, :1] * np.cos(theta)
-                                                  + pts[:, 1:] * np.sin(theta))
+        return self._hermite(theta, 1)[0] - (pts[:, :1] * np.cos(theta)
+                                             + pts[:, 1:] * np.sin(theta))
 
     def _rescan(self, k, pts):
         """(g, theta) at the lowest minimum of g within _SCAN_CELLS seed steps of seed angle k.
 
         g is sampled _SCAN_FINE times finer than the seed grid.  Every sampled
-        minimum within the (finer) sampling slack of the lowest sample is
+        minimum within the (finer) sampling slack (_slack) of the lowest sample is
         refined by zooming: a sample no higher than its two neighbours
         brackets a minimum between them, which needs no convexity.  The
         lowest refined minimum is kept.
@@ -356,7 +446,8 @@ class SupportDomain:
         g = self._g(theta, pts)
         low = np.zeros(g.shape, dtype=bool)
         low[:, 1:-1] = (g[:, 1:-1] <= g[:, :-2]) & (g[:, 1:-1] <= g[:, 2:])
-        low &= g <= g.min(axis=1, keepdims=True) + self._seed_slack / _SCAN_FINE ** 2
+        least = g.min(axis=1, keepdims=True)
+        low &= g <= least + self._slack(least) / _SCAN_FINE ** 2
         low[np.arange(len(g)), np.argmin(g, axis=1)] = True
         row, col = np.nonzero(low)
         th, val, pts = theta[row, col], g[row, col], pts[row]
@@ -372,7 +463,8 @@ class SupportDomain:
         return val[first], th[first]
 
     def _seed(self, pts: np.ndarray):
-        """Best seed-grid angle index and value per row, in blocks of _SEED_BLOCK rows.
+        """Best seed-grid angle index and value per row, in blocks of _SEED_BLOCK rows,
+        and whether a sample two or more steps from the best lies within its _slack.
 
         numpy hands a one-row product to matrix-vector BLAS, whose last bits
         differ from the matrix-matrix product the other rows get, so a
@@ -381,19 +473,24 @@ class SupportDomain:
         """
         n = len(pts)
         if n == 1:
-            k, val = self._seed(np.concatenate([pts, pts]))
-            return k[:1], val[:1]
+            k, val, far = self._seed(np.concatenate([pts, pts]))
+            return k[:1], val[:1], far[:1]
         k = np.empty(n, dtype=np.intp)
         val = np.empty(n)
+        far = np.empty(n, dtype=bool)
         lo = 0
         while lo < n:
             hi = n if n - lo <= _SEED_BLOCK + 1 else lo + _SEED_BLOCK
             g = pts[lo:hi] @ self._seed_u.T
             np.subtract(self._seed_h, g, out=g)
-            k[lo:hi] = np.argmin(g, axis=1)
-            val[lo:hi] = g[np.arange(hi - lo), k[lo:hi]]
+            kb = np.argmin(g, axis=1)
+            r = np.arange(hi - lo)
+            k[lo:hi], val[lo:hi] = kb, g[r, kb]
+            for off in (-1, 0, 1):
+                g[r, (kb + off) % _SEED_GRID] = np.inf
+            far[lo:hi] = g.min(axis=1) <= val[lo:hi] + self._slack(val[lo:hi])
             lo = hi
-        return k, val
+        return k, val, far
 
     def contains(self, x) -> bool:
         """True iff x is interior; boundary points within 1e-12 report False."""
@@ -489,7 +586,8 @@ class _DistanceLattice:
       combination of them at weights that reproduce x, so by Jensen it is at
       most delta(x); less _LATTICE_MARGIN it is the lower bound;
     - each corner's foot angle theta_i gives h(theta_i) - x.u(theta_i) >=
-      delta(x); the least of the four is the upper bound.
+      delta(x); the least of the four is the upper bound, and its theta_i
+      seeds SupportDomain._certified_distance_foot.
 
     Outside the box, where D has no point, the lower bound is -inf and the
     upper bound is at most the (negative) gap to the box: the sides' normal
@@ -505,8 +603,8 @@ class _DistanceLattice:
         ax = [np.linspace(self.lo[c], self.hi[c], n + 1) for c in range(2)]
         nodes = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 2)
         d, theta = dom._signed_distance_foot(nodes)
-        # row i: h(theta_i) from the series, cos theta_i and sin theta_i
-        foot = np.stack([_series(dom.coeffs, theta), np.cos(theta), np.sin(theta)], axis=1)
+        # h(theta_i) from the series, cos theta_i, sin theta_i and theta_i, one row each
+        foot = np.stack([_series(dom.coeffs, theta), np.cos(theta), np.sin(theta), theta])
         # copies made once the query's temporaries are freed sit low in the
         # heap, so the memory those temporaries took can go back to the system
         self.delta, self.foot = d.copy(), foot.copy()
@@ -531,16 +629,20 @@ class _DistanceLattice:
         inside = (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
         return np.where(inside, lb, -np.inf)
 
-    def upper(self, pts: np.ndarray) -> np.ndarray:
+    def upper_foot(self, pts: np.ndarray):
+        """The upper bound and the foot angle of the least corner, per row."""
         n = _LATTICE_CELLS
         k, _, _ = self._cell(pts)
         x, y = pts[:, 0], pts[:, 1]
+        h, c, s, theta = self.foot
+        best, at = h.take(k) - x * c.take(k) - y * s.take(k), k
+        for corner in (k + 1, k + (n + 1), k + (n + 2)):
+            g = h.take(corner) - x * c.take(corner) - y * s.take(corner)
+            lower = g < best
+            best, at = np.where(lower, g, best), np.where(lower, corner, at)
         ub = np.minimum(np.minimum(x - self.lo[0], self.hi[0] - x),
                         np.minimum(y - self.lo[1], self.hi[1] - y))
-        for corner in (k, k + 1, k + (n + 1), k + (n + 2)):
-            f = self.foot[corner]
-            np.minimum(ub, f[:, 0] - x * f[:, 1] - y * f[:, 2], out=ub)
-        return ub
+        return np.minimum(ub, best), theta.take(at)
 
 
 def _series(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:

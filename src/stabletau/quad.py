@@ -10,6 +10,12 @@ to tolerance, at most 32 of them, and evaluates the integrand once on the
 nodes of all their children.  Rounds stop when the component-wise tolerance
 is met or the cell budget runs out.
 
+R(psi) is found by a bracketed Newton iteration (_PolarChart): a per-chart
+table of the polar angle of the boundary point b(theta) - c, which turns
+monotonically with the normal angle theta, brackets each ray, so no global
+search over angles runs.  A singular centre outside the domain anchors the
+chart at its nearest boundary point, found by one distance query.
+
 Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
 (n, m) for a vector integrand whose components then share one adaptive mesh.
 """
@@ -21,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NewtonError, NonConvergedError
+from .geom import _series
 
 # QUADPACK Gauss-Kronrod 7/15 nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -46,8 +53,10 @@ _WG15[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
 _W = np.stack([np.multiply.outer(_WGK, _WGK), np.multiply.outer(_WG15, _WG15),
                np.multiply.outer(_WG15, _WGK), np.multiply.outer(_WGK, _WG15)]).reshape(4, -1)
 _ROUND = 32  # most cells bisected per round, which bounds the integrand's batch
+_PARTITION_ABOVE = 512  # live cells above which argpartition beats a full argsort
 _NEWTON_STEPS = 50   # radial-extent Newton: step budget and angle tolerance
 _NEWTON_TOL = 1e-10
+_CHART_GRID = 4096   # radial-extent bracket table: steps of the normal angle
 
 
 @dataclass(frozen=True)
@@ -68,15 +77,37 @@ class QuadSpec:
 
 
 class _PolarChart:
-    """Radial extent R(psi) of the domain about an anchor c in the closed domain."""
+    """Radial extent R(psi) of the domain about an anchor c in the closed domain.
 
-    def __init__(self, dom, center):
+    The ray from c at angle psi leaves the domain at the boundary point
+    b(theta) = h u + h' u_perp whose normal angle theta solves
+    N(theta) = cross(u(psi), b(theta) - c) = g' cos t + g sin t = 0, with
+    g = h - c.u, t = theta - psi and N' = (h + h'') cos t.  The polar angle
+    of b(theta) - c turns monotonically with theta (at the rate
+    g (h + h'') / |b - c|^2), so a table of it on a 4096-step grid of theta
+    and searchsorted bracket each psi; a Newton iteration that bisects when a
+    step leaves the bracket finishes.  R = g / cos t, from the series.
+
+    An anchor on the boundary is given with its normal angle: its table
+    starts there, where b - c turns from the direction normal + pi/2, and
+    rays with cos(psi - normal) >= 0 point out of the domain, so R = 0.
+    """
+
+    def __init__(self, dom, center, normal=None):
         self.dom = dom
         self.center = np.asarray(center, dtype=float)
-        if dom._disk_radius is None:
-            from .geom import _unit
-            self._unit = _unit
-            self._g_grid = dom._seed_h - dom._seed_u @ self.center
+        self.normal = normal
+        if dom._disk_radius is not None:
+            return
+        start = 0.0 if normal is None else float(normal)
+        self._theta = start + np.linspace(0.0, 2 * np.pi, _CHART_GRID + 1)
+        h, h1 = dom._hermite(self._theta, 2)
+        c, s = np.cos(self._theta), np.sin(self._theta)
+        turn = np.arctan2(h * s + h1 * c - self.center[1], h * c - h1 * s - self.center[0])
+        if normal is not None:  # b - c vanishes at the ends: use its limiting directions
+            turn[0], turn[-1] = start + np.pi / 2, start + 1.5 * np.pi
+        steps = np.mod(np.diff(turn), 2 * np.pi)  # each in [0, 2 pi): the polar angle increases
+        self._turn = turn[0] + np.concatenate([[0.0], np.cumsum(steps)])
 
     def radial_extent(self, psi: np.ndarray) -> np.ndarray:
         dom, c = self.dom, self.center
@@ -85,31 +116,40 @@ class _PolarChart:
             cu = c[0] * np.cos(psi) + c[1] * np.sin(psi)
             disc = np.maximum(cu * cu + a * a - c @ c, 0.0)
             return np.maximum(-cu + np.sqrt(disc), 0.0)
-        ct = np.cos(dom._seed_theta[None, :] - psi[:, None])
-        ratio = np.where(ct > 0.05, self._g_grid[None, :] / np.maximum(ct, 0.05), np.inf)
-        theta = dom._seed_theta[np.argmin(ratio, axis=1)]
-        cap = 2 * np.pi / dom._seed_theta.size
-        todo = np.arange(psi.size)  # angles whose last Newton step was not below tolerance
+        out = np.zeros(psi.size)
+        rays = np.arange(psi.size)
+        if self.normal is not None:
+            rays = rays[np.cos(psi - self.normal) < 0.0]
+        psi = psi[rays]
+        target = self._turn[0] + np.mod(psi - self._turn[0], 2 * np.pi)
+        k = np.clip(np.searchsorted(self._turn, target, side="right") - 1, 0, _CHART_GRID - 1)
+        lo, hi = self._theta[k], self._theta[k + 1]
+        frac = (target - self._turn[k]) / np.maximum(self._turn[k + 1] - self._turn[k], 1e-300)
+        theta = lo + np.minimum(frac, 1.0) * (hi - lo)
+        todo = np.arange(psi.size)  # rays whose last step was not below tolerance
         for _ in range(_NEWTON_STEPS):
-            th = theta[todo]
+            th, t = theta[todo], theta[todo] - psi[todo]
             h, h1, h2 = dom._support_012(th)
-            cth, sth = np.cos(th), np.sin(th)
+            cth, sth, ct = np.cos(th), np.sin(th), np.cos(t)
             g = h - (c[0] * cth + c[1] * sth)
             gp = h1 - (-c[0] * sth + c[1] * cth)
-            t = th - psi[todo]
-            num = gp * np.cos(t) + g * np.sin(t)
-            den = (h + h2) * np.cos(t)
-            den = np.where(np.abs(den) < 1e-14, 1e-14, den)
-            step = np.clip(num / den, -cap, cap)
-            theta[todo] = th - step
-            todo = todo[np.abs(step) > _NEWTON_TOL]
+            num = gp * ct + g * np.sin(t)
+            lo[todo] = np.where(num < 0.0, th, lo[todo])
+            hi[todo] = np.where(num > 0.0, th, hi[todo])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = th - num / ((h + h2) * ct)
+            inside = (new >= lo[todo]) & (new <= hi[todo])
+            new = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
+            theta[todo] = new
+            todo = todo[np.abs(new - th) > _NEWTON_TOL]
             if todo.size == 0:
                 break
         else:
             raise NewtonError(f"radial extent: Newton did not converge at {todo.size} "
                               f"of {psi.size} angles in {_NEWTON_STEPS} steps")
-        g = dom.support(theta) - self._unit(theta) @ c
-        return np.maximum(g / np.maximum(np.cos(theta - psi), 1e-12), 0.0)
+        g = _series(dom.coeffs, theta) - (c[0] * np.cos(theta) + c[1] * np.sin(theta))
+        out[rays] = np.maximum(g / np.maximum(np.cos(theta - psi), 1e-12), 0.0)
+        return out
 
 
 def _eval_cell(chart, f, cells):
@@ -155,13 +195,14 @@ def integrate(dom, f, spec: QuadSpec | None = None):
     the best value and estimate) if the cell budget is exhausted first.
     """
     spec = spec or QuadSpec()
+    center, normal = np.zeros(2), None
     if spec.singular_center is not None:
-        center = np.asarray(spec.singular_center, dtype=float)
-        if dom.signed_distance(center) <= 0.0:
-            center, _, _ = dom.nearest_boundary(center)
-    else:
-        center = np.zeros(2)
-    chart = _PolarChart(dom, center)
+        foot, theta, d = dom.nearest_boundary(np.asarray(spec.singular_center, dtype=float))
+        if d <= 0.0:  # anchor the chart at the nearest boundary point
+            center, normal = foot, theta
+        else:
+            center = np.asarray(spec.singular_center, dtype=float)
+    chart = _PolarChart(dom, center, normal)
 
     i, j = np.divmod(np.arange(32), 4)
     cells = np.stack([2 * np.pi * i / 8, 2 * np.pi * (i + 1) / 8, j / 4, (j + 1) / 4], axis=1)
@@ -183,7 +224,15 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         budget = min(_ROUND, spec.max_cells - len(cells))
         if budget <= 0 or live.size == 0:
             raise NonConvergedError(*result)
-        order = live[np.argsort(-np.max(errs[live] / tol, axis=1), kind="stable")][:budget]
+        # the budget worst cells, worst first and ties by index (a stable
+        # argsort); on long cell lists argpartition first picks the same set
+        key = -np.max(errs[live] / tol, axis=1)
+        if live.size > _PARTITION_ABOVE:
+            kth = np.partition(key, budget - 1)[budget - 1]
+            pick = key < kth
+            pick[np.flatnonzero(key == kth)[:budget - np.count_nonzero(pick)]] = True
+            live, key = live[pick], key[pick]
+        order = live[np.argsort(key, kind="stable")][:budget]
         # the shortest prefix whose removal leaves at most half the tolerance
         left = total_err - np.cumsum(errs[order], axis=0)
         enough = np.all(left <= 0.5 * tol, axis=1)

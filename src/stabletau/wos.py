@@ -7,11 +7,12 @@ exit law.  Any centred ball inside D gives an exact step, so the estimator
 is unbiased for every such r.  The domain supplies r (step_distance): on a
 support-function domain other than the disk it is a certified lower bound
 of delta_D read from a lattice (geom._DistanceLattice), and the exact
-distance only near the boundary; on the disk and the cone it is the exact
-distance.  For alpha < 2 the jump lands strictly outside the ball, so the
-walk terminates exactly when it lands in the exterior of the domain; no
-boundary shell is needed.  For alpha = 2 the classical variant is used
-(uniform exit on the sphere) with a tiny absorption shell.
+distance, certified by a rolling disk where it can be, only near the
+boundary; on the disk and the cone it is the exact distance.  For alpha < 2
+the jump lands strictly outside the ball, so the walk terminates exactly
+when it lands in the exterior of the domain; no boundary shell is needed.
+For alpha = 2 the classical variant is used (uniform exit on the sphere)
+with a tiny absorption shell.
 
 Randomness is counter-based: at step k, the walks of batch b still alive
 draw one block of uniforms at a Philox counter derived from (b, k) under key
@@ -397,7 +398,7 @@ class PhiField:
     def values_at(self, pts, foot=None) -> np.ndarray:
         """Field values; foot is the (distance, angle) query of pts if already made."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
+        d, theta = self.dom._certified_distance_foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
         collar = (d > 0) & (d <= self.collar)
         deep = d > self.collar
@@ -410,7 +411,7 @@ class PhiField:
     def stderr_at(self, pts, foot=None) -> np.ndarray:
         """Error bars of values_at; foot as there."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
+        d, theta = self.dom._certified_distance_foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
         collar = (d > 0) & (d <= self.collar)
         deep = d > self.collar
@@ -426,14 +427,15 @@ class PhiField:
 
         Rows whose lower distance bound exceeds the collar read the splines,
         which use neither the distance nor the angle, so only the other rows
-        query the oracle; the results are those of the all-rows query.
+        query the oracle (_certified_distance_foot, as the separate reads do);
+        the results are those of the all-rows query.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = self.dom.lower_distance(pts)
         theta = np.zeros(len(pts))
         near = np.nonzero(d <= self.collar)[0]
         if near.size:
-            d[near], theta[near] = self.dom._signed_distance_foot(pts[near])
+            d[near], theta[near] = self.dom._certified_distance_foot(pts[near])
         return self.values_at(pts, (d, theta)), self.stderr_at(pts, (d, theta))
 
     def __call__(self, pts):

@@ -357,9 +357,12 @@ def test_blocked_seed_bitwise(ellipse, n):
     pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
     for dom in (ellipse, SMOOTH_SQUARE):
         g = dom._seed_h[None, :] - _matrix_product(pts, dom._seed_u.T)
-        k, val = dom._seed(pts)
+        k, val, far = dom._seed(pts)
         assert np.array_equal(k, np.argmin(g, axis=1))
         assert val.tobytes() == g[np.arange(n), k].tobytes()
+        steps = (np.arange(geom._SEED_GRID) - k[:, None]) % geom._SEED_GRID
+        away = np.where((steps > 1) & (steps < geom._SEED_GRID - 1), g, np.inf)
+        assert np.array_equal(far, away.min(axis=1) <= val + dom._slack(val))
     # on the ellipse no row needs more than three Newton steps
     got = ellipse._signed_distance_foot(pts)
     want = _one_matrix_signed_distance_foot(ellipse, pts)
@@ -414,18 +417,20 @@ def test_single_row_query_matches_batch_bitwise(name):
 def test_oracle_rows_independent_of_subset(name):
     # the walks query the exact oracle on the rows no bound decides, and the
     # field reads on the rows near the boundary: each row's bits must not
-    # depend on which other rows share the query
+    # depend on which other rows share the query, on the search and on the
+    # rolling-disk path, whose rejected rows run the search as a subset
     dom = {"ellipse": ELLIPSE, "eccentric ellipse": ECCENTRIC, "square": SMOOTH_SQUARE}[name]
     rng = np.random.default_rng(77)
     pts = rng.uniform(-1.0, 1.0, size=(3000, 2))
-    d, theta = dom._signed_distance_foot(pts)
     subsets = [np.sort(rng.choice(len(pts), n, replace=False))
                for n in (1, 2, _B - 1, _B, _B + 1, 2 * _B + 1)]
     subsets += [np.nonzero(rng.uniform(size=len(pts)) < q)[0] for q in (0.01, 0.3, 0.9)]
-    for idx in subsets:
-        d1, theta1 = dom._signed_distance_foot(pts[idx])
-        assert d1.tobytes() == d[idx].tobytes(), len(idx)
-        assert theta1.tobytes() == theta[idx].tobytes(), len(idx)
+    for query in (dom._signed_distance_foot, dom._certified_distance_foot):
+        d, theta = query(pts)
+        for idx in subsets:
+            d1, theta1 = query(pts[idx])
+            assert d1.tobytes() == d[idx].tobytes(), (query.__name__, len(idx))
+            assert theta1.tobytes() == theta[idx].tobytes(), (query.__name__, len(idx))
 
 
 def _rotated_ellipse(a, b, phi=0.3):
@@ -532,18 +537,34 @@ def test_lattice_bounds_enclose_distance_rotated_ellipses(data):
         _check_bounds(dom, data.draw(_bound_points(dom, axis=a)))
 
 
+def _near_rotated_axis(a, n=3000):
+    """n seeded points within 1e-9..1e-3 of the major axis of an ellipse rotated
+    by 0.3, where g has two far-apart, nearly tied minima."""
+    rng = np.random.default_rng(5)
+    along = rng.uniform(-a, a, n)
+    offset = 10.0 ** rng.uniform(-9, -3, n) * rng.choice([-1.0, 1.0], n)
+    return np.stack([along * math.cos(0.3) - offset * math.sin(0.3),
+                     along * math.sin(0.3) + offset * math.cos(0.3)], axis=1)
+
+
 @pytest.mark.parametrize("axes", list(ROTATED))
 def test_lattice_bounds_near_rotated_major_axis(axes):
     # where the oracle can pick the wrong one of two nearly tied basins
     # (a lattice node value read too high would break the lower bound)
-    dom, a = ROTATED[axes], axes[0]
-    rng = np.random.default_rng(5)
-    n = 3000
-    along = rng.uniform(-a, a, n)
-    offset = 10.0 ** rng.uniform(-9, -3, n) * rng.choice([-1.0, 1.0], n)
-    pts = np.stack([along * math.cos(0.3) - offset * math.sin(0.3),
-                    along * math.sin(0.3) + offset * math.cos(0.3)], axis=1)
-    _check_bounds(dom, pts)
+    _check_bounds(ROTATED[axes], _near_rotated_axis(axes[0]))
+
+
+@pytest.mark.parametrize("axes", list(ROTATED))
+def test_search_finds_the_lower_of_two_far_basins(axes):
+    # the best seed sample can lie in the wrong basin; every sample within the
+    # slack of it, anywhere on the circle, is rescanned (20% and 36% of these
+    # points read more than 1e-10 too far when only +-4 steps were checked)
+    dom = ROTATED[axes]
+    pts = _near_rotated_axis(axes[0])
+    ref = _all_minima_signed_distance(dom, pts)
+    for query in (dom._signed_distance_foot, dom._certified_distance_foot):
+        d, _ = query(pts)
+        assert np.max(np.abs(d - ref)) <= 1e-10, (query.__name__, np.max(np.abs(d - ref)))
 
 
 def test_lattice_node_values_match_dense_reference():
@@ -557,6 +578,82 @@ def test_lattice_node_values_match_dense_reference():
         near = np.abs(-nodes[:, 0] * math.sin(0.3) + nodes[:, 1] * math.cos(0.3)) < 0.02
         ref = _all_minima_signed_distance(dom, nodes[near])
         assert np.all(lat.delta[near] - ref <= 1e-10), np.max(lat.delta[near] - ref)
+
+
+# -- the rolling-disk certificate ----------------------------------------------------------
+
+def test_certificate_radius_bounds_curvature_radius():
+    # r0 <= min(h + h'') on a dense grid of the exact series; the smoothed
+    # square's bound cannot be made positive, so it has no certificate
+    tg = np.linspace(0.0, 2 * np.pi, 1 << 16, endpoint=False)
+    doms = {"disk": SupportDomain.disk(0.7), "ellipse": ELLIPSE, "eccentric": ECCENTRIC,
+            "rotated": ROTATED[(0.8, 0.5)], "rotated eccentric": ROTATED[(0.9, 0.15)],
+            "square": SMOOTH_SQUARE}
+    for name, dom in doms.items():
+        rc = dom.support(tg) + dom.support(tg, 2)
+        assert dom._r0 <= rc.min(), name
+        if name == "square":
+            assert dom._r0 == 0.0
+        else:
+            assert dom._r0 > 0.99 * rc.min(), name
+
+
+def _counting_search(dom, monkeypatch):
+    """Record the number of rows each search query gets."""
+    rows = []
+    search = dom._signed_distance_foot
+
+    def counting(pts):
+        rows.append(len(pts))
+        return search(pts)
+
+    monkeypatch.setattr(dom, "_signed_distance_foot", counting)
+    return rows
+
+
+def test_far_side_seed_is_rejected(monkeypatch):
+    # at the minor-axis ends of the ellipse (0.8, 0.5), g has a local minimum
+    # on the far side with g near 1 > r0 = 0.31: Newton converges there, the
+    # certificate fails, and the row gets the search's global answer
+    dom = SupportDomain.ellipse(0.8, 0.5)
+    dom._lattice()
+    pts = np.array([[0.0, 0.49], [0.02, 0.45], [-0.01, -0.48], [0.03, -0.4]])
+    far_side = np.where(pts[:, 1] > 0, 1.5 * np.pi, 0.5 * np.pi)
+    searched = _counting_search(dom, monkeypatch)
+    d, theta = dom._certified_distance_foot(pts, far_side)
+    assert searched == [len(pts)]
+    assert np.max(np.abs(d - _all_minima_signed_distance(dom, pts))) <= 1e-11
+    assert np.all(np.cos(theta - far_side) < -0.9)  # the near side
+    # from the lattice's own seeds every row is certified
+    searched.clear()
+    assert np.max(np.abs(dom._certified_distance_foot(pts)[0] - d)) <= 1e-14
+    assert searched == []
+
+
+def _ring_points(dom, rng, n, lo, hi):
+    """n points s * b(theta) for uniform theta and s uniform in [lo, hi]."""
+    b = dom.boundary_point(rng.uniform(0.0, 2 * np.pi, n))
+    return b * rng.uniform(lo, hi, (n, 1))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "eccentric ellipse", "rotated", "rotated eccentric"])
+def test_certified_rows_match_dense_reference(name, monkeypatch):
+    dom = {"ellipse": ELLIPSE, "eccentric ellipse": ECCENTRIC, "rotated": ROTATED[(0.8, 0.5)],
+           "rotated eccentric": ROTATED[(0.9, 0.15)]}[name]
+    rng = np.random.default_rng(8)
+    kinds = {"interior": _ring_points(dom, rng, 1000, 0.0, 1.0),
+             "collar": _ring_points(dom, rng, 1000, 0.8, 1.0),
+             "exterior": _ring_points(dom, rng, 1000, 1.0, 1.5),
+             "off the box": _ring_points(dom, rng, 500, 2.0, 6.0)}
+    dom._lattice()
+    searched = _counting_search(dom, monkeypatch)
+    for kind, pts in kinds.items():
+        searched.clear()
+        d, _ = dom._certified_distance_foot(pts)
+        ref = _all_minima_signed_distance(dom, pts)
+        assert np.max(np.abs(d - ref)) <= 1e-11, (kind, np.max(np.abs(d - ref)))
+        # the rows the search got are, but for a few, the ones no certificate covers
+        assert sum(searched) <= np.count_nonzero(ref >= 0.99 * dom._r0) + 0.01 * len(pts), kind
 
 
 def test_disk_bounds_are_the_closed_form():

@@ -124,13 +124,15 @@ def test_pointwise_integrand(disk):
         integrate(disk, lambda p: 1.0 + p[0] * p[1], QuadSpec(max_cells=256))
 
 
-def _radial_extent_bisection(dom, c, psi):
+def _radial_extent_bisection(dom, c, psi, start=None):
     """R(psi) about c by bisection on the boundary parametrisation.
 
     The boundary point with outer normal theta, b = h u + h' u_perp, turns
     monotonically about an interior c as theta grows, so the normal angle of
     the boundary point on the ray psi is bracketed on a grid and bisected;
-    no distance query and no Newton step is involved.
+    no distance query and no Newton step is involved.  For c = b(start) on
+    the boundary the grid runs over (start, start + 2 pi), where b - c does
+    not vanish, and psi must point into the domain.
     """
     def polar(theta):
         h, hp = dom.support(theta), dom.support(theta, 1)
@@ -139,6 +141,8 @@ def _radial_extent_bisection(dom, c, psi):
         return np.arctan2(by, bx), np.hypot(bx, by)
 
     grid = np.linspace(0.0, 2 * np.pi, 4097)
+    if start is not None:
+        grid = start + grid[1:-1]
     turn = np.unwrap(polar(grid)[0])
     target = turn[0] + np.mod(psi - turn[0], 2 * np.pi)
     k = np.clip(np.searchsorted(turn, target) - 1, 0, grid.size - 2)
@@ -155,12 +159,30 @@ def _radial_extent_bisection(dom, c, psi):
     (SupportDomain.from_polygon(SQUARE), (0.45, 0.4)),
     (SupportDomain.ellipse(0.9, 0.15), (0.0, 0.0)),
     (SupportDomain.ellipse(0.9, 0.15), (0.7, -0.05)),
+    (SupportDomain.ellipse(0.8, 0.5), (0.0, 0.0)),
+    (SupportDomain.ellipse(0.8, 0.5), (0.5, 0.3)),
+    (SupportDomain.ellipse(0.8, 0.5), (0.799, 0.0)),  # 1e-3 deep at the sharp end
+    # boundary anchors, given by their normal angle
+    (SupportDomain.ellipse(0.8, 0.5), 0.7),
+    (SupportDomain.ellipse(0.8, 0.5), math.pi),
+    (SupportDomain.ellipse(0.9, 0.15), 0.05),
+    (SupportDomain.from_polygon(SQUARE), 2.0),
 ])
 def test_radial_extent_matches_bisection(dom, anchor):
     psi = np.linspace(0.0, 2 * np.pi, 2000, endpoint=False)
-    R = quad._PolarChart(dom, anchor).radial_extent(psi)
-    oracle = _radial_extent_bisection(dom, np.asarray(anchor), psi)
-    assert np.max(np.abs(R - oracle)) < 1e-11
+    if isinstance(anchor, tuple):
+        R = quad._PolarChart(dom, anchor).radial_extent(psi)
+        oracle = _radial_extent_bisection(dom, np.asarray(anchor), psi)
+        assert np.max(np.abs(R - oracle)) < 1e-11
+        return
+    c = dom.boundary_point(anchor)
+    R = quad._PolarChart(dom, c, anchor).radial_extent(psi)
+    across = np.cos(psi - anchor)
+    assert np.all(R[across >= 0.0] == 0.0)  # outward rays
+    # the reference's grid does not bracket rays within 0.6 degrees of the tangent
+    inward = across < -0.01
+    oracle = _radial_extent_bisection(dom, c, psi[inward], start=anchor)
+    assert np.max(np.abs(R[inward] - oracle)) < 1e-11
 
 
 def test_radial_extent_raises_when_newton_stalls(monkeypatch):

@@ -154,7 +154,9 @@ def test_every_ball_stays_inside_the_ellipse(alpha):
     pts = np.concatenate([q for q, _, _ in dom.steps])
     r = np.concatenate([r for _, r, _ in dom.steps])
     cut = np.concatenate([np.full(len(q), c) for q, _, c in dom.steps])
-    exact = dom.boundary_distance_batch(pts)
+    # the exact distance as step_distance's exact rows compute it; it agrees
+    # with the search's boundary_distance_batch to rounding (test_geom)
+    exact, _ = dom._certified_distance_foot(pts)
     step = r > cut
     # a step's ball has radius kappa r: r is at most the exact distance, and
     # a row exits exactly when its exact distance is at most the cut
@@ -336,19 +338,19 @@ def test_deep_field_reads_skip_the_oracle_bitwise(ellipse_field, monkeypatch):
     pts = rng.uniform([-0.95, -0.65], [0.95, 0.65], size=(10_000, 2))
     pts[:2000] = f.dom.boundary_point(rng.uniform(0, 2 * np.pi, 2000)) * rng.uniform(
         0.8, 1.02, (2000, 1))  # the collar and just outside
-    foot = f.dom._signed_distance_foot(pts)
+    foot = f.dom._certified_distance_foot(pts)
     d = foot[0]
     for where in (d > f.collar, (d > 0) & (d <= f.collar), d <= 0):
         assert np.count_nonzero(where) > 500  # deep, collar and exterior points
     want = f.values_at(pts, foot), f.stderr_at(pts, foot)  # every row queried
     queried = []
-    query = f.dom._signed_distance_foot
+    query = f.dom._certified_distance_foot
 
     def counting(q):
         queried.append(len(q))
         return query(q)
 
-    monkeypatch.setattr(f.dom, "_signed_distance_foot", counting)
+    monkeypatch.setattr(f.dom, "_certified_distance_foot", counting)
     values, errs = f.values_and_stderr_at(pts)
     assert values.tobytes() == want[0].tobytes()
     assert errs.tobytes() == want[1].tobytes()
@@ -359,22 +361,27 @@ def test_deep_field_reads_skip_the_oracle_bitwise(ellipse_field, monkeypatch):
 
 def test_estimate_phi_queries_start_once(monkeypatch):
     dom = SupportDomain.ellipse(0.8, 0.5)
-    queried = []
-    query = dom._signed_distance_foot
+    queried, exact = [], []
+    query, certified = dom._signed_distance_foot, dom._certified_distance_foot
 
     def counting(pts):
         queried.append(pts.copy())
         return query(pts)
 
+    def counting_exact(pts, seed=None):
+        exact.append(len(pts))
+        return certified(pts, seed)
+
     dom._lattice()  # built once per domain, with its own query
     monkeypatch.setattr(dom, "_signed_distance_foot", counting)
+    monkeypatch.setattr(dom, "_certified_distance_foot", counting_exact)
     est = estimate_phi(dom, CAUCHY, [0.3, 0.1], WalkConfig(n_walks=20000, seed=2))
     rows = np.concatenate(queried)
-    # one start query for both batches; walk steps query only rows near the
-    # boundary, about 1.5% of them at alpha = 1
+    # one start query for both batches; walk steps query the exact distance
+    # only on rows near the boundary, about 1.5% of them at alpha = 1
     assert len(queried[0]) == 1
     assert np.count_nonzero(np.all(rows == [0.3, 0.1], axis=1)) == 1
-    assert 0 < len(rows) - 1 < 0.05 * round(est.mean_steps * est.n_walks)
+    assert 0 < sum(exact) < 0.05 * round(est.mean_steps * est.n_walks)
 
 
 def test_field_file_rejects_v1_and_bad_domain(tmp_path, disk_field):
