@@ -115,25 +115,16 @@ class SupportDomain:
         self._seed_u = _unit(tg)
         # cubic-Hermite tables of h, h', h'' on a fine grid: the walk and
         # quadrature hot paths evaluate these instead of summing the series.
-        # Row i holds (h, h', h'', h''') at knot i; a lookup gathers from
-        # _tab_cols, the same table stored by column.
+        # Row k of _tab_cols holds the k-th derivative (h, h', h'', h''') at
+        # every knot, so a lookup gathers from contiguous rows.
         nt = _TABLE_GRID
         tt = np.linspace(0.0, 2 * np.pi, nt + 1)
         self._tab_step = 2 * np.pi / nt
-        self._tab = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)], axis=1)
-        self._tab_cols = self._tab.T.copy()  # one contiguous column per derivative
-        # certified bounds of h + h'' (the knots are the 4096-angle grid of
-        # _certify): its maximum, its maximum within half a seed step of each
-        # seed angle, and its minimum within one and a half steps
-        rc = self._tab[:-1, 0] + self._tab[:-1, 2]
+        self._tab_cols = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)])
+        # a certified upper bound of h + h'' (the knots are the 4096-angle
+        # grid of _certify)
+        rc = self._tab_cols[0, :-1] + self._tab_cols[2, :-1]
         self._rc_max = float(np.max(rc)) + self._rc_dip
-        per = _TABLE_GRID // _SEED_GRID
-        ring = per * np.arange(_SEED_GRID)[:, None]
-        reach = np.arange(-(per // 2) - 1, per // 2 + 2)
-        self._rc_near = rc[(ring + reach) % _TABLE_GRID].max(axis=1) + self._rc_dip
-        reach = np.arange(-(3 * per // 2) - 1, 3 * per // 2 + 2)
-        self._rc_low = rc[(ring + reach) % _TABLE_GRID].min(axis=1) - self._rc_dip
-        self._max_h1 = float(np.max(np.abs(self._tab[:, 1])))
         # disk fast path: only the constant mode present
         self._disk_radius = None
         if self.n_modes == 1 or not np.any(self.coeffs[1:]):
@@ -273,33 +264,21 @@ class SupportDomain:
         better = grid_val < val  # Newton should only improve; guard regressions
         val = np.where(better, grid_val, val)
         theta = np.where(better, self._seed_theta[k], theta)
-        # Newton finds a minimum in the seed's basin.  Where g is not convex
-        # (near sharp corners) it can settle above the seed, keep moving or
-        # sit on a maximum between two close minima.  The lowest minimum lies
-        # within half a step of a seed sample within the slack of the best
-        # one, with g'' bounded near that sample (_rc_near).  _seed flagged
-        # the rows with a sample two or more steps away within the (larger)
-        # global slack.  Flagged rows whose samples within the slack all lie
-        # next to the best one rescan the seed's window unless g is certified
-        # convex within one and a half steps of it (|g'| <= |h'| + |x| bounds
-        # g there, and g'' = h + h'' - g), and so do rows where Newton went
-        # uphill or did not settle.  The other flagged rows rescan windows
-        # that cover every sample within the slack; a window serves the
-        # samples within _SCAN_CELLS - 1 steps of its centre.
+        # Newton finds the minimum in the seed's basin.  Where g is not convex
+        # (near sharp corners) it can settle above the seed or keep moving:
+        # those rows rescan the seed's window.  Another basin may hold the
+        # lower minimum only near a seed sample within the slack of the best
+        # one; rows with such a sample two or more steps away (flagged by
+        # _seed) rescan windows that cover every sample within the slack.  A
+        # minimum lies within half a step of its nearest sample, so a window
+        # serves the samples within _SCAN_CELLS - 1 steps of its centre.
         stuck = better
         stuck[rows] = True
+        stuck = np.nonzero(stuck & ~far)[0]
         rows = np.nonzero(far)[0]
         sub = pts[rows]
         g = self._seed_h - (sub[:, :1] * self._seed_u[:, 0] + sub[:, 1:] * self._seed_u[:, 1])
-        near = g <= grid_val[rows, None] + self._slack(grid_val[rows, None], self._rc_near)
-        off = (np.arange(_SEED_GRID) - k[rows, None]) % _SEED_GRID
-        apart = np.any(near & (off > 1) & (off < _SEED_GRID - 1), axis=1)
-        rise = 1.5 * (2 * np.pi / _SEED_GRID) * (self._max_h1 + np.hypot(sub[:, 0], sub[:, 1]))
-        stuck[rows] |= ~apart & (grid_val[rows] + rise >= self._rc_low[k[rows]])
-        stuck[rows[apart]] = False
-        rows, near = rows[apart], near[apart]
-        stuck = np.nonzero(stuck)[0]
-        row, cand = np.nonzero(near)
+        row, cand = np.nonzero(g <= (grid_val[rows] + self._slack(grid_val[rows]))[:, None])
         span = 2 * _SCAN_CELLS - 1
         cand = np.minimum(cand // span * span + _SCAN_CELLS - 1, _SEED_GRID - 1)
         row, cand = np.divmod(np.unique(row * _SEED_GRID + cand), _SEED_GRID)
@@ -313,18 +292,17 @@ class SupportDomain:
             val[row[lower]], theta[row[lower]] = v[lower], t[lower]
         return val, np.mod(theta, 2 * np.pi)
 
-    def _slack(self, best, rc=None):
+    def _slack(self, best):
         """How far above best, the least seed sample of a row, the sample
-        nearest the row's minimum of g can lie, given rc >= h + h'' within
-        half a step of that sample (default: everywhere, _rc_max).
+        nearest the row's minimum of g can lie.
 
         A minimum's nearest seed sample is at most half a step s away, so it
         lies at most c (max g'') above it, c = s^2 / 8.  g'' = h + h'' - g is at
-        most rc - delta, and best <= delta + c (rc - delta) bounds -delta for
-        exterior points (best < 0).
+        most rc_max - delta, and best <= delta + c (rc_max - delta) bounds
+        -delta for exterior points (best < 0).
         """
         c = (2 * np.pi / _SEED_GRID) ** 2 / 8
-        return c * ((self._rc_max if rc is None else rc) - np.minimum(best, 0.0)) / (1.0 - c)
+        return c * (self._rc_max - np.minimum(best, 0.0)) / (1.0 - c)
 
     def _certified_distance_foot(self, pts: np.ndarray, seed=None):
         """_signed_distance_foot, by the rolling-disk certificate where it holds.

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NewtonError, NonConvergedError
-from .geom import _series
+from .geom import _TABLE_GRID, _series
 
 # QUADPACK Gauss-Kronrod 7/15 nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -53,10 +53,8 @@ _WG15[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
 _W = np.stack([np.multiply.outer(_WGK, _WGK), np.multiply.outer(_WG15, _WG15),
                np.multiply.outer(_WG15, _WGK), np.multiply.outer(_WGK, _WG15)]).reshape(4, -1)
 _ROUND = 32  # most cells bisected per round, which bounds the integrand's batch
-_PARTITION_ABOVE = 512  # live cells above which argpartition beats a full argsort
 _NEWTON_STEPS = 50   # radial-extent Newton: step budget and angle tolerance
 _NEWTON_TOL = 1e-10
-_CHART_GRID = 4096   # radial-extent bracket table: steps of the normal angle
 
 
 @dataclass(frozen=True)
@@ -84,9 +82,10 @@ class _PolarChart:
     N(theta) = cross(u(psi), b(theta) - c) = g' cos t + g sin t = 0, with
     g = h - c.u, t = theta - psi and N' = (h + h'') cos t.  The polar angle
     of b(theta) - c turns monotonically with theta (at the rate
-    g (h + h'') / |b - c|^2), so a table of it on a 4096-step grid of theta
-    and searchsorted bracket each psi; a Newton iteration that bisects when a
-    step leaves the bracket finishes.  R = g / cos t, from the series.
+    g (h + h'') / |b - c|^2), so a table of it on _TABLE_GRID steps of theta
+    (the domain's Hermite knots, shifted to the start angle) and searchsorted
+    bracket each psi; a Newton iteration that bisects when a step leaves the
+    bracket finishes.  R = g / cos t, from the series.
 
     An anchor on the boundary is given with its normal angle: its table
     starts there, where b - c turns from the direction normal + pi/2, and
@@ -100,7 +99,7 @@ class _PolarChart:
         if dom._disk_radius is not None:
             return
         start = 0.0 if normal is None else float(normal)
-        self._theta = start + np.linspace(0.0, 2 * np.pi, _CHART_GRID + 1)
+        self._theta = start + np.linspace(0.0, 2 * np.pi, _TABLE_GRID + 1)
         h, h1 = dom._hermite(self._theta, 2)
         c, s = np.cos(self._theta), np.sin(self._theta)
         turn = np.arctan2(h * s + h1 * c - self.center[1], h * c - h1 * s - self.center[0])
@@ -122,7 +121,7 @@ class _PolarChart:
             rays = rays[np.cos(psi - self.normal) < 0.0]
         psi = psi[rays]
         target = self._turn[0] + np.mod(psi - self._turn[0], 2 * np.pi)
-        k = np.clip(np.searchsorted(self._turn, target, side="right") - 1, 0, _CHART_GRID - 1)
+        k = np.clip(np.searchsorted(self._turn, target, side="right") - 1, 0, _TABLE_GRID - 1)
         lo, hi = self._theta[k], self._theta[k + 1]
         frac = (target - self._turn[k]) / np.maximum(self._turn[k + 1] - self._turn[k], 1e-300)
         theta = lo + np.minimum(frac, 1.0) * (hi - lo)
@@ -224,15 +223,7 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         budget = min(_ROUND, spec.max_cells - len(cells))
         if budget <= 0 or live.size == 0:
             raise NonConvergedError(*result)
-        # the budget worst cells, worst first and ties by index (a stable
-        # argsort); on long cell lists argpartition first picks the same set
-        key = -np.max(errs[live] / tol, axis=1)
-        if live.size > _PARTITION_ABOVE:
-            kth = np.partition(key, budget - 1)[budget - 1]
-            pick = key < kth
-            pick[np.flatnonzero(key == kth)[:budget - np.count_nonzero(pick)]] = True
-            live, key = live[pick], key[pick]
-        order = live[np.argsort(key, kind="stable")][:budget]
+        order = live[np.argsort(-np.max(errs[live] / tol, axis=1), kind="stable")][:budget]
         # the shortest prefix whose removal leaves at most half the tolerance
         left = total_err - np.cumsum(errs[order], axis=0)
         enough = np.all(left <= 0.5 * tol, axis=1)

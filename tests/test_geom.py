@@ -372,7 +372,7 @@ def test_blocked_seed_bitwise(ellipse, n):
 def test_packed_hermite_table_bitwise(ellipse):
     theta = np.random.default_rng(7).uniform(-7.0, 7.0, size=5000)
     theta[:3] = [0.0, 2 * np.pi, 2 * np.pi - 1e-17]
-    tab = ellipse._tab.T  # (4, K+1): one row per derivative
+    tab = ellipse._tab_cols  # (4, K+1): one row per derivative
     pos = np.mod(theta, 2 * np.pi) / ellipse._tab_step
     i = np.minimum(pos.astype(np.int64), geom._TABLE_GRID - 1)
     t = pos - i
