@@ -10,6 +10,9 @@ Hashes the raw float64 bytes of:
   and `.values_and_stderr_at` on fixed points in and near its collar;
 - `hessian_scan` with `DiskPhi` and with the alpha = 1 ellipse `PhiField`,
   on points above, below and on the slab;
+- `hessian_scan` with `DiskPhi` under the criterion-5 `QuadSpec` on the S1-S4
+  boundary probes at h = 0.01 and 0.32 and on three exterior cylinder points:
+  boundary-anchored charts and deep refinement;
 - `_signed_distance_foot` (distance and foot angle) on fixed points for the
   disk, the ellipse and `from_polygon` of the square [-0.5, 0.5]^2;
 - the ellipse's `step_distance` on fixed points within 1e-3 of its boundary,
@@ -22,6 +25,7 @@ checkouts and compare:
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -29,11 +33,26 @@ from stabletau.analysis import hessian_scan
 from stabletau.closedform import StableParams
 from stabletau.extension import DiskPhi, ExtensionContext
 from stabletau.geom import ConeDomain, SupportDomain
+from stabletau.quad import QuadSpec
 from stabletau.wos import WalkConfig, build_field, estimate_phi
 
 SQUARE = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
 SCAN_POINTS = np.array([[0.2, 0.1, 0.3], [-0.4, 0.2, 0.6], [0.9, -0.3, 0.15],
                         [0.2, 0.1, -0.3], [0.1, -0.05, 0.0]])
+CRITERION5_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=3e-8, max_cells=30000)
+# S1-S4 as (x1, x3) / h in the boundary frame (x1 along the inner normal)
+S_PROBES = [(-1.0, 0.125), (-1.0, 0.625), (1.0, 0.625), (1.0, 0.125)]
+EXTERIOR_POINTS = [[1.6, 0.7, 0.4], [-0.9, -2.1, 0.05], [2.4, -1.3, -1.1]]
+
+
+def _probe_points():
+    """S1-S4 at h = 0.01 and 0.32 over the unit circle, each at its own angle."""
+    pts = []
+    for k, ((a1, a3), h) in enumerate(itertools.product(S_PROBES, (0.01, 0.32))):
+        psi = 0.4 + 0.77 * k
+        r = 1.0 - a1 * h
+        pts.append([r * np.cos(psi), r * np.sin(psi), a3 * h])
+    return np.array(pts + EXTERIOR_POINTS)
 
 
 def _digest(*parts) -> str:
@@ -77,6 +96,8 @@ def outputs():
                       ("ellipse PhiField", ExtensionContext(ellipse, fields[1.0]))):
         pts = SCAN_POINTS if name == "DiskPhi" else SCAN_POINTS * [0.7, 0.7, 1.0]
         yield f"hessian_scan {name}", _scan_arrays(hessian_scan(ctx, pts))
+    probes = ExtensionContext(disk, DiskPhi(), CRITERION5_QUAD)
+    yield "hessian_scan DiskPhi probes", _scan_arrays(hessian_scan(probes, _probe_points()))
     rng = np.random.default_rng(20261018)
     pts = rng.uniform(-1.2, 1.2, size=(4000, 2))
     yield "PhiField values_at stderr_at", (fields[1.0].values_at(pts), fields[1.0].stderr_at(pts))

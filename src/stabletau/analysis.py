@@ -263,6 +263,14 @@ def slab_points(dom, n: int, margin: float = 0.02) -> np.ndarray:
     return pts
 
 
+def _scan_points(points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
+        raise ValueError(f"scan points must be an (n, 3) array with n >= 1, "
+                         f"got shape {points.shape}")
+    return points
+
+
 def _verdict(det, err, sig, converged):
     if not converged or abs(det) <= 10.0 * err:
         return _INDET
@@ -281,7 +289,7 @@ def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
     failure (Monte Carlo fields cannot certify strict inequalities).
     """
     t0 = time.time()
-    points = np.asarray(points, dtype=float)
+    points = _scan_points(points)
 
     def worker(i):
         s = eval_hessian(ctx, points[i], which, eps=eps, b=b)
@@ -307,7 +315,7 @@ def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
     evaluated once per point and blended with the closed-form companion."""
     t0 = time.time()
     b_grid = np.asarray(b_grid, dtype=float)
-    points = np.asarray(points, dtype=float)
+    points = _scan_points(points)
 
     def worker(i):
         s = eval_hessian(ctx, points[i], "u")

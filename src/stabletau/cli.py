@@ -83,6 +83,8 @@ def _parse_points(text: str) -> int:
     kind, _, count = text.partition(":")
     if kind != "halton" or not count.isdigit():
         raise UsageError(f"malformed points spec {text!r} (use halton:N)")
+    if int(count) < 1:
+        raise UsageError(f"points spec {text!r} asks for no points (use halton:N with N >= 1)")
     return int(count)
 
 

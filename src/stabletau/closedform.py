@@ -123,21 +123,23 @@ def _split3(x):
     return x[..., 0], x[..., 1], x[..., 2]
 
 
-def kernel_K(x):
-    """K(x) = C_K x3 / |x|^3 (Poisson kernel of the upper half-space)."""
-    x1, x2, x3 = _split3(x)
+def _radius2(x1, x2, x3):
+    """|x|^2, which K's singularity at the origin requires to be nonzero."""
     r2 = x1 * x1 + x2 * x2 + x3 * x3
     if np.any(r2 == 0.0):
         raise OriginSingularError("K is singular at the origin")
-    return C_K * x3 * r2 ** -1.5
+    return r2
+
+
+def kernel_K(x):
+    """K(x) = C_K x3 / |x|^3 (Poisson kernel of the upper half-space)."""
+    x1, x2, x3 = _split3(x)
+    return C_K * x3 * _radius2(x1, x2, x3) ** -1.5
 
 
 def kernel_K_grad(x):
     x1, x2, x3 = _split3(x)
-    r2 = x1 * x1 + x2 * x2 + x3 * x3
-    if np.any(r2 == 0.0):
-        raise OriginSingularError("K is singular at the origin")
-    r5 = r2 ** -2.5
+    r5 = _radius2(x1, x2, x3) ** -2.5
     g1 = -3.0 * C_K * x3 * x1 * r5
     g2 = -3.0 * C_K * x3 * x2 * r5
     g3 = C_K * (x1 * x1 + x2 * x2 - 2.0 * x3 * x3) * r5
@@ -145,19 +147,28 @@ def kernel_K_grad(x):
 
 
 def kernel_K_hess_components(x):
-    """(k11, k22, k33, k12, k13, k23) of K's Hessian on the last axis; trace is zero."""
-    x1, x2, x3 = _split3(x)
-    r2 = x1 * x1 + x2 * x2 + x3 * x3
-    if np.any(r2 == 0.0):
-        raise OriginSingularError("K is singular at the origin")
-    r7 = r2 ** -3.5
-    k11 = C_K * x3 * (12 * x1 * x1 - 3 * x2 * x2 - 3 * x3 * x3) * r7
-    k22 = C_K * x3 * (12 * x2 * x2 - 3 * x1 * x1 - 3 * x3 * x3) * r7
-    k33 = C_K * x3 * (6 * x3 * x3 - 9 * x1 * x1 - 9 * x2 * x2) * r7
-    k12 = 15 * C_K * x3 * x1 * x2 * r7
-    k13 = C_K * x1 * (12 * x3 * x3 - 3 * x1 * x1 - 3 * x2 * x2) * r7
-    k23 = C_K * x2 * (12 * x3 * x3 - 3 * x1 * x1 - 3 * x2 * x2) * r7
-    return np.stack([k11, k22, k33, k12, k13, k23], axis=-1)
+    """(k11, k22, k33, k12, k13, k23) of K's Hessian on the last axis; trace is zero.
+
+    Shared products are formed once, on contiguous columns (an x whose last
+    axis is its slowest, such as the transpose of a (3, n) buffer, is read
+    without a copy), and each component is written once into a C-contiguous
+    (..., 6) result.  Operations and their order are those of the written-out
+    formulas, so the bits do not depend on the layout of x.
+    """
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    r7 = _radius2(x1, x2, x3) ** -3.5
+    t1, t2, t3 = 3 * x1 * x1, 3 * x2 * x2, 3 * x3 * x3
+    cx3 = C_K * x3
+    t = 12 * x3 * x3 - t1 - t2
+    out = np.empty(x.shape[:-1] + (6,))
+    np.multiply(cx3 * (12 * x1 * x1 - t2 - t3), r7, out=out[..., 0])
+    np.multiply(cx3 * (12 * x2 * x2 - t1 - t3), r7, out=out[..., 1])
+    np.multiply(cx3 * (6 * x3 * x3 - 9 * x1 * x1 - 9 * x2 * x2), r7, out=out[..., 2])
+    np.multiply(15 * C_K * x3 * x1 * x2, r7, out=out[..., 3])
+    np.multiply(C_K * x1 * t, r7, out=out[..., 4])
+    np.multiply(C_K * x2 * t, r7, out=out[..., 5])
+    return out
 
 
 _HESS_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # (i, j) -> component

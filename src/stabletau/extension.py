@@ -41,7 +41,8 @@ class DiskPhi:
 
     def values_at(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        gap = np.maximum(self.radius ** 2 - np.sum(pts * pts, axis=1), 0.0)
+        p0, p1 = pts[:, 0], pts[:, 1]
+        gap = np.maximum(self.radius ** 2 - (p0 * p0 + p1 * p1), 0.0)
         return (2.0 / math.pi) * np.sqrt(gap)
 
     def stderr_at(self, pts) -> np.ndarray:
@@ -139,11 +140,16 @@ def _assemble(entries: np.ndarray) -> np.ndarray:
 
 
 def _offsets(x, pts) -> np.ndarray:
-    """Kernel arguments x - (y, 0) for the planar quadrature nodes y."""
-    rel = np.empty((len(pts), 3))
-    rel[:, :2] = x[:2] - pts
-    rel[:, 2] = x[2]
-    return rel
+    """Kernel arguments x - (y, 0) for the planar quadrature nodes y.
+
+    Returned as the (n, 3) transpose of a (3, n) buffer, so the kernels read
+    contiguous columns.
+    """
+    rel = np.empty((3, len(pts)))
+    np.subtract(x[0], pts[:, 0], out=rel[0])
+    np.subtract(x[1], pts[:, 1], out=rel[1])
+    rel[2] = x[2]
+    return rel.T
 
 
 def eval_u(ctx: ExtensionContext, x) -> float:
@@ -218,9 +224,12 @@ def _upper_hessian_entries(ctx: ExtensionContext, x):
     with_noise = sigma > 0.0
 
     def integrand(pts):
+        # a fresh C-contiguous (n, 6) array, scaled in place; the result must
+        # stay C-ordered (see the quad module docstring)
         comps = kernel_K_hess_components(_offsets(x, pts))
         if not with_noise:
-            return comps * ctx.phi.values_at(pts)[:, None]
+            comps *= ctx.phi.values_at(pts)[:, None]
+            return comps
         vals, errs = ctx.phi.values_and_stderr_at(pts)
         return np.concatenate([comps * vals[:, None], np.abs(comps) * errs[:, None]], axis=1)
 

@@ -18,6 +18,9 @@ chart at its nearest boundary point, found by one distance query.
 
 Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
 (n, m) for a vector integrand whose components then share one adaptive mesh.
+The result should be C-contiguous: the rule weights are applied by one matrix
+product per cell batch, whose BLAS path, and so whose last bits, follow the
+memory layout.
 """
 
 from __future__ import annotations
@@ -162,14 +165,22 @@ def _eval_cell(chart, f, cells):
     p0, p1, r0, r1 = cells.T
     ph, rh = 0.5 * (p1 - p0), 0.5 * (r1 - r0)
     rho = 0.5 * (r0 + r1)[:, None] + rh[:, None] * _XGK
-    # the halves of a rho bisection share their psi nodes: chart each span once
-    spans, span_of = np.unique(cells[:, :2], axis=0, return_inverse=True)
-    s0, s1 = spans.T
+    # the halves of a rho bisection share their psi nodes: chart each span
+    # once, taking the spans in sorted (psi0, psi1) order
+    order = np.lexsort((p1, p0))
+    s0, s1 = p0[order], p1[order]
+    new = np.ones(len(cells), dtype=bool)
+    new[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
+    span_of = np.empty_like(order)
+    span_of[order] = np.cumsum(new) - 1
+    s0, s1 = s0[new], s1[new]
     psi = 0.5 * (s0 + s1)[:, None] + 0.5 * (s1 - s0)[:, None] * _XGK
     R = chart.radial_extent(psi.ravel()).reshape(psi.shape)[span_of]
-    u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)[span_of]
     rad = rho[:, None, :] * R[:, :, None]  # (cell, psi node, rho node)
-    nodes = (chart.center + rad[..., None] * u[:, :, None, :]).reshape(-1, 2)
+    # the two node columns c + rad u(psi), built apart and stacked once
+    c0, c1 = chart.center
+    cos, sin = np.cos(psi)[span_of][:, :, None], np.sin(psi)[span_of][:, :, None]
+    nodes = np.stack([c0 + rad * cos, c1 + rad * sin], axis=-1).reshape(-1, 2)
     vals = np.asarray(f(nodes), dtype=float)
     n = len(nodes)
     if vals.shape[:1] != (n,):
@@ -177,12 +188,18 @@ def _eval_cell(chart, f, cells):
                          f"({len(cells)} cells of {_XGK.size ** 2} nodes); "
                          f"expected ({n},) or ({n}, m)")
     jac = rad * R[:, :, None] * (ph * rh)[:, None, None]
-    wv = jac.reshape(len(cells), -1, 1) * vals.reshape(len(cells), jac[0].size, -1)
-    vk, vg, v_gpsi, v_grho = np.moveaxis(_W @ wv, 1, 0)
-    err_psi = np.abs(vk - v_gpsi)
-    err_rho = np.abs(vk - v_grho)
-    err = np.maximum(np.abs(vk - vg), np.maximum(err_psi, err_rho))
-    axis = (np.max(err_psi, axis=1) < np.max(err_rho, axis=1)).astype(int)
+    # each node's weight repeated over its m columns: one contiguous product
+    m = vals.size // n
+    wv = np.repeat(jac.ravel(), m)
+    wv *= vals.ravel()
+    wv = wv.reshape(len(cells), -1, m)
+    w = _W @ wv  # (cell, rule, column)
+    vk = w[:, 0]
+    # |vk - vg|, |vk - v_gpsi|, |vk - v_grho|
+    diff = np.abs(w[:, :1] - w[:, 1:])
+    err = np.max(diff, axis=1)
+    loss = np.max(diff[:, 1:], axis=2)  # (cell, axis)
+    axis = (loss[:, 0] < loss[:, 1]).astype(int)
     return vk, err, axis
 
 

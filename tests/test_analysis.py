@@ -267,6 +267,15 @@ def test_psi_b_scan_near_boundary_circle(ctx):
                                                   rel=1e-12)
 
 
+@pytest.mark.parametrize("points", [np.empty((0, 3)), np.array([0.2, 0.1, 0.3]),
+                                    np.zeros((4, 2))])
+def test_scans_reject_points_not_of_shape_n_by_3(ctx, points):
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        an.hessian_scan(ctx, points)
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        an.psi_b_scan(ctx, [0.0, 0.5], points)
+
+
 def test_ellipse_field_hessian_scan_no_hard_failures():
     # Monte Carlo-backed scan: no hard failures; indeterminates are counted
     field = build_field(SupportDomain.ellipse(0.8, 0.5), StableParams(1.0, 2),

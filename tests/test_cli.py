@@ -71,6 +71,14 @@ def test_malformed_region_is_usage_error():
                 "--quantity", "u13", "--h", "1:2:3"]) == EXIT_USAGE
 
 
+def test_hessian_scan_without_points_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run(["hessian-scan", "--builtin", "disk", "--points", "halton:0",
+                "--out", str(out)]) == EXIT_USAGE
+    assert "halton:0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run(["frobnicate"]) == EXIT_USAGE
 

@@ -25,6 +25,7 @@ from stabletau.closedform import (
     kernel_K,
     kernel_K_grad,
     kernel_K_hess,
+    kernel_K_hess_components,
 )
 from stabletau.errors import (
     BadGeometryError,
@@ -182,6 +183,57 @@ def test_kernel_hess_matches_fd_of_grad():
         fd = (kernel_K_grad(x + step) - kernel_K_grad(x - step)) / (2 * e)
         scale = np.maximum(np.abs(hess[:, axis, :]), 1e-3)
         assert np.max(np.abs(fd - hess[:, axis, :]) / scale) < 1e-6
+
+
+def _hess_components_reference(x):
+    """K's Hessian components as the six written-out formulas, one np.stack."""
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    r2 = x1 * x1 + x2 * x2 + x3 * x3
+    r7 = r2 ** -3.5
+    k11 = C_K * x3 * (12 * x1 * x1 - 3 * x2 * x2 - 3 * x3 * x3) * r7
+    k22 = C_K * x3 * (12 * x2 * x2 - 3 * x1 * x1 - 3 * x3 * x3) * r7
+    k33 = C_K * x3 * (6 * x3 * x3 - 9 * x1 * x1 - 9 * x2 * x2) * r7
+    k12 = 15 * C_K * x3 * x1 * x2 * r7
+    k13 = C_K * x1 * (12 * x3 * x3 - 3 * x1 * x1 - 3 * x2 * x2) * r7
+    k23 = C_K * x2 * (12 * x3 * x3 - 3 * x1 * x1 - 3 * x2 * x2) * r7
+    return np.stack([k11, k22, k33, k12, k13, k23], axis=-1)
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-2.0, 2.0, (300, 3)) * np.exp(rng.uniform(-8.0, 3.0, (300, 1)))
+    pts[:5, 2] = [0.0, -0.0, 1e-300, -3.0, 1e-9]
+    pts[5:8, :2] = 0.0
+    wide = np.zeros((600, 5))
+    wide[::2, 1:4] = pts
+    return {
+        "point": np.array([0.3, -0.2, 0.7 + W_SHIFT]),
+        "rows": pts,
+        "stacked": pts[:8].reshape(2, 4, 3),
+        "strided": wide[::2, 1:4],
+        "fortran": np.asfortranarray(pts),
+        "transposed buffer": np.ascontiguousarray(pts.T).T,
+    }
+
+
+@pytest.mark.parametrize("case", list(_kernel_inputs()))
+def test_kernel_hess_components_bitwise(case):
+    x = _kernel_inputs()[case]
+    got = kernel_K_hess_components(x)
+    want = _hess_components_reference(x)
+    assert got.shape == want.shape == x.shape[:-1] + (6,)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    if case == "point":  # the aux_w_hess path
+        assert aux_w_hess(x - [0.0, 0.0, W_SHIFT]).tobytes() == want[
+            np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])].tobytes()
+
+
+@pytest.mark.parametrize("x", [np.zeros(3), np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]])])
+def test_kernel_hess_components_origin(x):
+    with pytest.raises(OriginSingularError):
+        kernel_K_hess_components(x)
 
 
 def test_aux_w_value_at_origin():

@@ -27,3 +27,13 @@ def test_imports_follow_layer_order():
             if LAYERS.index(target) >= LAYERS.index(name):
                 bad.append(f"{name} -> {target}")
     assert bad == []
+
+
+def test_cross_layer_names_are_the_definitions():
+    # bench/layers.py times the layers by rebinding each of these names at
+    # both sites, and its traced run fails if the two ever differ
+    from stabletau import analysis, closedform, extension, quad
+
+    assert extension.kernel_K_hess_components is closedform.kernel_K_hess_components
+    assert analysis.eval_hessian is extension.eval_hessian
+    assert extension.integrate is quad.integrate

@@ -190,3 +190,76 @@ def test_radial_extent_raises_when_newton_stalls(monkeypatch):
     monkeypatch.setattr(quad, "_NEWTON_STEPS", 1)
     with pytest.raises(NewtonError):
         chart.radial_extent(np.linspace(0.0, 2 * np.pi, 200, endpoint=False))
+
+
+def _eval_cell_reference(chart, f, cells):
+    """_eval_cell with np.unique spans and the nodes as one 4-D broadcast."""
+    p0, p1, r0, r1 = cells.T
+    ph, rh = 0.5 * (p1 - p0), 0.5 * (r1 - r0)
+    rho = 0.5 * (r0 + r1)[:, None] + rh[:, None] * quad._XGK
+    spans, span_of = np.unique(cells[:, :2], axis=0, return_inverse=True)
+    s0, s1 = spans.T
+    psi = 0.5 * (s0 + s1)[:, None] + 0.5 * (s1 - s0)[:, None] * quad._XGK
+    R = chart.radial_extent(psi.ravel()).reshape(psi.shape)[span_of]
+    u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)[span_of]
+    rad = rho[:, None, :] * R[:, :, None]
+    nodes = (chart.center + rad[..., None] * u[:, :, None, :]).reshape(-1, 2)
+    vals = np.asarray(f(nodes), dtype=float)
+    jac = rad * R[:, :, None] * (ph * rh)[:, None, None]
+    wv = jac.reshape(len(cells), -1, 1) * vals.reshape(len(cells), jac[0].size, -1)
+    vk, vg, v_gpsi, v_grho = np.moveaxis(quad._W @ wv, 1, 0)
+    err_psi = np.abs(vk - v_gpsi)
+    err_rho = np.abs(vk - v_grho)
+    err = np.maximum(np.abs(vk - vg), np.maximum(err_psi, err_rho))
+    axis = (np.max(err_psi, axis=1) < np.max(err_rho, axis=1)).astype(int)
+    return vk, err, axis
+
+
+def _cell_sets():
+    i, j = np.divmod(np.arange(32), 4)  # integrate's first cells: shared psi spans
+    first = np.stack([2 * np.pi * i / 8, 2 * np.pi * (i + 1) / 8, j / 4, (j + 1) / 4], axis=1)
+    # spans that share one edge only: [a, b], [b, c] and [a, c]
+    a, b, c = 0.4, 0.9, 1.7
+    edges = np.array([[a, b, 0.0, 0.5], [b, c, 0.0, 0.5], [a, c, 0.5, 1.0],
+                      [a, b, 0.5, 1.0], [b, c, 0.25, 0.5]])
+    rng = np.random.default_rng(4)
+    lo = rng.integers(0, 40, 64) * (2 * np.pi / 40)
+    wide = rng.integers(1, 3, 64) * (2 * np.pi / 80)
+    r0 = rng.integers(0, 8, 64) / 8
+    many = np.stack([lo, lo + wide, r0, r0 + rng.integers(1, 3, 64) / 16], axis=1)
+    return {"first": first, "one edge": edges, "one cell": first[5:6], "64 cells": many}
+
+
+def _charts():
+    disk, ell = SupportDomain.disk(1.0), SupportDomain.ellipse(0.8, 0.5)
+    foot, theta, _ = ell.nearest_boundary(np.array([0.9, 0.6]))
+    return {"disk": quad._PolarChart(disk, (0.3, -0.2)),
+            "ellipse": quad._PolarChart(ell, (0.2, -0.1)),
+            "ellipse boundary": quad._PolarChart(ell, foot, theta)}
+
+
+def _integrands():
+    from stabletau.closedform import kernel_K_hess_components
+
+    def hess(p):
+        rel = np.empty((len(p), 3))
+        rel[:, :2] = [0.25, 0.1] - p
+        rel[:, 2] = 0.05
+        return kernel_K_hess_components(rel) * np.exp(-_r2(p))[:, None]
+
+    return {1: lambda p: np.sqrt(np.maximum(1.2 - _r2(p), 0.0)),
+            6: hess,
+            12: lambda p: np.concatenate([hess(p), np.abs(hess(p)) * p[:, :1]], axis=1)}
+
+
+@pytest.mark.parametrize("cells", list(_cell_sets()))
+@pytest.mark.parametrize("chart", list(_charts()))
+@pytest.mark.parametrize("m", [1, 6, 12])
+def test_eval_cell_bitwise(cells, chart, m):
+    cells, chart, f = _cell_sets()[cells], _charts()[chart], _integrands()[m]
+    got, want = quad._eval_cell(chart, f, cells), _eval_cell_reference(chart, f, cells)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+    # integrate sums the values over cells: the same layout gives the same sums
+    assert got[0].sum(axis=0).tobytes() == want[0].sum(axis=0).tobytes()
