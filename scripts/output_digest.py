@@ -15,6 +15,9 @@ Hashes the raw float64 bytes of:
   boundary-anchored charts and deep refinement;
 - `_signed_distance_foot` (distance and foot angle) on fixed points for the
   disk, the ellipse and `from_polygon` of the square [-0.5, 0.5]^2;
+- the ellipse's distance lattice (node distances and foot tables);
+- `_signed_distance_foot` on fixed points within 1e-9..1e-3 of the major axis
+  of the ellipse (0.9, 0.15) rotated by 0.3, where g has two nearly tied minima;
 - the ellipse's `step_distance` on fixed points within 1e-3 of its boundary,
   the rows that query the exact distance.
 
@@ -53,6 +56,17 @@ def _probe_points():
         r = 1.0 - a1 * h
         pts.append([r * np.cos(psi), r * np.sin(psi), a3 * h])
     return np.array(pts + EXTERIOR_POINTS)
+
+
+def _rotated_eccentric_near_axis(a=0.9, b=0.15, phi=0.3, n=3000):
+    dom = SupportDomain.from_function(
+        lambda t: np.sqrt(a * a * np.cos(t - phi) ** 2 + b * b * np.sin(t - phi) ** 2))
+    rng = np.random.default_rng(5)
+    along = rng.uniform(-a, a, n)
+    offset = 10.0 ** rng.uniform(-9, -3, n) * rng.choice([-1.0, 1.0], n)
+    pts = np.stack([along * np.cos(phi) - offset * np.sin(phi),
+                    along * np.sin(phi) + offset * np.cos(phi)], axis=1)
+    return dom._signed_distance_foot(pts)
 
 
 def _digest(*parts) -> str:
@@ -103,6 +117,8 @@ def outputs():
     yield "PhiField values_at stderr_at", (fields[1.0].values_at(pts), fields[1.0].stderr_at(pts))
     for name, dom in (("disk", disk), ("ellipse", ellipse), ("square", square)):
         yield f"_signed_distance_foot {name}", dom._signed_distance_foot(pts)
+    yield "lattice ellipse", (ellipse._lattice().delta, ellipse._lattice().foot)
+    yield "_signed_distance_foot rotated eccentric near axis", _rotated_eccentric_near_axis()
     theta = rng.uniform(0.0, 2 * np.pi, 4000)
     near = ellipse.boundary_point(theta) - rng.uniform(-1e-3, 1e-3, (4000, 1)) * np.stack(
         [np.cos(theta), np.sin(theta)], axis=1)

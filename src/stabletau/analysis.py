@@ -239,6 +239,8 @@ _HESS_COLUMNS = ["u11", "u12", "u13", "u22", "u23", "u33",
 
 def cylinder_points(m: float, n: int) -> np.ndarray:
     """Halton points in the open upper cylinder {x1^2 + x2^2 < M^2, 0 < x3 < M}."""
+    if not m > 0:
+        raise ValueError(f"cylinder height M must be positive, got {m:g}")
     u = halton(n, 3)
     r = m * np.sqrt(u[:, 0])
     ang = 2 * np.pi * u[:, 1]
@@ -247,6 +249,8 @@ def cylinder_points(m: float, n: int) -> np.ndarray:
 
 def slab_points(dom, n: int, margin: float = 0.02) -> np.ndarray:
     """Halton points of the open slab over the domain, kept margin-deep."""
+    if not margin >= 0:
+        raise ValueError(f"slab margin must be nonnegative, got {margin:g}")
     half = dom.max_support()
     pts = np.empty((n, 3))
     got, skip = 0, 0

@@ -154,6 +154,22 @@ def _need(ns, name, default=None, cast=str):
         raise UsageError(f"bad value for --{name.replace('_', '-')}: {val!r}") from exc
 
 
+def _threads(ns) -> int:
+    n = _need(ns, "threads", "1", int)
+    if n < 1:
+        raise UsageError(f"--threads must be >= 1, got {n}")
+    return n
+
+
+def _checked(options: str, make, *args, **kwargs):
+    """make(*args, **kwargs), whose ValueError (a value out of range) becomes a
+    usage error naming the options the values came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{options}: {exc}") from exc
+
+
 def _write_rows(path, fmt, header, rows):
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -186,15 +202,15 @@ def cmd_solve(ns) -> int:
     dom, _ = _resolve_domain(ns)
     alpha = _need(ns, "alpha", cast=float)
     at = _parse_at(_need(ns, "at"))
-    dim = at.size
-    p = StableParams(alpha, dim)
-    cfg = WalkConfig(
+    p = _checked("--alpha", StableParams, alpha, at.size)
+    cfg = _checked(
+        "--walks, --ball-fraction or --max-steps", WalkConfig,
         n_walks=int(float(_need(ns, "walks", "100000"))),
         ball_fraction=_need(ns, "ball_fraction", "0.5", float),
         max_steps=int(float(_need(ns, "max_steps", "10000"))),
         seed=_need(ns, "seed", "0", int),
     )
-    est = estimate_phi(dom, p, at, cfg, n_threads=_need(ns, "threads", "1", int))
+    est = estimate_phi(dom, p, at, cfg, n_threads=_threads(ns))
     print(f"mean={est.mean:.6g} stderr={est.std_error:.6g} walks={est.n_walks} "
           f"truncated={est.truncated} mean_steps={est.mean_steps:.6g}")
     if est.truncated:
@@ -211,16 +227,18 @@ def cmd_field_build(ns) -> int:
     dom, ref = _resolve_domain(ns)
     if not isinstance(dom, SupportDomain):
         raise UsageError("field-build requires a support-function domain")
-    alpha = _need(ns, "alpha", cast=float)
-    cfg = WalkConfig(
+    p = _checked("--alpha", StableParams, _need(ns, "alpha", cast=float), 2)
+    cfg = _checked(
+        "--walks-per-node, --ball-fraction or --max-steps", WalkConfig,
         n_walks=int(float(_need(ns, "walks_per_node", "10000"))),
         ball_fraction=_need(ns, "ball_fraction", "0.5", float),
         max_steps=int(float(_need(ns, "max_steps", "10000"))),
         seed=_need(ns, "seed", "0", int),
     )
     spacing = _need(ns, "spacing", cast=float)
-    field = build_field(dom, StableParams(alpha, 2), spacing, cfg,
-                        n_threads=_need(ns, "threads", "1", int), domain_ref=ref)
+    if not spacing > 0:
+        raise UsageError(f"--spacing must be positive, got {spacing:g}")
+    field = build_field(dom, p, spacing, cfg, n_threads=_threads(ns), domain_ref=ref)
     out = _need(ns, "out")
     save_field(field, out)
     n_nodes = int(np.count_nonzero(field.reliable))
@@ -236,17 +254,16 @@ def cmd_hessian_scan(ns) -> int:
     n_points = _parse_points(_need(ns, "points", "halton:500"))
     which, eps, b = _parse_which(_need(ns, "which", "u"))
     if region[0] == "cylinder":
-        pts = analysis.cylinder_points(region[1], n_points)
+        pts = _checked("--region", analysis.cylinder_points, region[1], n_points)
         descriptor = f"cylinder M={region[1]:g}, halton {n_points}"
     else:
-        pts = analysis.slab_points(ctx.dom, n_points, margin=region[1])
+        pts = _checked("--region", analysis.slab_points, ctx.dom, n_points, margin=region[1])
         descriptor = f"slab margin={region[1]:g}, halton {n_points}"
     if getattr(ns, "include_reflected", False) and region[0] == "cylinder":
         pts = np.concatenate([pts, pts * np.array([1.0, 1.0, -1.0])])
         descriptor += " + reflected"
     rep = analysis.hessian_scan(ctx, pts, which, eps=eps, b=b,
-                                descriptor=descriptor,
-                                n_threads=_need(ns, "threads", "1", int))
+                                descriptor=descriptor, n_threads=_threads(ns))
     print(rep.summary())
     if ns.out:
         if ns.format == "json":
@@ -291,7 +308,7 @@ def cmd_deform_sweep(ns) -> int:
     if not isinstance(dom, SupportDomain):
         raise UsageError("deform-sweep requires a support-function domain")
     t_grid = _parse_t(_need(ns, "t", "0:1:11"))
-    rep = analysis.deformation_sweep(dom, t_grid)
+    rep = _checked("--t", analysis.deformation_sweep, dom, t_grid)
     print(rep.summary())
     for i, t in enumerate(t_grid):
         r1, k1, k2 = rep.values[i, 0], rep.values[i, 1], rep.values[i, 2]
@@ -305,13 +322,11 @@ def cmd_cone_hunt(ns) -> int:
     alpha = _need(ns, "alpha", cast=float)
     theta = _need(ns, "theta", cast=float)
     dim = _need(ns, "dim", "2", int)
-    cone = ConeDomain(theta, dim)
-    cfg = WalkConfig(
-        n_walks=int(float(_need(ns, "walks", "100000"))),
-        seed=_need(ns, "seed", "0", int),
-    )
-    rep = analysis.cone_nonconcavity_hunt(cone, StableParams(alpha, dim), cfg,
-                                          n_threads=_need(ns, "threads", "1", int))
+    cone = _checked("--theta or --dim", ConeDomain, theta, dim)
+    p = _checked("--alpha", StableParams, alpha, dim)
+    cfg = _checked("--walks", WalkConfig, n_walks=int(float(_need(ns, "walks", "100000"))),
+                   seed=_need(ns, "seed", "0", int))
+    rep = analysis.cone_nonconcavity_hunt(cone, p, cfg, n_threads=_threads(ns))
     print(rep.summary())
     if rep.witnesses:
         best = max(rep.witnesses, key=lambda w: w["value"])

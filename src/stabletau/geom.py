@@ -8,10 +8,11 @@ D(t) = (1-t) D + t B(0,1) exact.
 
 The signed distance is min over theta of g = h - x.u.  Near the boundary it
 is found by Newton from a lattice seed and certified by a rolling disk of
-radius r0 <= min(h + h'') (SupportDomain._certified_distance_foot); deeper
-rows, and domains where r0 cannot be made positive, run a search from a
-256-angle seed grid that rescans every basin whose best sample comes close
-to the least one (SupportDomain._signed_distance_foot).
+radius r0 <= min(h + h'') (SupportDomain._certified_distance_foot).  Deeper
+rows, and domains where r0 cannot be made positive, run a branch and bound
+over angle cells (SupportDomain._signed_distance_foot): bounds of h + h''
+bound g'' = h + h'' - g on each cell, which drops the cells that cannot hold
+the minimum and certifies g'' > 0 where Newton may finish.
 """
 
 from __future__ import annotations
@@ -24,22 +25,15 @@ import numpy as np
 
 from .errors import (
     DomainFileError,
+    NewtonError,
     NonConvexError,
     NotInUnitBallError,
     PointOutsideError,
 )
 
 _CERT_GRID = 4096       # convexity certification grid
-_SEED_GRID = 256        # seeding grid for distance minimisation
-_SEED_BLOCK = 512       # query rows per seed block: the (block, 256) temporary stays in cache
-_NEWTON_REFINE = 1e-5   # rows whose third Newton step exceeds this (rad) iterate on ...
-_NEWTON_STEPS = 8       # ... for at most this many steps, until a step is below ...
+_NEWTON_STEPS = 8       # Newton takes at most this many steps, until a step is below ...
 _NEWTON_TOL = 1e-8      # ... this (rad)
-_SCAN_CELLS = 4         # rescan window: this many seed steps either side of a candidate ...
-_SCAN_FINE = 4          # ... sampled this many times finer than the seed grid
-_RESCAN_GAIN = 1e-12    # a rescan replaces the Newton value only if lower by more than this
-_ZOOM_LEVELS = 7        # rescan refinement: each level samples +- one step at a quarter
-                        # of it, so the angle is pinned to 2 pi / 1024 / 4^7 = 4e-7 rad
 _TABLE_GRID = 4096      # Hermite-interpolation table for hot-path evaluation
 _CONVEXITY_REFINE = 0.01  # refine intervals where h+h'' drops below this
 _BOUNDARY_TOL = 1e-12   # points this close to the boundary count as outside
@@ -49,6 +43,10 @@ _EXACT_BELOW = 1e-4     # walk rows whose lower bound is at most this query the 
 _ROLL_MARGIN = 1e-9     # a certified row's distance lies at least this far below r0
 _ROLL_CAP = np.pi / 4   # the certified path's Newton step cap (rad): seeds off the
                         # lattice box can be 0.2 rad off, and a wild step only fails
+_SPLIT = 16             # the search splits a cell into this many: three splits of the
+                        # circle reach the knots of the Hermite table
+_FINE_SPLITS = 4        # at most this many more split a knot cell without a convexity
+                        # certificate, on the Hermite table
 
 
 def _trig_eval(coeffs: np.ndarray, theta, deriv: int = 0):
@@ -108,11 +106,6 @@ class SupportDomain:
         self.coeffs.setflags(write=False)
         self.n_modes = coeffs.shape[0]
         self._certify()
-        # cached seeding grid for distance queries
-        tg = np.linspace(0.0, 2 * np.pi, _SEED_GRID, endpoint=False)
-        self._seed_theta = tg
-        self._seed_h = _trig_eval(self.coeffs, tg)
-        self._seed_u = _unit(tg)
         # cubic-Hermite tables of h, h', h'' on a fine grid: the walk and
         # quadrature hot paths evaluate these instead of summing the series.
         # Row k of _tab_cols holds the k-th derivative (h, h', h'', h''') at
@@ -121,10 +114,17 @@ class SupportDomain:
         tt = np.linspace(0.0, 2 * np.pi, nt + 1)
         self._tab_step = 2 * np.pi / nt
         self._tab_cols = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)])
-        # a certified upper bound of h + h'' (the knots are the 4096-angle
-        # grid of _certify)
-        rc = self._tab_cols[0, :-1] + self._tab_cols[2, :-1]
-        self._rc_max = float(np.max(rc)) + self._rc_dip
+        self._tab_u = np.stack([np.cos(tt), np.sin(tt)])
+        # certified bounds of h + h'' (the knots are the 4096-angle grid of
+        # _certify): an upper bound, and on each cell of w knots of the search
+        # its least and greatest knot value less and plus _rc_dip
+        rc = self._tab_cols[0] + self._tab_cols[2]
+        self._rc_max = float(np.max(rc[:-1])) + self._rc_dip
+        self._rc_cells, w = {}, nt
+        while w > 1:
+            w //= _SPLIT
+            cells = np.concatenate([rc[:-1].reshape(-1, w), rc[w::w, None]], axis=1)
+            self._rc_cells[w] = (cells.min(axis=1) - self._rc_dip, cells.max(axis=1) + self._rc_dip)
         # disk fast path: only the constant mode present
         self._disk_radius = None
         if self.n_modes == 1 or not np.any(self.coeffs[1:]):
@@ -243,66 +243,121 @@ class SupportDomain:
         return d if np.ndim(x) > 1 else float(d[0])
 
     def _signed_distance_foot(self, pts: np.ndarray):
-        """Vectorised signed distance plus the minimising normal angle."""
+        """Vectorised signed distance plus the minimising normal angle, by branch and bound.
+
+        On a cell of width w where r <= h + h'' <= R (_rc_cells), g = h - x.u
+        has g'' = h + h'' - g.  On the cell holding the minimiser theta*, where
+        g'' >= 0, g'' <= R - g(theta*), so g(theta*) is at least the floor
+        (m - c R) / (1 - c), c = w^2/8 and m the lower end value: a cell whose
+        floor lies above its row's least sample is dropped (_split).  Cells
+        start as _SPLIT parts of the circle on the Hermite table's knots, where
+        h and h' are exact.  If both ends of a cell lie below r, g'' > 0 on it
+        (g rising to r would exceed the chord by more than c (g - r) allows):
+        its lower end is a candidate, and a sign change of g' is bisected on
+        the knots down to one knot interval and finished by Newton
+        (_bracketed_newton).  Other cells are split on, past the knots on the
+        Hermite table, until no floor lies 1e-13 below the least sample or
+        _FINE_SPLITS splits are done; their samples are candidates.  Each row
+        takes its least candidate, so its bits do not depend on other rows.
+        """
         if self._disk_radius is not None:
             r = np.hypot(pts[:, 0], pts[:, 1])
             theta = np.arctan2(pts[:, 1], pts[:, 0])
             theta[r == 0] = 0.0
             return self._disk_radius - r, theta
-        k, grid_val, far = self._seed(pts)
-        theta = self._seed_theta[k]
+        n, step = len(pts), self._tab_step
         x1, x2 = pts[:, 0], pts[:, 1]
-        for _ in range(3):
-            val, theta, step = self._newton_step(theta, x1, x2)
-        # rows whose third step still exceeds _NEWTON_REFINE take more steps
-        rows = np.nonzero(np.abs(step) > _NEWTON_REFINE)[0]
-        for _ in range(_NEWTON_STEPS):
+        h, (cs, sn) = self._tab_cols[0], self._tab_u
+
+        def knot_g(r, k):
+            return h.take(k) - x1.take(r) * cs.take(k) - x2.take(r) * sn.take(k)
+
+        def hermite_g(r, t):
+            return self._hermite(t, 1)[0] - x1.take(r) * np.cos(t) - x2.take(r) * np.sin(t)
+
+        best = np.full(n, np.inf)
+        rows, lo, w = np.arange(n), np.zeros(1, dtype=np.intp), _TABLE_GRID  # the circle
+        cand = [(rows[:0], best[:0], best[:0])]  # (row, g, angle)
+        while w > 1 and rows.size:
+            w //= _SPLIT
+            r_low, r_high = self._rc_cells[w]
+            rows, lo, ga, gb, _, _ = self._split(rows, lo, w, w * step, knot_g, best, 0.0,
+                                                 r_high.take(lo[:, None] // w + np.arange(_SPLIT)))
+            cert = np.maximum(ga, gb) < r_low.take(lo // w)
+            r, k, ga, gb = rows[cert], lo[cert], ga[cert], gb[cert]
+            cand.append((r, np.minimum(ga, gb), (k + w * (gb < ga)) * step))
+            y1, y2 = x1.take(r), x2.take(r)
+            turn = (self._knot_slope(k, y1, y2) <= 0.0) & (self._knot_slope(k + w, y1, y2) >= 0.0)
+            r, k, y1, y2, half = r[turn], k[turn], y1[turn], y2[turn], w
+            while half > 1:  # bisect on the sign of g', which rises
+                half //= 2
+                k = np.where(self._knot_slope(k + half, y1, y2) < 0.0, k + half, k)
+            if r.size:
+                cand.append(self._bracketed_newton(r, k, y1, y2))
+            rows, lo = rows[~cert], lo[~cert]
+        t, w = lo * step, step
+        for _ in range(_FINE_SPLITS):
             if rows.size == 0:
                 break
-            val[rows], theta[rows], step = self._newton_step(theta[rows], x1[rows], x2[rows])
-            rows = rows[np.abs(step) > _NEWTON_TOL]
-        better = grid_val < val  # Newton should only improve; guard regressions
-        val = np.where(better, grid_val, val)
-        theta = np.where(better, self._seed_theta[k], theta)
-        # Newton finds the minimum in the seed's basin.  Where g is not convex
-        # (near sharp corners) it can settle above the seed or keep moving:
-        # those rows rescan the seed's window.  Another basin may hold the
-        # lower minimum only near a seed sample within the slack of the best
-        # one; rows with such a sample two or more steps away (flagged by
-        # _seed) rescan windows that cover every sample within the slack.  A
-        # minimum lies within half a step of its nearest sample, so a window
-        # serves the samples within _SCAN_CELLS - 1 steps of its centre.
-        stuck = better
-        stuck[rows] = True
-        stuck = np.nonzero(stuck & ~far)[0]
-        rows = np.nonzero(far)[0]
-        sub = pts[rows]
-        g = self._seed_h - (sub[:, :1] * self._seed_u[:, 0] + sub[:, 1:] * self._seed_u[:, 1])
-        row, cand = np.nonzero(g <= (grid_val[rows] + self._slack(grid_val[rows]))[:, None])
-        span = 2 * _SCAN_CELLS - 1
-        cand = np.minimum(cand // span * span + _SCAN_CELLS - 1, _SEED_GRID - 1)
-        row, cand = np.divmod(np.unique(row * _SEED_GRID + cand), _SEED_GRID)
-        row = np.concatenate([stuck, rows[row]])
-        if row.size:
-            v, t = self._rescan(np.concatenate([k[stuck], cand]), pts[row])
-            best = np.lexsort((v, row))  # candidates by row, lowest first
-            best = best[np.r_[True, row[best][1:] != row[best][:-1]]]
-            row, v, t = row[best], v[best], t[best]
-            lower = v < val[row] - _RESCAN_GAIN
-            val[row[lower]], theta[row[lower]] = v[lower], t[lower]
-        return val, np.mod(theta, 2 * np.pi)
+            w /= _SPLIT
+            split = rows
+            rows, t, _, _, val, at = self._split(rows, t, w, w, hermite_g, best, 1e-13,
+                                                 self._rc_max)
+            cand.append((np.repeat(split, _SPLIT + 1), val.ravel(), at.ravel()))
+        row, val, theta = (np.concatenate(c) for c in zip(*cand))
+        d, foot = np.full(n, np.nan), np.full(n, np.nan)
+        np.fmin.at(d, row, val)
+        least = val == d.take(row)
+        np.fmin.at(foot, row[least], theta[least])  # the least angle of the least candidates
+        return d, np.mod(foot, 2 * np.pi)
 
-    def _slack(self, best):
-        """How far above best, the least seed sample of a row, the sample
-        nearest the row's minimum of g can lie.
+    def _split(self, rows, lo, w, width, g, best, gap, rc_high):
+        """Split each row's cell [lo, lo + _SPLIT w] (lo may be one for all rows)
+        into _SPLIT cells of width w (width in radians), sample g(row, angle)
+        at their ends, lower best, and keep the cells whose floor (rc_high
+        bounding h + h'') is at most best - gap: their (row, lo, g at both
+        ends), then the samples, one row per cell split, and their angles."""
+        at = lo[:, None] + w * np.arange(_SPLIT + 1)
+        val = g(rows[:, None], at)
+        np.minimum.at(best, rows, val.min(axis=1))
+        c = width * width / 8
+        top = (1 - c) * (best - gap).take(rows)[:, None]
+        cell, j = np.nonzero(np.minimum(val[:, :-1], val[:, 1:]) - c * rc_high <= top)
+        lo = (lo.take(cell) if lo.size > 1 else lo) + w * j
+        return rows.take(cell), lo, val[cell, j], val[cell, j + 1], val, at
 
-        A minimum's nearest seed sample is at most half a step s away, so it
-        lies at most c (max g'') above it, c = s^2 / 8.  g'' = h + h'' - g is at
-        most rc_max - delta, and best <= delta + c (rc_max - delta) bounds
-        -delta for exterior points (best < 0).
-        """
-        c = (2 * np.pi / _SEED_GRID) ** 2 / 8
-        return c * (self._rc_max - np.minimum(best, 0.0)) / (1.0 - c)
+    def _knot_slope(self, k, x1, x2):
+        """g' = h' + x1 sin - x2 cos at knots k, exact."""
+        cs, sn = self._tab_u
+        return self._tab_cols[1].take(k) + x1 * sn.take(k) - x2 * cs.take(k)
+
+    def _bracketed_newton(self, row, k, x1, x2):
+        """(row, g, angle) at the zero of g' in knot interval k, where g'' > 0:
+        Newton from the secant root of g', bisecting when a step above
+        _NEWTON_TOL leaves the interval; NewtonError after _NEWTON_STEPS."""
+        step = self._tab_step
+        lo, hi = k * step, (k + 1) * step
+        a, b = self._knot_slope(k, x1, x2), self._knot_slope(k + 1, x1, x2)
+        theta = lo + step * (a / (a - b - 1e-300))  # a = b = 0 starts at lo
+        val, out = np.empty(len(row)), np.empty(len(row))
+        todo = np.arange(len(row))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                h, h1, h2 = self._support_012(theta)
+                ct, st = np.cos(theta), np.sin(theta)
+                xu = x1 * ct + x2 * st
+                gp = h1 + x1 * st - x2 * ct
+                lo, hi = np.where(gp < 0.0, theta, lo), np.where(gp > 0.0, theta, hi)
+                new = theta - gp / (h2 + xu)
+                done = np.abs(new - theta) <= _NEWTON_TOL
+                val[todo], out[todo] = h - xu, new  # final for the rows done
+                if done.all():
+                    return row, val, out
+                theta = np.where(done | ((new >= lo) & (new <= hi)), new, 0.5 * (lo + hi))
+                go = ~done
+                todo, theta, lo, hi, x1, x2 = (v[go] for v in (todo, theta, lo, hi, x1, x2))
+        raise NewtonError(f"distance search: Newton did not converge on {todo.size} "
+                          f"of {len(row)} cells in {_NEWTON_STEPS} steps")
 
     def _certified_distance_foot(self, pts: np.ndarray, seed=None):
         """_signed_distance_foot, by the rolling-disk certificate where it holds.
@@ -393,7 +448,7 @@ class SupportDomain:
                 self._lattice_cache = _DistanceLattice(self)
             return self._lattice_cache
 
-    def _newton_step(self, theta, x1, x2, cap=2 * np.pi / _SEED_GRID):
+    def _newton_step(self, theta, x1, x2, cap):
         """g = h - x.u at theta, the next angle and the step of one Newton step capped at cap."""
         h, h1, h2 = self._support_012(theta)
         ct, st = np.cos(theta), np.sin(theta)
@@ -403,72 +458,6 @@ class SupportDomain:
         gpp = np.where(np.abs(gpp) < 1e-14, 1e-14, gpp)
         step = np.clip(gp / gpp, -cap, cap)
         return h - xu, theta - step, step
-
-    def _g(self, theta, pts):
-        """g = h - x.u at the angles theta (n, m) of each of the n points."""
-        return self._hermite(theta, 1)[0] - (pts[:, :1] * np.cos(theta)
-                                             + pts[:, 1:] * np.sin(theta))
-
-    def _rescan(self, k, pts):
-        """(g, theta) at the lowest minimum of g within _SCAN_CELLS seed steps of seed angle k.
-
-        g is sampled _SCAN_FINE times finer than the seed grid.  Every sampled
-        minimum within the (finer) sampling slack (_slack) of the lowest sample is
-        refined by zooming: a sample no higher than its two neighbours
-        brackets a minimum between them, which needs no convexity.  The
-        lowest refined minimum is kept.
-        """
-        step = 2 * np.pi / (_SEED_GRID * _SCAN_FINE)
-        reach = _SCAN_CELLS * _SCAN_FINE
-        theta = self._seed_theta[k][:, None] + step * np.arange(-reach, reach + 1)
-        g = self._g(theta, pts)
-        low = np.zeros(g.shape, dtype=bool)
-        low[:, 1:-1] = (g[:, 1:-1] <= g[:, :-2]) & (g[:, 1:-1] <= g[:, 2:])
-        least = g.min(axis=1, keepdims=True)
-        low &= g <= least + self._slack(least) / _SCAN_FINE ** 2
-        low[np.arange(len(g)), np.argmin(g, axis=1)] = True
-        row, col = np.nonzero(low)
-        th, val, pts = theta[row, col], g[row, col], pts[row]
-        quarter = np.arange(-4, 5) / 4
-        for _ in range(_ZOOM_LEVELS):
-            zoom = th[:, None] + step * quarter
-            gz = self._g(zoom, pts)
-            j = np.argmin(gz, axis=1)
-            th, val = zoom[np.arange(len(j)), j], gz[np.arange(len(j)), j]
-            step /= 4
-        best = np.lexsort((val, row))  # candidates by row, lowest first
-        first = best[np.r_[True, row[best][1:] != row[best][:-1]]]
-        return val[first], th[first]
-
-    def _seed(self, pts: np.ndarray):
-        """Best seed-grid angle index and value per row, in blocks of _SEED_BLOCK rows,
-        and whether a sample two or more steps from the best lies within its _slack.
-
-        numpy hands a one-row product to matrix-vector BLAS, whose last bits
-        differ from the matrix-matrix product the other rows get, so a
-        one-row remainder joins the block before it and a one-row query is
-        computed as two copies of its row.
-        """
-        n = len(pts)
-        if n == 1:
-            k, val, far = self._seed(np.concatenate([pts, pts]))
-            return k[:1], val[:1], far[:1]
-        k = np.empty(n, dtype=np.intp)
-        val = np.empty(n)
-        far = np.empty(n, dtype=bool)
-        lo = 0
-        while lo < n:
-            hi = n if n - lo <= _SEED_BLOCK + 1 else lo + _SEED_BLOCK
-            g = pts[lo:hi] @ self._seed_u.T
-            np.subtract(self._seed_h, g, out=g)
-            kb = np.argmin(g, axis=1)
-            r = np.arange(hi - lo)
-            k[lo:hi], val[lo:hi] = kb, g[r, kb]
-            for off in (-1, 0, 1):
-                g[r, (kb + off) % _SEED_GRID] = np.inf
-            far[lo:hi] = g.min(axis=1) <= val[lo:hi] + self._slack(val[lo:hi])
-            lo = hi
-        return k, val, far
 
     def contains(self, x) -> bool:
         """True iff x is interior; boundary points within 1e-12 report False."""

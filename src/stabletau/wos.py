@@ -456,6 +456,8 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
     simulation (walk i belongs to node i // n_walks), so fields are
     reproducible and independent of n_threads.
     """
+    if not spacing > 0:
+        raise ValueError(f"spacing must be positive, got {spacing:g}")
     half = dom.max_support() + spacing
     n_side = int(math.ceil(2 * half / spacing)) + 1
     origin = np.array([-half, -half])

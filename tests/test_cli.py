@@ -79,6 +79,31 @@ def test_hessian_scan_without_points_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (SOLVE + ["--alpha", "3"], "--alpha"),
+    (SOLVE + ["--alpha", "1", "--walks", "0"], "--walks"),
+    (SOLVE + ["--alpha", "1", "--max-steps", "0"], "--max-steps"),
+    (SOLVE + ["--alpha", "1", "--ball-fraction", "1.5"], "--ball-fraction"),
+    (SOLVE + ["--alpha", "1", "--threads", "0"], "--threads"),
+    (SOLVE + ["--alpha", "1", "--threads", "-3"], "--threads"),
+    (["cone-hunt", "--alpha", "1.5", "--theta", "2", "--walks", "100"], "--theta"),
+    (["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:2:3"], "--t"),
+    (["field-build", "--alpha", "1", "--spacing", "0"], "--spacing"),
+    (["field-build", "--alpha", "1", "--spacing", "-0.1"], "--spacing"),
+    (["hessian-scan", "--builtin", "disk", "--region", "cylinder:M=-1",
+      "--points", "halton:5"], "--region"),
+    (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=-0.1",
+      "--points", "halton:5"], "--region"),
+])
+def test_out_of_range_value_is_usage_error(args, option, capsys):
+    assert run(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and option in err, err
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run(["frobnicate"]) == EXIT_USAGE
 

@@ -238,6 +238,8 @@ def test_domain_file_errors(tmp_path):
 SQUARE = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
 ECCENTRIC = SupportDomain.ellipse(0.9, 0.15)
 SMOOTH_SQUARE = SupportDomain.from_polygon(SQUARE)
+TRIANGLE_VERTICES = np.array([[0.6, -0.3], [-0.3, 0.5], [-0.35, -0.4]])
+SMOOTH_TRIANGLE = SupportDomain.from_polygon(TRIANGLE_VERTICES)  # r0 = 8e-4
 
 
 def _dense_signed_distance(dom, pts, n_grid=1 << 14):
@@ -315,59 +317,7 @@ def test_distance_smoothed_square_corner_patch():
     assert np.max(np.abs(d - oracle[inside])) <= 1e-9
 
 
-# -- bitwise equality of the blocked seed and the packed table ---------------------------
-
-def _matrix_product(a, b):
-    """a @ b on the matrix-matrix path even for one row of a: numpy hands a
-    one-row product to matrix-vector BLAS, whose last bits differ."""
-    return (np.concatenate([a, a]) @ b)[:len(a)]
-
-
-def _one_matrix_signed_distance_foot(dom, pts):
-    """The distance query with its seed built as one (n, 256) matrix and
-    exactly three capped Newton steps, as before the seed was blocked."""
-    g = dom._seed_h[None, :] - _matrix_product(pts, dom._seed_u.T)
-    k = np.argmin(g, axis=1)
-    theta = dom._seed_theta[k]
-    step_cap = 2 * np.pi / geom._SEED_GRID
-    x1, x2 = pts[:, 0], pts[:, 1]
-    val = None
-    for it in range(3):
-        h, h1, h2 = dom._support_012(theta)
-        ct, st_ = np.cos(theta), np.sin(theta)
-        xu = x1 * ct + x2 * st_
-        if it == 2:
-            val = h - xu
-        gp = h1 - (-x1 * st_ + x2 * ct)
-        gpp = h2 + xu
-        gpp = np.where(np.abs(gpp) < 1e-14, 1e-14, gpp)
-        theta = theta - np.clip(gp / gpp, -step_cap, step_cap)
-    grid_val = g[np.arange(len(pts)), k]
-    better = grid_val < val
-    val = np.where(better, grid_val, val)
-    theta = np.where(better, dom._seed_theta[k], theta)
-    return val, np.mod(theta, 2 * np.pi)
-
-
-_B = geom._SEED_BLOCK
-
-
-@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
-def test_blocked_seed_bitwise(ellipse, n):
-    pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
-    for dom in (ellipse, SMOOTH_SQUARE):
-        g = dom._seed_h[None, :] - _matrix_product(pts, dom._seed_u.T)
-        k, val, far = dom._seed(pts)
-        assert np.array_equal(k, np.argmin(g, axis=1))
-        assert val.tobytes() == g[np.arange(n), k].tobytes()
-        steps = (np.arange(geom._SEED_GRID) - k[:, None]) % geom._SEED_GRID
-        away = np.where((steps > 1) & (steps < geom._SEED_GRID - 1), g, np.inf)
-        assert np.array_equal(far, away.min(axis=1) <= val + dom._slack(val))
-    # on the ellipse no row needs more than three Newton steps
-    got = ellipse._signed_distance_foot(pts)
-    want = _one_matrix_signed_distance_foot(ellipse, pts)
-    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-
+# -- bitwise equality of the packed table, and of one-row and batch queries ----------------
 
 def test_packed_hermite_table_bitwise(ellipse):
     theta = np.random.default_rng(7).uniform(-7.0, 7.0, size=5000)
@@ -387,17 +337,21 @@ def test_packed_hermite_table_bitwise(ellipse):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["square", "eccentric ellipse"])
+@pytest.mark.parametrize("name", ["square", "eccentric ellipse", "triangle"])
 def test_single_row_query_matches_batch_bitwise(name):
     # half the points lie on axes of symmetry (the square's diagonals, the
-    # ellipse's axes), where two seed angles tie and the seed's last bits
-    # pick the foot angle; on the diagonals the one-row matrix-vector seed
-    # disagreed with the batch query
+    # ellipse's axes) or on the triangle's medians, where two minima of g can
+    # tie and the last bits pick the foot angle
     rng = np.random.default_rng(2000)
     if name == "square":
         dom, box = SMOOTH_SQUARE, np.array([0.6, 0.6])
         a = rng.uniform(-0.6, 0.6, 1000)
         axes = np.stack([a, rng.choice([-1.0, 1.0], 1000) * a], axis=1)
+    elif name == "triangle":
+        dom, box = SMOOTH_TRIANGLE, np.array([0.7, 0.7])
+        v = rng.integers(0, 3, 1000)
+        mid = (TRIANGLE_VERTICES.sum(axis=0) - TRIANGLE_VERTICES[v]) / 2
+        axes = TRIANGLE_VERTICES[v] + rng.uniform(-0.2, 1.2, (1000, 1)) * (mid - TRIANGLE_VERTICES[v])
     else:
         dom, box = ECCENTRIC, np.array([1.0, 0.2])
         axes = rng.uniform(-box, box, size=(1000, 2))
@@ -413,17 +367,18 @@ def test_single_row_query_matches_batch_bitwise(name):
 
 # -- the oracle on row subsets, and the distance lattice's bounds ------------------------
 
-@pytest.mark.parametrize("name", ["ellipse", "eccentric ellipse", "square"])
+@pytest.mark.parametrize("name", ["ellipse", "eccentric ellipse", "square", "triangle"])
 def test_oracle_rows_independent_of_subset(name):
     # the walks query the exact oracle on the rows no bound decides, and the
     # field reads on the rows near the boundary: each row's bits must not
     # depend on which other rows share the query, on the search and on the
     # rolling-disk path, whose rejected rows run the search as a subset
-    dom = {"ellipse": ELLIPSE, "eccentric ellipse": ECCENTRIC, "square": SMOOTH_SQUARE}[name]
+    dom = {"ellipse": ELLIPSE, "eccentric ellipse": ECCENTRIC, "square": SMOOTH_SQUARE,
+           "triangle": SMOOTH_TRIANGLE}[name]
     rng = np.random.default_rng(77)
     pts = rng.uniform(-1.0, 1.0, size=(3000, 2))
     subsets = [np.sort(rng.choice(len(pts), n, replace=False))
-               for n in (1, 2, _B - 1, _B, _B + 1, 2 * _B + 1)]
+               for n in (0, 1, 2, 511, 512, 513, 1025)]
     subsets += [np.nonzero(rng.uniform(size=len(pts)) < q)[0] for q in (0.01, 0.3, 0.9)]
     for query in (dom._signed_distance_foot, dom._certified_distance_foot):
         d, theta = query(pts)
@@ -565,6 +520,54 @@ def test_search_finds_the_lower_of_two_far_basins(axes):
     for query in (dom._signed_distance_foot, dom._certified_distance_foot):
         d, _ = query(pts)
         assert np.max(np.abs(d - ref)) <= 1e-10, (query.__name__, np.max(np.abs(d - ref)))
+
+
+# the distance bounds of the dense-oracle tests above
+BOUNDS = {"ellipse": (ELLIPSE, 1e-11), "eccentric ellipse": (ECCENTRIC, 1e-11),
+          "square": (SMOOTH_SQUARE, 1e-9), "triangle": (SMOOTH_TRIANGLE, 1e-9)}
+
+
+@pytest.mark.parametrize("name", list(BOUNDS))
+def test_foot_angle_is_consistent(name):
+    # g = h - x.u attains the distance d at the foot angle theta: x + d u(theta)
+    # is the boundary point with normal theta (the gap is |g'(theta)|, so it
+    # checks how well theta is pinned), and the series at theta gives d back
+    dom, bound = BOUNDS[name]
+    pts = _ring_points(dom, np.random.default_rng(12), 3000, 0.0, 1.5)
+    d, theta = dom._signed_distance_foot(pts)
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    gap = np.linalg.norm(pts + d[:, None] * u - dom.boundary_point(theta), axis=1)
+    assert np.max(gap) <= 2e-8, np.max(gap)
+    series = dom.support(theta) - np.sum(pts * u, axis=1)
+    assert np.max(np.abs(series - d)) <= bound, np.max(np.abs(series - d))
+
+
+def _near_evolute(dom, rng, n):
+    """n points b(theta) - (rc(theta) +- s) u(theta) with s log-uniform in
+    [1e-9, 1e-3]: theta is a critical point of g = h - x.u with g'' = -+s, so
+    g'' nearly vanishes there."""
+    theta = rng.uniform(0.0, 2 * np.pi, n)
+    rc = dom.support(theta) + dom.support(theta, 2)
+    s = 10.0 ** rng.uniform(-9, -3, n) * rng.choice([-1.0, 1.0], n)
+    return dom.boundary_point(theta) - (rc + s)[:, None] * np.stack(
+        [np.cos(theta), np.sin(theta)], axis=1)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "eccentric ellipse", "triangle"])
+def test_distance_near_degenerate_minima(name):
+    # near the evolute the certificate g'' > 0 fails on the cells around the
+    # critical point, which the search then bisects; the smoothed triangle's
+    # r0 is 8e-4, so almost no row has the rolling-disk certificate
+    dom, bound = BOUNDS[name]
+    rng = np.random.default_rng(13)
+    pts = _near_evolute(dom, rng, 2000)
+    if name == "triangle":
+        pts = np.concatenate([pts, _ring_points(dom, rng, 2000, 0.0, 1.5)])
+    ref = _all_minima_signed_distance(dom, pts)
+    assert np.count_nonzero(ref > 0) > 100 and np.count_nonzero(ref < 0) > 100
+    for query in (dom._signed_distance_foot, dom._certified_distance_foot):
+        d, _ = query(pts)
+        assert np.max(np.abs(d - ref)) <= bound, (query.__name__, np.max(np.abs(d - ref)))
 
 
 def test_lattice_node_values_match_dense_reference():

@@ -1,7 +1,10 @@
 """The package's modules import only from layers below their own."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import stabletau
 
@@ -37,3 +40,28 @@ def test_cross_layer_names_are_the_definitions():
     assert extension.kernel_K_hess_components is closedform.kernel_K_hess_components
     assert analysis.eval_hessian is extension.eval_hessian
     assert extension.integrate is quad.integrate
+
+
+def _bench_tracer():
+    """The benchmark's tracer (bench/layers.py) set up on this package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(layers)
+    from stabletau import analysis, closedform, extension, geom, quad, wos
+
+    return layers.Tracer(SimpleNamespace(analysis=analysis, closedform=closedform,
+                                         extension=extension, geom=geom, quad=quad, wos=wos))
+
+
+def test_traced_names_exist():
+    # the traced benchmark run rebinds each of these owner/name pairs and
+    # fails if one is gone or an alias no longer holds the definition
+    sites = _bench_tracer()._sites
+    assert {name for name, *_ in sites} >= {"foot", "cone_dist", "run_batch", "values_at",
+                                            "eval_cell", "estimate_phi"}
+    for name, ((owner, attr), *aliases), *_ in sites:
+        fn = getattr(owner, attr, None)
+        assert callable(fn), (name, owner, attr)
+        for alias_owner, alias_attr in aliases:
+            assert getattr(alias_owner, alias_attr, None) is fn, (name, alias_owner, alias_attr)
