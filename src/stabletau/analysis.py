@@ -522,6 +522,13 @@ _TARGET_SLOPES = {
 }
 
 
+_HESSIAN_ENTRIES = {"u11": (0, 0), "u22": (1, 1), "u33": (2, 2),
+                    "u12": (0, 1), "u13": (0, 2), "u23": (1, 2)}
+_PROBE_QUANTITIES = {"normal-slab": ("phi_n", "phi_nn", "phi_TT"),
+                     **{probe: tuple(_HESSIAN_ENTRIES) for probe in _S_LOCAL},
+                     "exterior": ("ext_half_lap",)}
+
+
 def target_slope(probe: str, quantity: str):
     return _TARGET_SLOPES.get((probe, quantity))
 
@@ -536,6 +543,11 @@ def boundary_exponent_fit(ctx: ExtensionContext, probe: str, quantity: str,
     h_values = np.sort(np.asarray(h_values, dtype=float))
     if h_values.size < 5 or h_values[-1] / h_values[0] < 5.0:
         raise InsufficientRangeError("need >= 5 h-values spanning a factor >= 5")
+    if probe not in _PROBE_QUANTITIES:
+        raise ValueError(f"unknown probe {probe!r} (use {', '.join(_PROBE_QUANTITIES)})")
+    if quantity not in _PROBE_QUANTITIES[probe]:
+        raise ValueError(f"probe {probe!r} has no quantity {quantity!r} "
+                         f"(use {', '.join(_PROBE_QUANTITIES[probe])})")
     psi = float(boundary_angle)
     y0 = ctx.dom.boundary_point(psi)
     n_in = -_unit(psi)
@@ -549,28 +561,17 @@ def boundary_exponent_fit(ctx: ExtensionContext, probe: str, quantity: str,
             x = y0 - h * n_in
             v, _ = exterior_half_laplacian(ctx.dom, ctx.phi.values_at, x, ctx.quad)
             vals[i] = v
-        elif probe in _S_LOCAL:
+        else:
             a1, a3 = _S_LOCAL[probe]
             xy = y0 + a1 * h * n_in
             x = np.array([xy[0], xy[1], a3 * h])
             sample = eval_hessian(ctx, x, "u")
             loc = local_frame_hessian(sample.hess, psi)
-            vals[i] = _pick_entry(loc, quantity)
-        else:
-            raise ValueError(f"unknown probe {probe!r}")
+            vals[i] = loc[_HESSIAN_ENTRIES[quantity]]
     slope, stderr = _ols_loglog(h_values, vals)
     return ExponentFit(probe=probe, quantity=quantity, h_values=h_values,
                        values=vals, slope=slope, slope_stderr=stderr,
                        signs=np.sign(vals))
-
-
-def _pick_entry(local_hess, quantity):
-    idx = {"u11": (0, 0), "u22": (1, 1), "u33": (2, 2),
-           "u12": (0, 1), "u13": (0, 2), "u23": (1, 2)}
-    if quantity not in idx:
-        raise ValueError(f"quantity {quantity!r} is not a Hessian entry")
-    i, j = idx[quantity]
-    return float(local_hess[i, j])
 
 
 def _slab_quantity(ctx, y0, n_in, t_cw, delta, quantity):
@@ -586,11 +587,9 @@ def _slab_quantity(ctx, y0, n_in, t_cw, delta, quantity):
         e = delta / 10.0
         return (phi1(base + e * n_in) - 2 * phi1(base)
                 + phi1(base - e * n_in)) / e ** 2
-    if quantity == "phi_TT":
-        e = delta / 10.0
-        return (phi1(base + e * t_cw) - 2 * phi1(base)
-                + phi1(base - e * t_cw)) / e ** 2
-    raise ValueError(f"quantity {quantity!r} is not a slab quantity")
+    e = delta / 10.0  # phi_TT
+    return (phi1(base + e * t_cw) - 2 * phi1(base)
+            + phi1(base - e * t_cw)) / e ** 2
 
 
 # -- deformation sweep ----------------------------------------------------------------
@@ -605,6 +604,8 @@ def deformation_sweep(dom: SupportDomain, t_grid, *, gap_tol: float = 1e-9,
     """
     t0c = time.time()
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("t_grid holds no values")
     base = dom.classify()
     lo = min(base.kappa1, 1.0) - curvature_slack
     hi = max(base.kappa2, 1.0) + curvature_slack

@@ -19,6 +19,7 @@ from . import analysis
 from .closedform import StableParams
 from .errors import (
     DomainFileError,
+    InsufficientRangeError,
     NonConvergedError,
     StableTauError,
 )
@@ -56,27 +57,23 @@ def _parse_at(text: str) -> np.ndarray:
         raise UsageError(f"malformed --at value {text!r}") from exc
 
 
+_REGIONS = {"cylinder": ("M", 3.0), "slab": ("margin", 0.02)}  # parameter, default
+
+
 def _parse_region(text: str):
-    try:
-        if text.startswith("cylinder"):
-            m = 3.0
-            if ":" in text:
-                key, val = text.split(":", 1)[1].split("=")
-                if key != "M":
-                    raise ValueError(f"unknown cylinder parameter {key!r}")
-                m = float(val)
-            return ("cylinder", m)
-        if text.startswith("slab"):
-            margin = 0.02
-            if ":" in text:
-                key, val = text.split(":", 1)[1].split("=")
-                if key != "margin":
-                    raise ValueError(f"unknown slab parameter {key!r}")
-                margin = float(val)
-            return ("slab", margin)
-    except (ValueError, IndexError) as exc:
-        raise UsageError(f"malformed region {text!r}: {exc}") from exc
-    raise UsageError(f"unknown region {text!r} (use cylinder:M=3 or slab[:margin=m])")
+    name, colon, param = text.partition(":")
+    if name not in _REGIONS:
+        raise UsageError(f"unknown --region {text!r} (use cylinder[:M=m] or slab[:margin=m])")
+    key, value = _REGIONS[name]
+    if colon:
+        try:
+            got, raw = param.split("=")
+            if got != key:
+                raise ValueError(f"unknown {name} parameter {got!r}")
+            value = float(raw)
+        except ValueError as exc:
+            raise UsageError(f"malformed --region {text!r}: {exc}") from exc
+    return name, value
 
 
 def _parse_points(text: str) -> int:
@@ -294,7 +291,11 @@ def cmd_exponent_fit(ns) -> int:
     probe = _need(ns, "probe")
     quantity = _need(ns, "quantity")
     h = _parse_h(_need(ns, "h", "0.005:0.05:geometric:6"))
-    fit = analysis.boundary_exponent_fit(ctx, probe, quantity, h)
+    try:
+        fit = _checked("--probe or --quantity", analysis.boundary_exponent_fit,
+                       ctx, probe, quantity, h)
+    except InsufficientRangeError as exc:
+        raise UsageError(f"--h: {exc}") from exc
     target = analysis.target_slope(probe, quantity)
     extra = f" (target {target:+.2f})" if target is not None else " (no target)"
     print(fit.summary() + extra)

@@ -10,9 +10,11 @@ The signed distance is min over theta of g = h - x.u.  Near the boundary it
 is found by Newton from a lattice seed and certified by a rolling disk of
 radius r0 <= min(h + h'') (SupportDomain._certified_distance_foot).  Deeper
 rows, and domains where r0 cannot be made positive, run a branch and bound
-over angle cells (SupportDomain._signed_distance_foot): bounds of h + h''
-bound g'' = h + h'' - g on each cell, which drops the cells that cannot hold
-the minimum and certifies g'' > 0 where Newton may finish.
+over angle cells (SupportDomain._signed_distance_foot): one table of bounds
+of h + h'', per cell down to one knot interval, bounds g'' = h + h'' - g on
+each cell, which drops the cells that cannot hold the minimum and certifies
+g'' > 0 where a bracketed Newton (_bracketed_newton, which the quadrature's
+polar chart also runs) may finish.
 """
 
 from __future__ import annotations
@@ -77,6 +79,35 @@ def _unit(theta):
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
+def _bracketed_newton(fn, theta, lo, hi, what):
+    """Per row, the zero of an increasing f in [lo, hi], by Newton from theta.
+
+    fn(theta, rows) returns (f, f') at the angles theta of the rows given by
+    their indices into theta.  Each iterate shrinks the bracket by the sign
+    of f, and a step that leaves it is replaced by bisection.  A row is done
+    when a step is at most _NEWTON_TOL and takes that step's end; rows left
+    after _NEWTON_STEPS steps raise NewtonError, naming what.
+    """
+    out = np.empty(len(theta))
+    rows = np.arange(len(theta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            f, fp = fn(theta, rows)
+            lo, hi = np.where(f < 0.0, theta, lo), np.where(f > 0.0, theta, hi)
+            new = theta - f / fp
+            done = np.abs(new - theta) <= _NEWTON_TOL
+            theta = np.where(done | ((new >= lo) & (new <= hi)), new, 0.5 * (lo + hi))
+            if done.all():
+                out[rows] = theta
+                return out
+            if done.any():
+                out[rows[done]] = theta[done]
+                go = ~done
+                rows, theta, lo, hi = rows[go], theta[go], lo[go], hi[go]
+    raise NewtonError(f"{what}: Newton did not converge on {rows.size} of {out.size} "
+                      f"rows in {_NEWTON_STEPS} steps")
+
+
 def _project_coeffs(fn, n_modes: int, n_fft: int | None = None) -> np.ndarray:
     n_fft = n_fft or max(8 * n_modes, 1024)
     t = np.linspace(0.0, 2 * np.pi, n_fft, endpoint=False)
@@ -116,10 +147,9 @@ class SupportDomain:
         self._tab_cols = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)])
         self._tab_u = np.stack([np.cos(tt), np.sin(tt)])
         # certified bounds of h + h'' (the knots are the 4096-angle grid of
-        # _certify): an upper bound, and on each cell of w knots of the search
-        # its least and greatest knot value less and plus _rc_dip
+        # _certify): on each cell of w knots of the search, its least and
+        # greatest knot value less and plus _rc_dip
         rc = self._tab_cols[0] + self._tab_cols[2]
-        self._rc_max = float(np.max(rc[:-1])) + self._rc_dip
         self._rc_cells, w = {}, nt
         while w > 1:
             w //= _SPLIT
@@ -254,11 +284,12 @@ class SupportDomain:
         h and h' are exact.  If both ends of a cell lie below r, g'' > 0 on it
         (g rising to r would exceed the chord by more than c (g - r) allows):
         its lower end is a candidate, and a sign change of g' is bisected on
-        the knots down to one knot interval and finished by Newton
-        (_bracketed_newton).  Other cells are split on, past the knots on the
-        Hermite table, until no floor lies 1e-13 below the least sample or
-        _FINE_SPLITS splits are done; their samples are candidates.  Each row
-        takes its least candidate, so its bits do not depend on other rows.
+        the knots down to one knot interval and finished by _bracketed_newton
+        on g', from the secant root of its knot values.  Other cells are split
+        on, past the knots on the Hermite table, each fine cell taking the R
+        of its knot interval, until no floor lies 1e-13 below the least sample
+        or _FINE_SPLITS splits are done; their samples are candidates.  Each
+        row takes its least candidate, so its bits do not depend on other rows.
         """
         if self._disk_radius is not None:
             r = np.hypot(pts[:, 0], pts[:, 1])
@@ -293,16 +324,24 @@ class SupportDomain:
                 half //= 2
                 k = np.where(self._knot_slope(k + half, y1, y2) < 0.0, k + half, k)
             if r.size:
-                cand.append(self._bracketed_newton(r, k, y1, y2))
+                a, b = self._knot_slope(k, y1, y2), self._knot_slope(k + 1, y1, y2)
+                start = k * step + step * (a / (a - b - 1e-300))  # a = b = 0 starts at k
+                def slope(t, i):  # g' and its derivative h'' + x.u
+                    _, h1, h2 = self._support_012(t)
+                    z1, z2, ct, st = y1.take(i), y2.take(i), np.cos(t), np.sin(t)
+                    return h1 + z1 * st - z2 * ct, h2 + z1 * ct + z2 * st
+                t = _bracketed_newton(slope, start, k * step, (k + 1) * step, "distance search")
+                cand.append((r, hermite_g(r, t), t))
             rows, lo = rows[~cert], lo[~cert]
-        t, w = lo * step, step
+        t, w, r_knot = lo * step, step, self._rc_cells[1][1]
         for _ in range(_FINE_SPLITS):
             if rows.size == 0:
                 break
+            knot = ((t + 0.5 * w) // step).astype(np.intp)  # the knot interval of each cell
             w /= _SPLIT
             split = rows
             rows, t, _, _, val, at = self._split(rows, t, w, w, hermite_g, best, 1e-13,
-                                                 self._rc_max)
+                                                 r_knot.take(knot)[:, None])
             cand.append((np.repeat(split, _SPLIT + 1), val.ravel(), at.ravel()))
         row, val, theta = (np.concatenate(c) for c in zip(*cand))
         d, foot = np.full(n, np.nan), np.full(n, np.nan)
@@ -330,34 +369,6 @@ class SupportDomain:
         """g' = h' + x1 sin - x2 cos at knots k, exact."""
         cs, sn = self._tab_u
         return self._tab_cols[1].take(k) + x1 * sn.take(k) - x2 * cs.take(k)
-
-    def _bracketed_newton(self, row, k, x1, x2):
-        """(row, g, angle) at the zero of g' in knot interval k, where g'' > 0:
-        Newton from the secant root of g', bisecting when a step above
-        _NEWTON_TOL leaves the interval; NewtonError after _NEWTON_STEPS."""
-        step = self._tab_step
-        lo, hi = k * step, (k + 1) * step
-        a, b = self._knot_slope(k, x1, x2), self._knot_slope(k + 1, x1, x2)
-        theta = lo + step * (a / (a - b - 1e-300))  # a = b = 0 starts at lo
-        val, out = np.empty(len(row)), np.empty(len(row))
-        todo = np.arange(len(row))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_NEWTON_STEPS):
-                h, h1, h2 = self._support_012(theta)
-                ct, st = np.cos(theta), np.sin(theta)
-                xu = x1 * ct + x2 * st
-                gp = h1 + x1 * st - x2 * ct
-                lo, hi = np.where(gp < 0.0, theta, lo), np.where(gp > 0.0, theta, hi)
-                new = theta - gp / (h2 + xu)
-                done = np.abs(new - theta) <= _NEWTON_TOL
-                val[todo], out[todo] = h - xu, new  # final for the rows done
-                if done.all():
-                    return row, val, out
-                theta = np.where(done | ((new >= lo) & (new <= hi)), new, 0.5 * (lo + hi))
-                go = ~done
-                todo, theta, lo, hi, x1, x2 = (v[go] for v in (todo, theta, lo, hi, x1, x2))
-        raise NewtonError(f"distance search: Newton did not converge on {todo.size} "
-                          f"of {len(row)} cells in {_NEWTON_STEPS} steps")
 
     def _certified_distance_foot(self, pts: np.ndarray, seed=None):
         """_signed_distance_foot, by the rolling-disk certificate where it holds.

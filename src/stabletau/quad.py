@@ -10,11 +10,12 @@ to tolerance, at most 32 of them, and evaluates the integrand once on the
 nodes of all their children.  Rounds stop when the component-wise tolerance
 is met or the cell budget runs out.
 
-R(psi) is found by a bracketed Newton iteration (_PolarChart): a per-chart
-table of the polar angle of the boundary point b(theta) - c, which turns
-monotonically with the normal angle theta, brackets each ray, so no global
-search over angles runs.  A singular centre outside the domain anchors the
-chart at its nearest boundary point, found by one distance query.
+R(psi) is found by geom's bracketed Newton, the distance search's
+(_PolarChart): a per-chart table of the polar angle of the boundary point
+b(theta) - c, which turns monotonically with the normal angle theta,
+brackets each ray, so no global search over angles runs.  A singular centre
+outside the domain anchors the chart at its nearest boundary point, found by
+one distance query.
 
 Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
 (n, m) for a vector integrand whose components then share one adaptive mesh.
@@ -29,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NewtonError, NonConvergedError
-from .geom import _TABLE_GRID, _series
+from .errors import NonConvergedError
+from .geom import _TABLE_GRID, _bracketed_newton, _series
 
 # QUADPACK Gauss-Kronrod 7/15 nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -56,8 +57,6 @@ _WG15[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
 _W = np.stack([np.multiply.outer(_WGK, _WGK), np.multiply.outer(_WG15, _WG15),
                np.multiply.outer(_WG15, _WGK), np.multiply.outer(_WGK, _WG15)]).reshape(4, -1)
 _ROUND = 32  # most cells bisected per round, which bounds the integrand's batch
-_NEWTON_STEPS = 50   # radial-extent Newton: step budget and angle tolerance
-_NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,8 @@ class _PolarChart:
     of b(theta) - c turns monotonically with theta (at the rate
     g (h + h'') / |b - c|^2), so a table of it on _TABLE_GRID steps of theta
     (the domain's Hermite knots, shifted to the start angle) and searchsorted
-    bracket each psi; a Newton iteration that bisects when a step leaves the
-    bracket finishes.  R = g / cos t, from the series.
+    bracket each psi, and geom._bracketed_newton on N finishes.
+    R = g / cos t, from the series.
 
     An anchor on the boundary is given with its normal angle: its table
     starts there, where b - c turns from the direction normal + pi/2, and
@@ -128,27 +127,14 @@ class _PolarChart:
         lo, hi = self._theta[k], self._theta[k + 1]
         frac = (target - self._turn[k]) / np.maximum(self._turn[k + 1] - self._turn[k], 1e-300)
         theta = lo + np.minimum(frac, 1.0) * (hi - lo)
-        todo = np.arange(psi.size)  # rays whose last step was not below tolerance
-        for _ in range(_NEWTON_STEPS):
-            th, t = theta[todo], theta[todo] - psi[todo]
+        def normal(th, i):  # N and N'
             h, h1, h2 = dom._support_012(th)
-            cth, sth, ct = np.cos(th), np.sin(th), np.cos(t)
+            cth, sth, t = np.cos(th), np.sin(th), th - psi.take(i)
+            ct = np.cos(t)
             g = h - (c[0] * cth + c[1] * sth)
             gp = h1 - (-c[0] * sth + c[1] * cth)
-            num = gp * ct + g * np.sin(t)
-            lo[todo] = np.where(num < 0.0, th, lo[todo])
-            hi[todo] = np.where(num > 0.0, th, hi[todo])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                new = th - num / ((h + h2) * ct)
-            inside = (new >= lo[todo]) & (new <= hi[todo])
-            new = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
-            theta[todo] = new
-            todo = todo[np.abs(new - th) > _NEWTON_TOL]
-            if todo.size == 0:
-                break
-        else:
-            raise NewtonError(f"radial extent: Newton did not converge at {todo.size} "
-                              f"of {psi.size} angles in {_NEWTON_STEPS} steps")
+            return gp * ct + g * np.sin(t), (h + h2) * ct
+        theta = _bracketed_newton(normal, theta, lo, hi, "radial extent")
         g = _series(dom.coeffs, theta) - (c[0] * np.cos(theta) + c[1] * np.sin(theta))
         out[rays] = np.maximum(g / np.maximum(np.cos(theta - psi), 1e-12), 0.0)
         return out

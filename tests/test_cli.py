@@ -97,6 +97,18 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
       "--points", "halton:5"], "--region"),
     (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=-0.1",
       "--points", "halton:5"], "--region"),
+    # region names match exactly, not as a prefix
+    (["hessian-scan", "--builtin", "disk", "--region", "cylinders",
+      "--points", "halton:5"], "--region"),
+    (["hessian-scan", "--builtin", "disk", "--region", "slabby",
+      "--points", "halton:5"], "--region"),
+    (["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1:0"], "--t"),
+    # the probe and the quantity are checked before any evaluation
+    (["exponent-fit", "--builtin", "disk", "--probe", "S9", "--quantity", "u13"], "--probe"),
+    (["exponent-fit", "--builtin", "disk", "--probe", "S1", "--quantity", "u99"],
+     "--quantity"),
+    (["exponent-fit", "--builtin", "disk", "--probe", "S1", "--quantity", "u13",
+      "--h", "0.005:0.05:geometric:3"], "--h"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabletau import geom
-from stabletau.errors import DomainFileError, NonConvexError, NotInUnitBallError, PointOutsideError
+from stabletau.errors import (
+    DomainFileError,
+    NewtonError,
+    NonConvexError,
+    NotInUnitBallError,
+    PointOutsideError,
+)
 from stabletau.geom import (
     ConeDomain,
     SupportDomain,
@@ -403,7 +409,7 @@ def _series_grid(dom, n_grid):
     return tg, dom.support(tg), np.cos(tg), np.sin(tg)
 
 
-def _all_minima_signed_distance(dom, pts, n_grid=1 << 16, block=32):
+def _all_minima_signed_distance(dom, pts, n_grid=1 << 16, block=4):
     """min over theta of h(theta) - x.u(theta), refining every local minimum of
     a dense grid of the exact series (within 1e-6 of the grid's least value)
     by golden section.  _dense_signed_distance refines only the least sample,
@@ -412,16 +418,20 @@ def _all_minima_signed_distance(dom, pts, n_grid=1 << 16, block=32):
     rows, ks = [], []
     for lo in range(0, len(pts), block):
         g = h - pts[lo:lo + block, :1] * c - pts[lo:lo + block, 1:] * s
-        low = (g <= np.roll(g, 1, axis=1)) & (g <= np.roll(g, -1, axis=1))
-        low &= g <= g.min(axis=1, keepdims=True) + 1e-6
-        r, k = np.nonzero(low)
-        rows.append(r + lo)
-        ks.append(k)
+        # the samples within the window, then those of them that are local minima
+        r, k = np.divmod(np.flatnonzero(g <= g.min(axis=1, keepdims=True) + 1e-6), n_grid)
+        gk = g[r, k]
+        low = (gk <= g[r, k - 1]) & (gk <= g[r, (k + 1) % n_grid])
+        rows.append(r[low] + lo)
+        ks.append(k[low])
     row, k = np.concatenate(rows), np.concatenate(ks)
     x1, x2 = pts[row, 0], pts[row, 1]
+    # h by Horner's rule in exp(i theta): sum_j (a_j - i b_j) exp(i j theta)
+    coeffs = dom.coeffs[:, 0] - 1j * dom.coeffs[:, 1]
 
     def g(t):
-        return dom.support(t) - x1 * np.cos(t) - x2 * np.sin(t)
+        return (np.polynomial.polynomial.polyval(np.exp(1j * t), coeffs).real
+                - x1 * np.cos(t) - x2 * np.sin(t))
 
     lo, hi = tg[k] - 2 * np.pi / n_grid, tg[k] + 2 * np.pi / n_grid
     r = (math.sqrt(5.0) - 1.0) / 2.0
@@ -553,6 +563,19 @@ def _near_evolute(dom, rng, n):
         [np.cos(theta), np.sin(theta)], axis=1)
 
 
+# the cusps of the ellipses' evolutes, where the minimum of g is quartic
+CUSPS = {"ellipse": [(0.4875, 0.0), (-0.4875, 0.0), (0.0, 0.78), (0.0, -0.78)],
+         "eccentric ellipse": [(0.875, 0.0), (-0.875, 0.0)]}
+
+
+def _near_cusps(cusps):
+    """Each cusp, and the points 1e-12..1e-6 off it along each axis."""
+    off = np.concatenate([10.0 ** np.arange(-12, -5), -(10.0 ** np.arange(-12, -5))])
+    steps = np.concatenate([np.zeros((1, 2)), np.stack([off, 0 * off], axis=1),
+                            np.stack([0 * off, off], axis=1)])
+    return (np.asarray(cusps)[:, None, :] + steps).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("name", ["ellipse", "eccentric ellipse", "triangle"])
 def test_distance_near_degenerate_minima(name):
     # near the evolute the certificate g'' > 0 fails on the cells around the
@@ -563,11 +586,24 @@ def test_distance_near_degenerate_minima(name):
     pts = _near_evolute(dom, rng, 2000)
     if name == "triangle":
         pts = np.concatenate([pts, _ring_points(dom, rng, 2000, 0.0, 1.5)])
+    else:
+        pts = np.concatenate([pts, _near_cusps(CUSPS[name])])
     ref = _all_minima_signed_distance(dom, pts)
     assert np.count_nonzero(ref > 0) > 100 and np.count_nonzero(ref < 0) > 100
     for query in (dom._signed_distance_foot, dom._certified_distance_foot):
         d, _ = query(pts)
         assert np.max(np.abs(d - ref)) <= bound, (query.__name__, np.max(np.abs(d - ref)))
+
+
+def test_search_raises_when_newton_stalls(monkeypatch):
+    # rows deeper than r0 end in the search's knot-interval Newton, which
+    # does not converge in one step
+    rng = np.random.default_rng(14)
+    pts = _ring_points(ELLIPSE, rng, 200, 0.0, 0.3)
+    assert np.all(ELLIPSE.lower_distance(pts) > ELLIPSE._r0)
+    monkeypatch.setattr(geom, "_NEWTON_STEPS", 1)
+    with pytest.raises(NewtonError, match="distance search"):
+        ELLIPSE._signed_distance_foot(pts)
 
 
 def test_lattice_node_values_match_dense_reference():

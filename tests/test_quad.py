@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabletau import quad
+from stabletau import geom, quad
 from stabletau.errors import NewtonError, NonConvergedError
 from stabletau.geom import SupportDomain
 from stabletau.quad import QuadSpec, integrate
@@ -187,7 +187,7 @@ def test_radial_extent_matches_bisection(dom, anchor):
 
 def test_radial_extent_raises_when_newton_stalls(monkeypatch):
     chart = quad._PolarChart(SupportDomain.from_polygon(SQUARE), (0.1, -0.2))
-    monkeypatch.setattr(quad, "_NEWTON_STEPS", 1)
+    monkeypatch.setattr(geom, "_NEWTON_STEPS", 1)
     with pytest.raises(NewtonError):
         chart.radial_extent(np.linspace(0.0, 2 * np.pi, 200, endpoint=False))
 
