@@ -14,7 +14,8 @@ Hashes the raw float64 bytes of:
   boundary probes at h = 0.01 and 0.32 and on three exterior cylinder points:
   boundary-anchored charts and deep refinement;
 - `_signed_distance_foot` (distance and foot angle) on fixed points for the
-  disk, the ellipse and `from_polygon` of the square [-0.5, 0.5]^2;
+  disk, the ellipse and `from_polygon` of the square [-0.5, 0.5]^2, and the
+  branch and bound `_search_foot` on the ellipse's points;
 - the ellipse's distance lattice (node distances and foot tables);
 - `_signed_distance_foot` on fixed points within 1e-9..1e-3 of the major axis
   of the ellipse (0.9, 0.15) rotated by 0.3, where g has two nearly tied minima;
@@ -117,6 +118,7 @@ def outputs():
     yield "PhiField values_at stderr_at", (fields[1.0].values_at(pts), fields[1.0].stderr_at(pts))
     for name, dom in (("disk", disk), ("ellipse", ellipse), ("square", square)):
         yield f"_signed_distance_foot {name}", dom._signed_distance_foot(pts)
+    yield "_search_foot ellipse", ellipse._search_foot(pts)
     yield "lattice ellipse", (ellipse._lattice().delta, ellipse._lattice().foot)
     yield "_signed_distance_foot rotated eccentric near axis", _rotated_eccentric_near_axis()
     theta = rng.uniform(0.0, 2 * np.pi, 4000)

@@ -248,9 +248,12 @@ def cylinder_points(m: float, n: int) -> np.ndarray:
 
 
 def slab_points(dom, n: int, margin: float = 0.02) -> np.ndarray:
-    """Halton points of the open slab over the domain, kept margin-deep."""
-    if not margin >= 0:
-        raise ValueError(f"slab margin must be nonnegative, got {margin:g}")
+    """Halton points of the open slab over the domain, kept margin-deep; the margin
+    must lie below the disk's radius or the largest node distance of the lattice."""
+    deepest = dom._disk_radius or float(dom._lattice().delta.max())
+    if not 0 <= margin < deepest:
+        raise ValueError(f"slab margin must lie in [0, {deepest:.6g}), the domain's "
+                         f"certified depth, got {margin:g}")
     half = dom.max_support()
     pts = np.empty((n, 3))
     got, skip = 0, 0

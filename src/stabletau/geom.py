@@ -6,15 +6,15 @@ normal angle theta is h + h'', so strict convexity is h + h'' > 0.  Minkowski
 sums act coefficient-wise on support functions, which makes the deformation
 D(t) = (1-t) D + t B(0,1) exact.
 
-The signed distance is min over theta of g = h - x.u.  Near the boundary it
-is found by Newton from a lattice seed and certified by a rolling disk of
-radius r0 <= min(h + h'') (SupportDomain._certified_distance_foot).  Deeper
-rows, and domains where r0 cannot be made positive, run a branch and bound
-over angle cells (SupportDomain._signed_distance_foot): one table of bounds
-of h + h'', per cell down to one knot interval, bounds g'' = h + h'' - g on
-each cell, which drops the cells that cannot hold the minimum and certifies
-g'' > 0 where a bracketed Newton (_bracketed_newton, which the quadrature's
-polar chart also runs) may finish.
+The signed distance is min over theta of g = h - x.u, and one query answers
+it for every caller (SupportDomain._signed_distance_foot).  Near the boundary
+it is found by Newton from a lattice seed and certified by a rolling disk of
+radius r0 <= min(h + h'').  Deeper rows, and domains where r0 cannot be made
+positive, run a branch and bound over angle cells (_search_foot, which also
+fills the lattice): one table of bounds of h + h'', per cell down to one knot
+interval, bounds g'' = h + h'' - g on each cell, which drops the cells that
+cannot hold the minimum and certifies g'' > 0 where a bracketed Newton
+(_bracketed_newton, which the quadrature's polar chart also runs) may finish.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ class SupportDomain:
         d, _ = self._signed_distance_foot(np.atleast_2d(np.asarray(x, dtype=float)))
         return d if np.ndim(x) > 1 else float(d[0])
 
-    def _signed_distance_foot(self, pts: np.ndarray):
+    def _search_foot(self, pts: np.ndarray):
         """Vectorised signed distance plus the minimising normal angle, by branch and bound.
 
         On a cell of width w where r <= h + h'' <= R (_rc_cells), g = h - x.u
@@ -291,11 +291,6 @@ class SupportDomain:
         or _FINE_SPLITS splits are done; their samples are candidates.  Each
         row takes its least candidate, so its bits do not depend on other rows.
         """
-        if self._disk_radius is not None:
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            theta = np.arctan2(pts[:, 1], pts[:, 0])
-            theta[r == 0] = 0.0
-            return self._disk_radius - r, theta
         n, step = len(pts), self._tab_step
         x1, x2 = pts[:, 0], pts[:, 1]
         h, (cs, sn) = self._tab_cols[0], self._tab_u
@@ -370,44 +365,49 @@ class SupportDomain:
         cs, sn = self._tab_u
         return self._tab_cols[1].take(k) + x1 * sn.take(k) - x2 * cs.take(k)
 
-    def _certified_distance_foot(self, pts: np.ndarray, seed=None):
-        """_signed_distance_foot, by the rolling-disk certificate where it holds.
+    def _signed_distance_foot(self, pts: np.ndarray, seed=None):
+        """Vectorised signed distance plus the minimising normal angle: the one exact query.
 
-        g(theta) = h - x.u has g'' = h + h'' - g.  Let r0 <= min(h + h'') (see
-        _certify) and theta* a critical point of g with g(theta*) < r0.
-        Inside D, x lies in the disk of radius r0 that touches the boundary
-        from inside at b(theta*), and that disk lies in D (Blaschke's rolling
-        theorem); outside D, b(theta*) is the projection of x onto D.  Either
-        way g(theta*) is the signed distance.
+        The disk returns its closed form.  Elsewhere g(theta) = h - x.u has
+        g'' = h + h'' - g.  Let r0 <= min(h + h'') (see _certify) and theta* a
+        critical point of g with g(theta*) < r0.  Inside D, x lies in the disk
+        of radius r0 that touches the boundary from inside at b(theta*), and
+        that disk lies in D (Blaschke's rolling theorem); outside D, b(theta*)
+        is the projection of x onto D.  Either way g(theta*) is the signed
+        distance.
 
         Newton starts from seed, by default the best cell-corner foot angle
         of the lattice, and may take steps up to _ROLL_CAP, since the
         certificate does not depend on where it converges.  A row is accepted
         if its last step is below _NEWTON_TOL, its value is not above the
         seed's and lies _ROLL_MARGIN below r0.  Other rows, and every row of a
-        domain with r0 = 0, run the search; the disk returns its closed form.
-        Each row's result does not depend on the other rows.
+        domain with r0 = 0, run the search (_search_foot).  Each row's result
+        does not depend on the other rows.
         """
         pts = np.asarray(pts, dtype=float)
-        if self._disk_radius is not None or self._r0 == 0.0:
-            return self._signed_distance_foot(pts)
+        if self._disk_radius is not None:
+            r = np.hypot(pts[:, 0], pts[:, 1])
+            theta = np.arctan2(pts[:, 1], pts[:, 0])
+            theta[r == 0] = 0.0
+            return self._disk_radius - r, theta
+        if self._r0 == 0.0:
+            return self._search_foot(pts)
         if seed is None:
             _, seed = self._lattice().upper_foot(pts)
         x1, x2 = pts[:, 0], pts[:, 1]
-        val, theta, step = self._newton_step(seed, x1, x2, _ROLL_CAP)
+        val, theta, step = self._newton_step(seed, x1, x2)
         start = val.copy()
         rows = np.nonzero(np.abs(step) >= _NEWTON_TOL)[0]
         for _ in range(_NEWTON_STEPS):
             if rows.size == 0:
                 break
-            val[rows], theta[rows], step = self._newton_step(theta[rows], x1[rows], x2[rows],
-                                                             _ROLL_CAP)
+            val[rows], theta[rows], step = self._newton_step(theta[rows], x1[rows], x2[rows])
             rows = rows[np.abs(step) >= _NEWTON_TOL]
         search = (val > start) | (val >= self._r0 - _ROLL_MARGIN)
         search[rows] = True
         rows = np.nonzero(search)[0]
         if rows.size:
-            val[rows], theta[rows] = self._signed_distance_foot(pts[rows])
+            val[rows], theta[rows] = self._search_foot(pts[rows])
         return val, np.mod(theta, 2 * np.pi)
 
     def lower_distance(self, pts: np.ndarray) -> np.ndarray:
@@ -420,16 +420,6 @@ class SupportDomain:
             return self._disk_radius - np.hypot(pts[:, 0], pts[:, 1])
         return self._lattice().lower(pts)
 
-    def upper_distance(self, pts: np.ndarray) -> np.ndarray:
-        """A certified upper bound of the signed distance, per row (_DistanceLattice).
-
-        The disk returns its closed form.
-        """
-        pts = np.asarray(pts, dtype=float)
-        if self._disk_radius is not None:
-            return self._disk_radius - np.hypot(pts[:, 0], pts[:, 1])
-        return self._lattice().upper_foot(pts)[0]
-
     def step_distance(self, pts: np.ndarray, cut: float) -> np.ndarray:
         """Per row, the distance r a walk steps on from x.
 
@@ -438,7 +428,7 @@ class SupportDomain:
         any kappa < 1.  A row whose lower bound exceeds max(_EXACT_BELOW, cut)
         steps on it; of the rest, near the boundary or outside, a row whose
         upper bound is at most cut reports that, and the others query the
-        exact distance (_certified_distance_foot, seeded at the upper bound's
+        exact distance (_signed_distance_foot, seeded at the upper bound's
         foot angle).
         """
         r = self.lower_distance(pts)
@@ -450,7 +440,7 @@ class SupportDomain:
             exact = r[rows] > cut
             rows = rows[exact]
             if rows.size:
-                r[rows], _ = self._certified_distance_foot(pts[rows], seed[exact])
+                r[rows], _ = self._signed_distance_foot(pts[rows], seed[exact])
         return r
 
     def _lattice(self) -> "_DistanceLattice":
@@ -459,15 +449,15 @@ class SupportDomain:
                 self._lattice_cache = _DistanceLattice(self)
             return self._lattice_cache
 
-    def _newton_step(self, theta, x1, x2, cap):
-        """g = h - x.u at theta, the next angle and the step of one Newton step capped at cap."""
+    def _newton_step(self, theta, x1, x2):
+        """g = h - x.u at theta, the next angle and the step of one Newton step, capped."""
         h, h1, h2 = self._support_012(theta)
         ct, st = np.cos(theta), np.sin(theta)
         xu = x1 * ct + x2 * st
         gp = h1 - (-x1 * st + x2 * ct)
         gpp = h2 + xu
         gpp = np.where(np.abs(gpp) < 1e-14, 1e-14, gpp)
-        step = np.clip(gp / gpp, -cap, cap)
+        step = np.clip(gp / gpp, -_ROLL_CAP, _ROLL_CAP)
         return h - xu, theta - step, step
 
     def contains(self, x) -> bool:
@@ -475,8 +465,7 @@ class SupportDomain:
         return bool(self.signed_distance(x) > _BOUNDARY_TOL)
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        d, _ = self._signed_distance_foot(np.asarray(pts, dtype=float))
-        return d > _BOUNDARY_TOL
+        return self._signed_distance_foot(pts)[0] > _BOUNDARY_TOL
 
     def boundary_distance(self, x) -> float:
         """delta_D(x) for interior x; raises PointOutsideError otherwise."""
@@ -486,8 +475,7 @@ class SupportDomain:
         return float(d)
 
     def boundary_distance_batch(self, pts: np.ndarray) -> np.ndarray:
-        d, _ = self._signed_distance_foot(np.asarray(pts, dtype=float))
-        return d
+        return self._signed_distance_foot(pts)[0]
 
     def nearest_boundary(self, x):
         """(foot point, normal angle, signed distance) of the nearest boundary point."""
@@ -558,14 +546,15 @@ class _DistanceLattice:
     delta(x) = min_theta (h(theta) - x.u(theta)) is a minimum of affine
     functions of x, so it is concave on all of R^2.  The nodes split the
     bounding box [-h(pi), h(0)] x [-h(3 pi/2), h(pi/2)] into _LATTICE_CELLS^2
-    cells and hold the oracle's distance and foot angle.  In a cell:
+    cells and hold the search's distance and foot angle (_search_foot: the
+    query reads the lattice, so it cannot fill it).  In a cell:
 
     - the bilinear interpolation of the corner distances is a convex
       combination of them at weights that reproduce x, so by Jensen it is at
       most delta(x); less _LATTICE_MARGIN it is the lower bound;
     - each corner's foot angle theta_i gives h(theta_i) - x.u(theta_i) >=
       delta(x); the least of the four is the upper bound, and its theta_i
-      seeds SupportDomain._certified_distance_foot.
+      seeds SupportDomain._signed_distance_foot.
 
     Outside the box, where D has no point, the lower bound is -inf and the
     upper bound is at most the (negative) gap to the box: the sides' normal
@@ -580,7 +569,7 @@ class _DistanceLattice:
         self.scale = n / (self.hi - self.lo)
         ax = [np.linspace(self.lo[c], self.hi[c], n + 1) for c in range(2)]
         nodes = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 2)
-        d, theta = dom._signed_distance_foot(nodes)
+        d, theta = dom._search_foot(nodes)
         # h(theta_i) from the series, cos theta_i, sin theta_i and theta_i, one row each
         foot = np.stack([_series(dom.coeffs, theta), np.cos(theta), np.sin(theta), theta])
         # copies made once the query's temporaries are freed sit low in the
@@ -665,8 +654,9 @@ def domain_gap(a: SupportDomain, b: SupportDomain, n_samples: int = 2048) -> flo
     tg = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
     pa = a.boundary_point(tg)
     pb = b.boundary_point(tg)
-    da, _ = b._signed_distance_foot(pa)
-    db, _ = a._signed_distance_foot(pb)
+    # each boundary point's own normal angle seeds the other domain's query
+    da, _ = b._signed_distance_foot(pa, tg)
+    db, _ = a._signed_distance_foot(pb, tg)
     return float(min(np.max(np.abs(da)), np.max(np.abs(db))))
 
 

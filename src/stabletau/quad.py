@@ -15,7 +15,7 @@ R(psi) is found by geom's bracketed Newton, the distance search's
 b(theta) - c, which turns monotonically with the normal angle theta,
 brackets each ray, so no global search over angles runs.  A singular centre
 outside the domain anchors the chart at its nearest boundary point, found by
-one distance query.
+one query of the domain's distance oracle (nearest_boundary).
 
 Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
 (n, m) for a vector integrand whose components then share one adaptive mesh.

@@ -7,8 +7,8 @@ exit law.  Any centred ball inside D gives an exact step, so the estimator
 is unbiased for every such r.  The domain supplies r (step_distance): on a
 support-function domain other than the disk it is a certified lower bound
 of delta_D read from a lattice (geom._DistanceLattice), and the exact
-distance, certified by a rolling disk where it can be, only near the
-boundary; on the disk and the cone it is the exact distance.  For alpha < 2
+distance (SupportDomain._signed_distance_foot, which the fields also read)
+only near the boundary; on the disk and the cone it is exact.  For alpha < 2
 the jump lands strictly outside the ball, so the walk terminates exactly
 when it lands in the exterior of the domain; no boundary shell is needed.
 For alpha = 2 the classical variant is used (uniform exit on the sphere)
@@ -343,12 +343,13 @@ class PhiField:
     with a per-sector coefficient fitted to the nearest reliable nodes (plus a
     second-order delta^(3/2) term).  Evaluation is bicubic
     between reliable nodes, the blend profile in the collar, and zero outside.
+    foot, if given, is build_field's (distance, angle) query of the node grid.
     """
 
     def __init__(self, dom: SupportDomain, alpha: float, origin, spacing: float,
                  values: np.ndarray, stderr: np.ndarray, blend_c: np.ndarray,
                  blend_c2: np.ndarray, blend_c_err: np.ndarray,
-                 domain_ref: str = "builtin:unknown"):
+                 domain_ref: str = "builtin:unknown", foot=None):
         from scipy.interpolate import RectBivariateSpline
 
         self.dom = dom
@@ -366,7 +367,7 @@ class PhiField:
         xs = self.origin[0] + self.spacing * np.arange(nx)
         ys = self.origin[1] + self.spacing * np.arange(ny)
         grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        d, theta = dom._signed_distance_foot(grid)
+        d, theta = dom._signed_distance_foot(grid) if foot is None else foot
         d = d.reshape(nx, ny)
         theta = theta.reshape(nx, ny)
         self.node_delta = d
@@ -398,7 +399,7 @@ class PhiField:
     def values_at(self, pts, foot=None) -> np.ndarray:
         """Field values; foot is the (distance, angle) query of pts if already made."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._certified_distance_foot(pts) if foot is None else foot
+        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
         collar = (d > 0) & (d <= self.collar)
         deep = d > self.collar
@@ -411,7 +412,7 @@ class PhiField:
     def stderr_at(self, pts, foot=None) -> np.ndarray:
         """Error bars of values_at; foot as there."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._certified_distance_foot(pts) if foot is None else foot
+        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
         collar = (d > 0) & (d <= self.collar)
         deep = d > self.collar
@@ -427,15 +428,13 @@ class PhiField:
 
         Rows whose lower distance bound exceeds the collar read the splines,
         which use neither the distance nor the angle, so only the other rows
-        query the oracle (_certified_distance_foot, as the separate reads do);
-        the results are those of the all-rows query.
+        query the oracle; the results are those of the all-rows query.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = self.dom.lower_distance(pts)
         theta = np.zeros(len(pts))
         near = np.nonzero(d <= self.collar)[0]
-        if near.size:
-            d[near], theta[near] = self.dom._certified_distance_foot(pts[near])
+        d[near], theta[near] = self.dom._signed_distance_foot(pts[near])
         return self.values_at(pts, (d, theta)), self.stderr_at(pts, (d, theta))
 
     def __call__(self, pts):
@@ -481,7 +480,7 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
                                               reliable_idx, spacing)
     return PhiField(dom, p.alpha, origin, spacing,
                     values.reshape(n_side, n_side), stderr.reshape(n_side, n_side),
-                    blend_c, blend_c2, blend_err, domain_ref=domain_ref)
+                    blend_c, blend_c2, blend_err, domain_ref=domain_ref, foot=(d, theta))
 
 
 def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):

@@ -72,6 +72,15 @@ def test_cylinder_and_slab_points():
     assert np.all(DISK.boundary_distance_batch(sp[:, :2]) > 0.05)
 
 
+@pytest.mark.parametrize("dom, margin", [(DISK, 1.0), (DISK, 2.0),
+                                         (SupportDomain.ellipse(0.8, 0.5), 0.6)])
+def test_slab_points_reject_margin_beyond_certified_depth(dom, margin):
+    # no point lies margin deep (the ellipse's inradius is its minor semi-axis),
+    # so the Halton draw would never end
+    with pytest.raises(ValueError, match="certified depth"):
+        an.slab_points(dom, 3, margin=margin)
+
+
 def test_hessian_scan_disk(ctx):
     rep = an.hessian_scan(ctx, an.cylinder_points(3.0, 25), descriptor="small")
     assert rep.n_fail == 0 and rep.n_indeterminate == 0

@@ -97,6 +97,9 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
       "--points", "halton:5"], "--region"),
     (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=-0.1",
       "--points", "halton:5"], "--region"),
+    # no point of the unit disk is 2 deep
+    (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=2",
+      "--points", "halton:3"], "--region"),
     # region names match exactly, not as a prefix
     (["hessian-scan", "--builtin", "disk", "--region", "cylinders",
       "--points", "halton:5"], "--region"),

@@ -360,11 +360,11 @@ def test_noisy_integrand_reads_field_with_one_distance_query(monkeypatch):
     dom = SupportDomain.ellipse(0.8, 0.5)
     field = build_field(dom, StableParams(1.0, 2), 0.1, WalkConfig(n_walks=200, seed=4))
     queries = [0]
-    query = dom._certified_distance_foot
+    query = dom._signed_distance_foot
 
-    def counting(pts):
+    def counting(pts, seed=None):
         queries[0] += 1
-        return query(pts)
+        return query(pts, seed)
 
     per_call = []
     real_integrate = extension.integrate
@@ -377,7 +377,7 @@ def test_noisy_integrand_reads_field_with_one_distance_query(monkeypatch):
             return out
         return real_integrate(dom_, g, spec)
 
-    monkeypatch.setattr(dom, "_certified_distance_foot", counting)
+    monkeypatch.setattr(dom, "_signed_distance_foot", counting)
     monkeypatch.setattr(extension, "integrate", integrate_counting)
     sample = eval_hessian(ExtensionContext(dom, field), [0.1, 0.05, 0.3])
     assert field.typical_stderr() > 0.0  # the integrand carries the noise columns

@@ -289,8 +289,10 @@ def test_distance_matches_dense_oracle_disk(pts):
 @settings(max_examples=60, deadline=None)
 @given(_points(1.1, 0.35))
 def test_distance_matches_dense_oracle_eccentric_ellipse(pts):
-    d, _ = ECCENTRIC._signed_distance_foot(pts)
-    assert np.max(np.abs(d - _dense_signed_distance(ECCENTRIC, pts))) <= 1e-11
+    ref = _dense_signed_distance(ECCENTRIC, pts)
+    for query in (ECCENTRIC._search_foot, ECCENTRIC._signed_distance_foot):
+        d, _ = query(pts)
+        assert np.max(np.abs(d - ref)) <= 1e-11, query.__name__
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,9 +366,9 @@ def test_single_row_query_matches_batch_bitwise(name):
         axes[rng.uniform(size=1000) < 0.5, 0] = 0.0
         axes[axes[:, 0] != 0.0, 1] = 0.0
     pts = np.concatenate([rng.uniform(-box, box, size=(1000, 2)), axes])
-    d, theta = dom._signed_distance_foot(pts)
+    d, theta = dom._search_foot(pts)
     for i in range(len(pts)):
-        d1, theta1 = dom._signed_distance_foot(pts[i:i + 1])
+        d1, theta1 = dom._search_foot(pts[i:i + 1])
         assert d1.tobytes() == d[i:i + 1].tobytes(), pts[i]
         assert theta1.tobytes() == theta[i:i + 1].tobytes(), pts[i]
 
@@ -386,7 +388,7 @@ def test_oracle_rows_independent_of_subset(name):
     subsets = [np.sort(rng.choice(len(pts), n, replace=False))
                for n in (0, 1, 2, 511, 512, 513, 1025)]
     subsets += [np.nonzero(rng.uniform(size=len(pts)) < q)[0] for q in (0.01, 0.3, 0.9)]
-    for query in (dom._signed_distance_foot, dom._certified_distance_foot):
+    for query in (dom._search_foot, dom._signed_distance_foot):
         d, theta = query(pts)
         for idx in subsets:
             d1, theta1 = query(pts[idx])
@@ -475,9 +477,9 @@ def _bound_points(draw, dom, axis=None):
 
 def _check_bounds(dom, pts):
     ref = _all_minima_signed_distance(dom, pts)
-    lb, ub = dom.lower_distance(pts), dom.upper_distance(pts)
+    lb, ub = dom.lower_distance(pts), dom._lattice().upper_foot(pts)[0]
     assert np.all(lb <= ref), np.max(lb - ref)
-    # at a node the upper bound is the series at the oracle's converged foot
+    # at a node the upper bound is the series at the search's converged foot
     # angle, the reference's own minimum: the two sums differ by rounding
     assert np.all(ub >= ref - 1e-14), np.min(ub - ref)
 
@@ -527,7 +529,7 @@ def test_search_finds_the_lower_of_two_far_basins(axes):
     dom = ROTATED[axes]
     pts = _near_rotated_axis(axes[0])
     ref = _all_minima_signed_distance(dom, pts)
-    for query in (dom._signed_distance_foot, dom._certified_distance_foot):
+    for query in (dom._search_foot, dom._signed_distance_foot):
         d, _ = query(pts)
         assert np.max(np.abs(d - ref)) <= 1e-10, (query.__name__, np.max(np.abs(d - ref)))
 
@@ -544,12 +546,13 @@ def test_foot_angle_is_consistent(name):
     # checks how well theta is pinned), and the series at theta gives d back
     dom, bound = BOUNDS[name]
     pts = _ring_points(dom, np.random.default_rng(12), 3000, 0.0, 1.5)
-    d, theta = dom._signed_distance_foot(pts)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    gap = np.linalg.norm(pts + d[:, None] * u - dom.boundary_point(theta), axis=1)
-    assert np.max(gap) <= 2e-8, np.max(gap)
-    series = dom.support(theta) - np.sum(pts * u, axis=1)
-    assert np.max(np.abs(series - d)) <= bound, np.max(np.abs(series - d))
+    for query in (dom._search_foot, dom._signed_distance_foot):
+        d, theta = query(pts)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        gap = np.linalg.norm(pts + d[:, None] * u - dom.boundary_point(theta), axis=1)
+        assert np.max(gap) <= 2e-8, (query.__name__, np.max(gap))
+        series = dom.support(theta) - np.sum(pts * u, axis=1)
+        assert np.max(np.abs(series - d)) <= bound, (query.__name__, np.max(np.abs(series - d)))
 
 
 def _near_evolute(dom, rng, n):
@@ -590,7 +593,7 @@ def test_distance_near_degenerate_minima(name):
         pts = np.concatenate([pts, _near_cusps(CUSPS[name])])
     ref = _all_minima_signed_distance(dom, pts)
     assert np.count_nonzero(ref > 0) > 100 and np.count_nonzero(ref < 0) > 100
-    for query in (dom._signed_distance_foot, dom._certified_distance_foot):
+    for query in (dom._search_foot, dom._signed_distance_foot):
         d, _ = query(pts)
         assert np.max(np.abs(d - ref)) <= bound, (query.__name__, np.max(np.abs(d - ref)))
 
@@ -603,7 +606,7 @@ def test_search_raises_when_newton_stalls(monkeypatch):
     assert np.all(ELLIPSE.lower_distance(pts) > ELLIPSE._r0)
     monkeypatch.setattr(geom, "_NEWTON_STEPS", 1)
     with pytest.raises(NewtonError, match="distance search"):
-        ELLIPSE._signed_distance_foot(pts)
+        ELLIPSE._search_foot(pts)
 
 
 def test_lattice_node_values_match_dense_reference():
@@ -640,13 +643,13 @@ def test_certificate_radius_bounds_curvature_radius():
 def _counting_search(dom, monkeypatch):
     """Record the number of rows each search query gets."""
     rows = []
-    search = dom._signed_distance_foot
+    search = dom._search_foot
 
     def counting(pts):
         rows.append(len(pts))
         return search(pts)
 
-    monkeypatch.setattr(dom, "_signed_distance_foot", counting)
+    monkeypatch.setattr(dom, "_search_foot", counting)
     return rows
 
 
@@ -659,13 +662,13 @@ def test_far_side_seed_is_rejected(monkeypatch):
     pts = np.array([[0.0, 0.49], [0.02, 0.45], [-0.01, -0.48], [0.03, -0.4]])
     far_side = np.where(pts[:, 1] > 0, 1.5 * np.pi, 0.5 * np.pi)
     searched = _counting_search(dom, monkeypatch)
-    d, theta = dom._certified_distance_foot(pts, far_side)
+    d, theta = dom._signed_distance_foot(pts, far_side)
     assert searched == [len(pts)]
     assert np.max(np.abs(d - _all_minima_signed_distance(dom, pts))) <= 1e-11
     assert np.all(np.cos(theta - far_side) < -0.9)  # the near side
     # from the lattice's own seeds every row is certified
     searched.clear()
-    assert np.max(np.abs(dom._certified_distance_foot(pts)[0] - d)) <= 1e-14
+    assert np.max(np.abs(dom._signed_distance_foot(pts)[0] - d)) <= 1e-14
     assert searched == []
 
 
@@ -688,7 +691,7 @@ def test_certified_rows_match_dense_reference(name, monkeypatch):
     searched = _counting_search(dom, monkeypatch)
     for kind, pts in kinds.items():
         searched.clear()
-        d, _ = dom._certified_distance_foot(pts)
+        d, _ = dom._signed_distance_foot(pts)
         ref = _all_minima_signed_distance(dom, pts)
         assert np.max(np.abs(d - ref)) <= 1e-11, (kind, np.max(np.abs(d - ref)))
         # the rows the search got are, but for a few, the ones no certificate covers
@@ -699,7 +702,6 @@ def test_disk_bounds_are_the_closed_form():
     disk = SupportDomain.disk(0.7)
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(500, 2))
     d, _ = disk._signed_distance_foot(pts)
-    for got in (disk.lower_distance(pts), disk.upper_distance(pts),
-                disk.step_distance(pts, 1e-12)):
+    for got in (disk.lower_distance(pts), disk.step_distance(pts, 1e-12)):
         assert got.tobytes() == d.tobytes()
     assert disk._lattice_cache is None  # the disk never builds a lattice

@@ -5,6 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.integrate import quad as quad1d
 
+from stabletau import geom
 from stabletau import wos
 from stabletau.closedform import StableParams, ball_exit_constant, ball_phi
 from stabletau.errors import DomainFileError, GridTooCoarseError, PointOutsideError
@@ -154,9 +155,8 @@ def test_every_ball_stays_inside_the_ellipse(alpha):
     pts = np.concatenate([q for q, _, _ in dom.steps])
     r = np.concatenate([r for _, r, _ in dom.steps])
     cut = np.concatenate([np.full(len(q), c) for q, _, c in dom.steps])
-    # the exact distance as step_distance's exact rows compute it; it agrees
-    # with the search's boundary_distance_batch to rounding (test_geom)
-    exact, _ = dom._certified_distance_foot(pts)
+    # the exact distance, the one query step_distance's exact rows make
+    exact, _ = dom._signed_distance_foot(pts)
     step = r > cut
     # a step's ball has radius kappa r: r is at most the exact distance, and
     # a row exits exactly when its exact distance is at most the cut
@@ -338,19 +338,19 @@ def test_deep_field_reads_skip_the_oracle_bitwise(ellipse_field, monkeypatch):
     pts = rng.uniform([-0.95, -0.65], [0.95, 0.65], size=(10_000, 2))
     pts[:2000] = f.dom.boundary_point(rng.uniform(0, 2 * np.pi, 2000)) * rng.uniform(
         0.8, 1.02, (2000, 1))  # the collar and just outside
-    foot = f.dom._certified_distance_foot(pts)
+    foot = f.dom._signed_distance_foot(pts)
     d = foot[0]
     for where in (d > f.collar, (d > 0) & (d <= f.collar), d <= 0):
         assert np.count_nonzero(where) > 500  # deep, collar and exterior points
     want = f.values_at(pts, foot), f.stderr_at(pts, foot)  # every row queried
     queried = []
-    query = f.dom._certified_distance_foot
+    query = f.dom._signed_distance_foot
 
     def counting(q):
         queried.append(len(q))
         return query(q)
 
-    monkeypatch.setattr(f.dom, "_certified_distance_foot", counting)
+    monkeypatch.setattr(f.dom, "_signed_distance_foot", counting)
     values, errs = f.values_and_stderr_at(pts)
     assert values.tobytes() == want[0].tobytes()
     assert errs.tobytes() == want[1].tobytes()
@@ -361,27 +361,65 @@ def test_deep_field_reads_skip_the_oracle_bitwise(ellipse_field, monkeypatch):
 
 def test_estimate_phi_queries_start_once(monkeypatch):
     dom = SupportDomain.ellipse(0.8, 0.5)
-    queried, exact = [], []
-    query, certified = dom._signed_distance_foot, dom._certified_distance_foot
+    queried = []
+    query = dom._signed_distance_foot
 
-    def counting(pts):
+    def counting(pts, seed=None):
         queried.append(pts.copy())
-        return query(pts)
+        return query(pts, seed)
 
-    def counting_exact(pts, seed=None):
-        exact.append(len(pts))
-        return certified(pts, seed)
-
-    dom._lattice()  # built once per domain, with its own query
     monkeypatch.setattr(dom, "_signed_distance_foot", counting)
-    monkeypatch.setattr(dom, "_certified_distance_foot", counting_exact)
     est = estimate_phi(dom, CAUCHY, [0.3, 0.1], WalkConfig(n_walks=20000, seed=2))
     rows = np.concatenate(queried)
     # one start query for both batches; walk steps query the exact distance
     # only on rows near the boundary, about 1.5% of them at alpha = 1
     assert len(queried[0]) == 1
     assert np.count_nonzero(np.all(rows == [0.3, 0.1], axis=1)) == 1
-    assert 0 < sum(exact) < 0.05 * round(est.mean_steps * est.n_walks)
+    assert 0 < sum(map(len, queried[1:])) < 0.05 * round(est.mean_steps * est.n_walks)
+
+
+def _rotated_ellipse(a, b, phi=0.3):
+    return SupportDomain.from_function(
+        lambda t: np.sqrt(a * a * np.cos(t - phi) ** 2 + b * b * np.sin(t - phi) ** 2))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "rotated eccentric"])
+def test_every_exact_distance_is_the_one_query(name):
+    # the public distances, the walks' exact rows, the field's nodes and its
+    # reads return _signed_distance_foot's bits on the same rows, on points
+    # across the domain and within 1e-9..1e-3 of its boundary
+    dom, spacing = {"ellipse": (SupportDomain.ellipse(0.8, 0.5), 0.1),
+                    "rotated eccentric": (_rotated_ellipse(0.9, 0.15), 0.05)}[name]
+    rng = np.random.default_rng(41)
+    theta = rng.uniform(0.0, 2 * np.pi, 2000)
+    b = dom.boundary_point(theta)
+    normal = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    pts = np.concatenate([b[:1000] * rng.uniform(0.0, 1.2, (1000, 1)),
+                          b[1000:] - (10.0 ** rng.uniform(-9, -3, (1000, 1))
+                                      * rng.choice([-1.0, 1.0], (1000, 1))) * normal[1000:]])
+    d, foot = dom._signed_distance_foot(pts)
+    assert dom.signed_distance(pts).tobytes() == d.tobytes()
+    assert dom.boundary_distance_batch(pts).tobytes() == d.tobytes()
+    near, angle, dist = dom.nearest_boundary(pts)
+    assert dist.tobytes() == d.tobytes() and angle.tobytes() == foot.tobytes()
+    assert near.tobytes() == (pts + d[:, None] * np.stack([np.cos(foot), np.sin(foot)],
+                                                          axis=1)).tobytes()
+    # step_distance's exact rows: no bound decides them
+    cut = 1e-12
+    exact = ((dom.lower_distance(pts) <= max(geom._EXACT_BELOW, cut))
+             & (dom._lattice().upper_foot(pts)[0] > cut))
+    assert np.count_nonzero(exact) > 300
+    assert dom.step_distance(pts, cut)[exact].tobytes() == d[exact].tobytes()
+    field = build_field(dom, CAUCHY, spacing, WalkConfig(n_walks=10, seed=3))
+    nx, ny = field.values.shape
+    xs = field.origin[0] + field.spacing * np.arange(nx)
+    ys = field.origin[1] + field.spacing * np.arange(ny)
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert field.node_delta.tobytes() == dom._signed_distance_foot(grid)[0].tobytes()
+    collar = (d > 0) & (d <= field.collar)
+    assert np.count_nonzero(collar) > 200
+    assert field.values_at(pts).tobytes() == field.values_at(pts, (d, foot)).tobytes()
+    assert field.stderr_at(pts).tobytes() == field.stderr_at(pts, (d, foot)).tobytes()
 
 
 def test_field_file_rejects_v1_and_bad_domain(tmp_path, disk_field):
