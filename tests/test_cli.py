@@ -97,9 +97,6 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
       "--points", "halton:5"], "--region"),
     (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=-0.1",
       "--points", "halton:5"], "--region"),
-    # no point of the unit disk is 2 deep
-    (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=2",
-      "--points", "halton:3"], "--region"),
     # region names match exactly, not as a prefix
     (["hessian-scan", "--builtin", "disk", "--region", "cylinders",
       "--points", "halton:5"], "--region"),
@@ -112,6 +109,9 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
      "--quantity"),
     (["exponent-fit", "--builtin", "disk", "--probe", "S1", "--quantity", "u13",
       "--h", "0.005:0.05:geometric:3"], "--h"),
+    # no point of the unit disk is 2 deep
+    (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=2",
+      "--points", "halton:3"], "--region"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE
