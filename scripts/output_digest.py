@@ -22,8 +22,16 @@ Hashes the raw float64 bytes of:
 - the ellipse's `step_distance` on fixed points within 1e-3 of its boundary,
   the rows that query the exact distance.
 
-Prints one line per output and the combined digest last.  Run it on two
-checkouts and compare:
+Prints one line per output and their combined digest, `all`.  The lines after
+`all` pin the walk loop's bits and are kept out of it, so that `all` compares
+with checkouts older than them:
+
+- `ExitRadiusLaw.factor` at alpha = 0.5, 0.7, 1.5 and 1.9 on fixed uniforms,
+  the edge values 0, 2^-53, 0.5 and 1 - 2^-53 included;
+- `estimate_phi` (with exit points) on the unit disk at alpha = 0.5, 1.5 and 2,
+  and on the three-dimensional cone at alpha = 1.5.
+
+Run it on two checkouts and compare:
 
     PYTHONPATH=src python scripts/output_digest.py
 """
@@ -38,7 +46,7 @@ from stabletau.closedform import StableParams
 from stabletau.extension import DiskPhi, ExtensionContext
 from stabletau.geom import ConeDomain, SupportDomain
 from stabletau.quad import QuadSpec
-from stabletau.wos import WalkConfig, build_field, estimate_phi
+from stabletau.wos import ExitRadiusLaw, WalkConfig, build_field, estimate_phi
 
 SQUARE = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
 SCAN_POINTS = np.array([[0.2, 0.1, 0.3], [-0.4, 0.2, 0.6], [0.9, -0.3, 0.15],
@@ -129,6 +137,21 @@ def outputs():
     yield "PhiField values_and_stderr_at collar", fields[1.0].values_and_stderr_at(collar)
 
 
+def walk_outputs():
+    u = np.concatenate([np.random.default_rng(20261019).random(100_000),
+                        [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]])
+    for alpha in (0.5, 0.7, 1.5, 1.9):
+        yield f"exit_law factor alpha={alpha:g}", (ExitRadiusLaw(alpha).factor(u),)
+    disk = SupportDomain.disk(1.0)
+    for name, dom, alpha, x, n in (("disk", disk, 0.5, [0.3, 0.1], 40_000),
+                                   ("disk", disk, 1.5, [0.3, 0.1], 40_000),
+                                   ("disk", disk, 2.0, [0.3, 0.1], 4_000),
+                                   ("cone", ConeDomain(0.4, 3), 1.5, [0.5, 0.05, -0.05], 40_000)):
+        est, finals = estimate_phi(dom, StableParams(alpha, dom.dim), x,
+                                   WalkConfig(n_walks=n, seed=5), return_final_points=True)
+        yield f"estimate_phi {name} alpha={alpha:g}", _estimate_arrays(est, finals)
+
+
 def main():
     total = hashlib.sha256()
     for label, arrays in outputs():
@@ -136,6 +159,8 @@ def main():
         total.update(d.encode())
         print(f"{d}  {label}")
     print(f"{total.hexdigest()}  all")
+    for label, arrays in walk_outputs():
+        print(f"{_digest(*arrays)}  {label}")
 
 
 if __name__ == "__main__":

@@ -381,8 +381,11 @@ class SupportDomain:
         certificate does not depend on where it converges.  A row is accepted
         if its last step is below _NEWTON_TOL, its value is not above the
         seed's and lies _ROLL_MARGIN below r0.  Other rows, and every row of a
-        domain with r0 = 0, run the search (_search_foot).  Each row's result
-        does not depend on the other rows.
+        domain with r0 = 0, run the search (_search_foot).  A row in a deep
+        lattice cell, where the lower bound is at least r0 - _ROLL_MARGIN, cannot
+        be accepted (any g(theta) is at least the distance): it stops after
+        Newton's first step, and a query of deep rows only runs no Newton.
+        Each row's result does not depend on the other rows.
         """
         pts = np.asarray(pts, dtype=float)
         if self._disk_radius is not None:
@@ -392,12 +395,19 @@ class SupportDomain:
             return self._disk_radius - r, theta
         if self._r0 == 0.0:
             return self._search_foot(pts)
+        lattice = self._lattice()
         if seed is None:
-            _, seed = self._lattice().upper_foot(pts)
+            _, seed, deep = lattice.upper_foot(pts)
+        else:
+            deep = lattice.deep.take(lattice._cell(pts)[0])
+        if deep.all():
+            val, theta = self._search_foot(pts)
+            return val, np.mod(theta, 2 * np.pi)
         x1, x2 = pts[:, 0], pts[:, 1]
         val, theta, step = self._newton_step(seed, x1, x2)
         start = val.copy()
-        rows = np.nonzero(np.abs(step) >= _NEWTON_TOL)[0]
+        # rows in deep cells stop here: their value already fails the certificate
+        rows = np.nonzero((np.abs(step) >= _NEWTON_TOL) & ~deep)[0]
         for _ in range(_NEWTON_STEPS):
             if rows.size == 0:
                 break
@@ -407,7 +417,7 @@ class SupportDomain:
         search[rows] = True
         rows = np.nonzero(search)[0]
         if rows.size:
-            val[rows], theta[rows] = self._search_foot(pts[rows])
+            val[rows], theta[rows] = self._search_foot(pts.take(rows, axis=0))
         return val, np.mod(theta, 2 * np.pi)
 
     def lower_distance(self, pts: np.ndarray) -> np.ndarray:
@@ -436,11 +446,11 @@ class SupportDomain:
             return r
         rows = np.nonzero(r <= max(_EXACT_BELOW, cut))[0]
         if rows.size:
-            r[rows], seed = self._lattice().upper_foot(pts[rows])
+            r[rows], seed, _ = self._lattice().upper_foot(pts.take(rows, axis=0))
             exact = r[rows] > cut
             rows = rows[exact]
             if rows.size:
-                r[rows], _ = self._signed_distance_foot(pts[rows], seed[exact])
+                r[rows], _ = self._signed_distance_foot(pts.take(rows, axis=0), seed[exact])
         return r
 
     def _lattice(self) -> "_DistanceLattice":
@@ -554,7 +564,11 @@ class _DistanceLattice:
       most delta(x); less _LATTICE_MARGIN it is the lower bound;
     - each corner's foot angle theta_i gives h(theta_i) - x.u(theta_i) >=
       delta(x); the least of the four is the upper bound, and its theta_i
-      seeds SupportDomain._signed_distance_foot.
+      seeds SupportDomain._signed_distance_foot;
+    - a cell is deep where its least corner distance less _LATTICE_MARGIN,
+      and so the lower bound throughout the cell, is at least
+      r0 - _ROLL_MARGIN: no rolling-disk certificate holds there, and
+      SupportDomain._signed_distance_foot sends its rows to the search.
 
     Outside the box, where D has no point, the lower bound is -inf and the
     upper bound is at most the (negative) gap to the box: the sides' normal
@@ -575,6 +589,13 @@ class _DistanceLattice:
         # copies made once the query's temporaries are freed sit low in the
         # heap, so the memory those temporaries took can go back to the system
         self.delta, self.foot = d.copy(), foot.copy()
+        # deep flags by lower-left node; the last row and column start no cell
+        dn = self.delta.reshape(n + 1, n + 1)
+        least = np.minimum(np.minimum(dn[:-1, :-1], dn[:-1, 1:]),
+                           np.minimum(dn[1:, :-1], dn[1:, 1:]))
+        self.deep = np.zeros((n + 1, n + 1), dtype=bool)
+        self.deep[:-1, :-1] = least - _LATTICE_MARGIN >= dom._r0 - _ROLL_MARGIN
+        self.deep = self.deep.ravel()
 
     def _cell(self, pts):
         """Lower-left node index and in-cell coordinates (s, t) of each row."""
@@ -597,7 +618,7 @@ class _DistanceLattice:
         return np.where(inside, lb, -np.inf)
 
     def upper_foot(self, pts: np.ndarray):
-        """The upper bound and the foot angle of the least corner, per row."""
+        """The upper bound, the foot angle of the least corner and whether the cell is deep."""
         n = _LATTICE_CELLS
         k, _, _ = self._cell(pts)
         x, y = pts[:, 0], pts[:, 1]
@@ -609,7 +630,7 @@ class _DistanceLattice:
             best, at = np.where(lower, g, best), np.where(lower, corner, at)
         ub = np.minimum(np.minimum(x - self.lo[0], self.hi[0] - x),
                         np.minimum(y - self.lo[1], self.hi[1] - y))
-        return np.minimum(ub, best), theta.take(at)
+        return np.minimum(ub, best), theta.take(at), self.deep.take(k)
 
 
 def _series(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -19,6 +19,13 @@ draw one block of uniforms at a Philox counter derived from (b, k) under key
 (seed, stream), and the j-th live walk in walk order reads column j.  The
 live set is itself a deterministic function of the inputs, so runs are
 bitwise reproducible for any thread count.
+
+A round's array passes are kept few: the batch holds its live walks'
+positions as (dim, n) coordinate rows, the directions come as the same rows,
+and exited walks are compacted by index.  The exit radius for alpha other
+than 1 and 2 reads a quantile table whose knots are uniform in logit, so
+each lookup finds its interval by a direct index and evaluates the table's
+cubic exactly as SciPy's PPoly does, bitwise.
 """
 
 from __future__ import annotations
@@ -81,7 +88,11 @@ class ExitRadiusLaw:
     of the planar Cauchy process; alpha = 2 degenerates to the sphere itself.
     For other alpha the exact incomplete-beta inversion seeds a 4096-knot
     monotone-cubic quantile table in log-log coordinates (power-law tails at
-    both the ball surface and infinity make that chart nearly linear).
+    both the ball surface and infinity make that chart nearly linear).  The
+    table keeps the knots and coefficients of SciPy's PchipInterpolator; its
+    knots are uniform in logit, so a lookup finds its interval by a direct
+    index and evaluates PPoly's sum in PPoly's order, bitwise equal to the
+    interpolator's own evaluation.
     """
 
     _TABLE_KNOTS = 4096
@@ -92,7 +103,6 @@ class ExitRadiusLaw:
         if not 0.0 < alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
         self.alpha = float(alpha)
-        self._quantile = None
         if self.alpha not in (1.0, 2.0):
             from scipy.interpolate import PchipInterpolator
 
@@ -103,8 +113,41 @@ class ExitRadiusLaw:
             v = 1.0 / (1.0 + np.exp(-logit))
             t = betaincinv(0.5 * self.alpha, 1.0 - 0.5 * self.alpha, v)
             q = 1.0 / np.sqrt(np.clip(t, 1e-300, 1.0))
-            self._quantile = PchipInterpolator(
+            table = PchipInterpolator(
                 logit, np.log(np.maximum(q - 1.0, 1e-300)), extrapolate=True)
+            # knots x and per-interval coefficient rows c[0] (cubic) .. c[3]
+            self._knots, self._coeffs = table.x, table.c
+            self._knot_step = (table.x[-1] - table.x[0]) / (table.x.size - 1)
+
+    def _log_excess(self, z: np.ndarray) -> np.ndarray:
+        """The quantile table's log(q - 1) at logits z (1-D), bitwise as PPoly.
+
+        z's interval i has x[i] <= z < x[i + 1], the last one closed, and
+        rows beyond either end take the end interval.  The direct index
+        (z - x[0]) / step is within one of i, so one compare on each side
+        settles it.  The value is PPoly's sum c3 + c2 s + c1 s^2 + c0 s^3,
+        summed and with its powers built in PPoly's order.
+        """
+        x, c = self._knots, self._coeffs
+        last = x.size - 2
+        f = z - x[0]
+        f /= self._knot_step
+        i = np.fmin(np.fmax(f, 0.0, out=f), last, out=f).astype(np.intp)  # nan -> 0
+        i -= z < x.take(i)
+        i += z >= x.take(i + 1)
+        np.minimum(np.maximum(i, 0, out=i), last, out=i)
+        s = np.subtract(z, x.take(i), out=f)
+        out = c[3].take(i)
+        term = c[2].take(i)
+        term *= s
+        out += term
+        np.multiply(s, s, out=term)  # s^2; s^3 then goes into s, so few arrays are live
+        s *= term
+        term *= c[1].take(i)
+        out += term
+        s *= c[0].take(i)
+        out += s
+        return out
 
     def factor(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0, 1) to rho/s via the inverse CDF."""
@@ -113,8 +156,14 @@ class ExitRadiusLaw:
             return np.ones_like(u)
         if self.alpha == 1.0:
             return 1.0 / np.maximum(np.cos(0.5 * np.pi * u), 1e-300)
-        v = np.clip(1.0 - u, self._V_MIN, self._V_MAX)
-        return 1.0 + np.exp(self._quantile(np.log(v) - np.log1p(-v)))
+        v = np.clip(1.0 - u.ravel(), self._V_MIN, self._V_MAX)
+        z = np.log(v)
+        z -= np.log1p(-v)
+        del v  # the table's temporaries take its place
+        out = self._log_excess(z)
+        np.exp(out, out=out)
+        out += 1.0
+        return out.reshape(u.shape)
 
     def factor_exact(self, u: np.ndarray) -> np.ndarray:
         """Table-free inversion; the oracle the table is validated against."""
@@ -172,16 +221,25 @@ def _uniform_block(seed: int, stream: int, batch_start: int, step: int,
 
 
 def _directions(uni: np.ndarray, dim: int) -> np.ndarray:
-    """Unit vectors from the uniform rows following the radial draw."""
+    """Unit vectors as (dim, n) coordinate rows, from the uniform rows after the radial draw."""
+    n = uni.shape[1]
     if dim == 2:
         ang = 2.0 * np.pi * uni[0]
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        out = np.empty((2, n))
+        np.cos(ang, out=out[0])
+        np.sin(ang, out=out[1])
+        return out
     if dim == 3:
-        z = 2.0 * uni[0] - 1.0
+        out = np.empty((3, n))
+        z = np.multiply(2.0, uni[0], out=out[2])
+        z -= 1.0
         ang = 2.0 * np.pi * uni[1]
         r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=-1)
-    n = uni.shape[1]
+        np.cos(ang, out=out[0])
+        out[0] *= r
+        np.sin(ang, out=out[1])
+        out[1] *= r
+        return out
     pairs = (dim + 1) // 2
     g = np.empty((2 * pairs, n))
     for i in range(pairs):
@@ -190,8 +248,8 @@ def _directions(uni: np.ndarray, dim: int) -> np.ndarray:
         r = np.sqrt(-2.0 * np.log(u1))
         g[2 * i] = r * np.cos(2.0 * np.pi * u2)
         g[2 * i + 1] = r * np.sin(2.0 * np.pi * u2)
-    g = g[:dim].T
-    return g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    g = g[:dim]
+    return g / np.maximum(np.linalg.norm(g, axis=0), 1e-300)
 
 
 def sample_exit(ball: BallSpec, p: StableParams, rng: Generator):
@@ -204,7 +262,7 @@ def sample_exit(ball: BallSpec, p: StableParams, rng: Generator):
     width = _uniform_width(p.dim)
     u = rng.random(width).reshape(width, 1)
     rho = float(ball.radius * law.factor(u[0])[0])
-    direction = _directions(u[1:], p.dim)[0]
+    direction = _directions(u[1:], p.dim)[:, 0]
     return np.asarray(ball.center, dtype=float) + rho * direction
 
 
@@ -221,16 +279,17 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
 
     Only live walks are carried: ids maps them to walk indices in increasing
     order, and at step k the j-th live walk reads column j of the step's
-    (width, n_live) uniform block.  A walk's time and step count are written
-    back when it exits; walks still live after cfg.max_steps keep their
-    accrued time and count as truncated.
+    (width, n_live) uniform block.  Positions are held as (dim, n_live)
+    coordinate rows.  A walk's time and step count are written back when it
+    exits; walks still live after cfg.max_steps keep their accrued time and
+    count as truncated.
     """
     batch_size, dim = pos0.shape
     tacc = np.zeros(batch_size)
     steps = np.full(batch_size, cfg.max_steps, dtype=np.int64)
     finals = np.full((batch_size, dim), np.nan) if collect_finals else None
     ids = np.arange(batch_size)
-    pos = np.array(pos0, dtype=float)
+    pos = np.array(np.transpose(pos0), dtype=float, order="C")
     # the step distance is carried forward so each round queries it once
     delta = np.array(delta0, dtype=float)
     t = np.zeros(batch_size)
@@ -244,17 +303,20 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
         s = cfg.ball_fraction * delta
         t += cb * s ** p.alpha
         rho = s * law.factor(uni[0])
-        pos = pos + rho[:, None] * _directions(uni[1:], dim)
-        delta = dom.step_distance(pos, exit_cut)
+        pos += _directions(uni[1:], dim) * rho
+        delta = dom.step_distance(pos.T, exit_cut)
         exited = delta <= exit_cut
-        if exited.any():
-            done = ids[exited]
-            tacc[done] = t[exited]
+        gone = np.flatnonzero(exited)
+        if gone.size:
+            done = ids.take(gone)
+            tacc[done] = t.take(gone)
             steps[done] = k + 1
             if collect_finals:
-                finals[done] = pos[exited]
-            live = ~exited
-            ids, pos, delta, t = ids[live], pos[live], delta[live], t[live]
+                finals[done] = pos.take(gone, axis=1).T
+            live = np.flatnonzero(~exited)
+            ids, delta, t = ids.take(live), delta.take(live), t.take(live)
+            pos = pos.take(live, axis=1)
+            del live  # freed before the next round's temporaries
     tacc[ids] = t  # truncated walks keep their accrued time
     if group_of is None:
         sums = (np.array([tacc.sum()]), np.array([np.dot(tacc, tacc)]),
@@ -434,7 +496,7 @@ class PhiField:
         d = self.dom.lower_distance(pts)
         theta = np.zeros(len(pts))
         near = np.nonzero(d <= self.collar)[0]
-        d[near], theta[near] = self.dom._signed_distance_foot(pts[near])
+        d[near], theta[near] = self.dom._signed_distance_foot(pts.take(near, axis=0))
         return self.values_at(pts, (d, theta)), self.stderr_at(pts, (d, theta))
 
     def __call__(self, pts):

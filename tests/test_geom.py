@@ -672,6 +672,42 @@ def test_far_side_seed_is_rejected(monkeypatch):
     assert searched == []
 
 
+def test_deep_rows_go_straight_to_the_search(monkeypatch):
+    # on the ellipse (0.8, 0.5), the points s b(theta) with s <= 0.3 lie in
+    # deep lattice cells, whose lower bounds are at or above r0 and where the
+    # certificate must fail: alone they skip Newton, mixed with collar rows
+    # they stop after its first step, and either way they read as the search
+    dom = SupportDomain.ellipse(0.8, 0.5)
+    lattice = dom._lattice()
+    anywhere = np.random.default_rng(14).uniform(-0.8, 0.8, (20000, 2))
+    in_deep = lattice.deep.take(lattice._cell(anywhere)[0])
+    assert 0 < np.count_nonzero(in_deep) < len(anywhere)
+    assert np.all(dom.lower_distance(anywhere[in_deep]) >= dom._r0 - geom._ROLL_MARGIN)
+    theta = np.linspace(0.0, 2 * np.pi, 225, endpoint=False)
+    deep = dom.boundary_point(theta) * np.linspace(0.0, 0.3, 225)[:, None]
+    assert np.all(lattice.deep.take(lattice._cell(deep)[0]))
+    collar = dom.boundary_point(theta) * 0.97
+    alone = [dom._signed_distance_foot(pts) for pts in (deep, collar)]
+    newton_rows = []
+    newton = dom._newton_step
+
+    def counting(theta, x1, x2):
+        newton_rows.append(len(x1))
+        return newton(theta, x1, x2)
+
+    monkeypatch.setattr(dom, "_newton_step", counting)
+    d, theta_foot = dom._signed_distance_foot(deep)
+    assert newton_rows == []
+    want_d, want_theta = dom._search_foot(deep)
+    assert d.tobytes() == want_d.tobytes()
+    assert theta_foot.tobytes() == np.mod(want_theta, 2 * np.pi).tobytes()
+    mixed = dom._signed_distance_foot(np.concatenate([deep, collar]))
+    assert newton_rows[0] == len(deep) + len(collar)  # deep rows stop after one step
+    assert max(newton_rows[1:]) <= len(collar)
+    for k in range(2):
+        assert mixed[k].tobytes() == np.concatenate([alone[0][k], alone[1][k]]).tobytes()
+
+
 def _ring_points(dom, rng, n, lo, hi):
     """n points s * b(theta) for uniform theta and s uniform in [lo, hi]."""
     b = dom.boundary_point(rng.uniform(0.0, 2 * np.pi, n))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy.integrate import quad as quad1d
+from scipy.interpolate import PchipInterpolator
+from scipy.special import betaincinv
 
 from stabletau import geom
 from stabletau import wos
@@ -535,7 +537,8 @@ def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
             u = uni[:, j:j + 1]
             s = cfg.ball_fraction * delta[w:w + 1]
             tacc[w:w + 1] += cb * s ** p.alpha
-            new = pos[w:w + 1] + (s * law.factor(u[0]))[:, None] * wos._directions(u[1:], p.dim)
+            step = wos._directions(u[1:], p.dim).T  # (dim, 1) rows as one (1, dim) point
+            new = pos[w:w + 1] + (s * law.factor(u[0]))[:, None] * step
             delta[w:w + 1] = dom.step_distance(new, exit_cut)
             pos[w] = new[0]
             steps[w] += 1
@@ -608,6 +611,17 @@ def test_run_batch_matches_per_walk_reference_grouped_ellipse():
                                    stream=1, batch_start=16384, group_of=group_of)
 
 
+@pytest.mark.parametrize("dom, p, x, n", [
+    (ConeDomain(0.4, 3), StableParams(1.5, 3), [0.5, 0.05, -0.05], 200),  # dim != 2
+    (DISK, StableParams(2.0, 2), [0.3, 0.2], 60),  # the absorption shell
+    (DISK, StableParams(0.5, 2), [0.3, 0.2], 400)])
+def test_run_batch_matches_per_walk_reference_other_paths(dom, p, x, n):
+    cfg = WalkConfig(n_walks=n, seed=23)
+    _, steps, _, live = _check_batch_against_reference(dom, p, np.tile(x, (n, 1)), cfg,
+                                                       stream=2, batch_start=0)
+    assert not live and steps.max() > 1
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_every_uniform_drawn_is_used(monkeypatch, alpha):
     block = wos._uniform_block
@@ -644,3 +658,30 @@ def test_exit_law_cached_per_alpha():
     assert wos._exit_law(1.5) is wos._exit_law(1.5)
     u = Generator(Philox(key=4)).random(1000)
     assert wos._exit_law(0.7).factor(u).tobytes() == ExitRadiusLaw(0.7).factor(u).tobytes()
+
+
+def _pchip_table(alpha):
+    """The exit-law quantile table as the SciPy interpolator it is built from."""
+    law = ExitRadiusLaw
+    logit = np.linspace(math.log(law._V_MIN), -math.log1p(-law._V_MAX), law._TABLE_KNOTS)
+    v = 1.0 / (1.0 + np.exp(-logit))
+    t = betaincinv(0.5 * alpha, 1.0 - 0.5 * alpha, v)
+    q = 1.0 / np.sqrt(np.clip(t, 1e-300, 1.0))
+    return PchipInterpolator(logit, np.log(np.maximum(q - 1.0, 1e-300)), extrapolate=True)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.5, 1.9])
+def test_exit_law_table_is_pchip_bitwise(alpha):
+    law, table = ExitRadiusLaw(alpha), _pchip_table(alpha)
+    u = np.concatenate([Generator(Philox(key=14)).random(1 << 20),
+                        [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]])
+    v = np.clip(1.0 - u, law._V_MIN, law._V_MAX)
+    want = 1.0 + np.exp(table(np.log(v) - np.log1p(-v)))
+    assert law.factor(u).tobytes() == want.tobytes()
+    # on the knots and next to them, at the midpoints, and beyond both ends
+    x = table.x
+    z = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        0.5 * (x[:-1] + x[1:]),
+                        [x[0] - 50.0, x[0] - 1.0, x[-1] + 1.0, x[-1] + 50.0]])
+    assert law._log_excess(z).tobytes() == table(z).tobytes()
+    assert np.isnan(law.factor(np.array([np.nan, 0.5]))[0])
