@@ -31,6 +31,18 @@ with checkouts older than them:
 - `estimate_phi` (with exit points) on the unit disk at alpha = 0.5, 1.5 and 2,
   and on the three-dimensional cone at alpha = 1.5.
 
+and, after those, the `json_text()` of the analysis reports:
+
+- `concavity_check` with `DiskPhi`, once with a stand-in error bar and once
+  under the square-root transform, and on the saddle x1^2 - x2^2, whose
+  triples pass and fail;
+- `scaling_inequality_check` with the closed-form disk field at alpha = 1.5
+  and a stand-in error bar;
+- `psi_b_scan` with `DiskPhi` above the slab, and `hessian_scan` with
+  `DiskPhi` on `slab_points` of the disk;
+- a small `cone_nonconcavity_hunt` in the planar cone of half-aperture 0.1;
+- a 6-step `deformation_sweep` of the ellipse (0.8, 0.5).
+
 Run it on two checkouts and compare:
 
     PYTHONPATH=src python scripts/output_digest.py
@@ -41,8 +53,16 @@ import itertools
 
 import numpy as np
 
-from stabletau.analysis import hessian_scan
-from stabletau.closedform import StableParams
+from stabletau.analysis import (
+    concavity_check,
+    cone_nonconcavity_hunt,
+    deformation_sweep,
+    hessian_scan,
+    psi_b_scan,
+    scaling_inequality_check,
+    slab_points,
+)
+from stabletau.closedform import StableParams, ball_exit_constant
 from stabletau.extension import DiskPhi, ExtensionContext
 from stabletau.geom import ConeDomain, SupportDomain
 from stabletau.quad import QuadSpec
@@ -152,6 +172,36 @@ def walk_outputs():
         yield f"estimate_phi {name} alpha={alpha:g}", _estimate_arrays(est, finals)
 
 
+def _stand_in_stderr(pts):
+    # a smooth, nonzero error bar, so the chord checks' allowance is pinned too
+    return 1e-3 * (1.0 + pts[:, 0] ** 2) * (1.0 + 0.5 * pts[:, 1])
+
+
+def analysis_outputs():
+    disk = SupportDomain.disk(1.0)
+    phi = DiskPhi()
+    yield "concavity_check DiskPhi", concavity_check(
+        phi.values_at, disk, 400, 1e-12, seed=5, stderr_eval=_stand_in_stderr)
+    yield "concavity_check DiskPhi sqrt", concavity_check(
+        phi.values_at, disk, 400, 1e-12, seed=8, transform=np.sqrt)
+    yield "concavity_check saddle", concavity_check(
+        lambda pts: pts[:, 0] ** 2 - pts[:, 1] ** 2, disk, 400, 1e-3, seed=9)
+    p = StableParams(1.5, 2)
+
+    def disk_phi_15(pts):
+        return ball_exit_constant(p) * np.maximum(1.0 - np.sum(pts * pts, axis=1), 0.0) ** 0.75
+
+    yield "scaling_inequality_check disk alpha=1.5", scaling_inequality_check(
+        disk, p, disk_phi_15, 401, 1e-12, seed=6, stderr_eval=_stand_in_stderr)
+    ctx = ExtensionContext(disk, phi)
+    yield "psi_b_scan DiskPhi", psi_b_scan(ctx, np.linspace(0.0, 1.0, 5), SCAN_POINTS[:3])
+    yield "hessian_scan DiskPhi slab_points", hessian_scan(ctx, slab_points(disk, 12, 0.05))
+    yield "cone_nonconcavity_hunt", cone_nonconcavity_hunt(
+        ConeDomain(0.1, 2), p, WalkConfig(n_walks=20_000, seed=5), scales=[0.3, 0.15])
+    yield "deformation_sweep ellipse", deformation_sweep(
+        SupportDomain.ellipse(0.8, 0.5), np.linspace(0.0, 1.0, 6))
+
+
 def main():
     total = hashlib.sha256()
     for label, arrays in outputs():
@@ -161,6 +211,8 @@ def main():
     print(f"{total.hexdigest()}  all")
     for label, arrays in walk_outputs():
         print(f"{_digest(*arrays)}  {label}")
+    for label, report in analysis_outputs():
+        print(f"{_digest(report.json_text())}  {label}")
 
 
 if __name__ == "__main__":

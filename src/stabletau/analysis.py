@@ -3,15 +3,19 @@
 Each experiment returns a ScanReport (point set, per-point verdicts, failure
 witnesses) or an ExponentFit (log-log slope with its OLS standard error).
 Reports are reproducible bit for bit for a fixed seed and configuration, and
-serialise to JSON and CSV with 17 significant digits; runtimes are kept out
-of the files so reruns stay byte-identical.
+serialise to JSON and CSV with 17 significant digits; they hold no wall-clock
+time, so reruns stay byte-identical.
+
+The experiments share their parts: the Hessian scans map one per-point worker
+over the points (_scan_rows), the concavity check and both parts of the
+general-alpha inequality test one weighted chord (_chord_rows), and interior
+and slab points come from one rejection fill (_fill_interior).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +58,8 @@ def halton(n: int, dim: int, skip: int = 0) -> np.ndarray:
 
 @dataclass
 class ScanReport:
-    """Point-set experiment outcome with per-point verdicts.
-
-    `runtime` is wall-clock seconds and is excluded from serialisation so
-    identical runs produce identical files.
-    """
+    """Point-set experiment outcome with per-point verdicts; failing points
+    become witnesses."""
 
     experiment: str
     descriptor: str
@@ -69,7 +70,6 @@ class ScanReport:
     values: np.ndarray
     verdicts: list
     scan_column: str
-    runtime: float = 0.0
     witnesses: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -217,18 +217,25 @@ def _ols_loglog(h, vals):
     return slope, stderr
 
 
-def _interior_points(dom, n, rng, margin=0.0):
-    half = dom.max_support()
+def _fill_interior(dom, n, draw, margin):
+    """n planar points deeper than margin, kept in draw order; draw(m, drawn)
+    returns m candidates after the drawn ones."""
     out = np.empty((n, 2))
-    got = 0
+    got = drawn = 0
     while got < n:
-        cand = rng.uniform(-half, half, size=(4 * (n - got) + 16, 2))
-        d = dom.boundary_distance_batch(cand)
-        keep = cand[d > margin]
+        m = 4 * (n - got) + 16
+        cand = draw(m, drawn)
+        drawn += m
+        keep = cand[dom.boundary_distance_batch(cand) > margin]
         take = min(len(keep), n - got)
         out[got:got + take] = keep[:take]
         got += take
     return out
+
+
+def _interior_points(dom, n, rng):
+    half = dom.max_support()
+    return _fill_interior(dom, n, lambda m, _: rng.uniform(-half, half, size=(m, 2)), 0.0)
 
 
 # -- Hessian scans -------------------------------------------------------------------
@@ -255,27 +262,19 @@ def slab_points(dom, n: int, margin: float = 0.02) -> np.ndarray:
         raise ValueError(f"slab margin must lie in [0, {deepest:.6g}), the domain's "
                          f"certified depth, got {margin:g}")
     half = dom.max_support()
-    pts = np.empty((n, 3))
-    got, skip = 0, 0
-    while got < n:
-        u = halton(4 * (n - got) + 16, 2, skip=skip)
-        skip += len(u)
-        cand = (2 * u - 1) * half
-        d = dom.boundary_distance_batch(cand)
-        keep = cand[d > margin]
-        take = min(len(keep), n - got)
-        pts[got:got + take, :2] = keep[:take]
-        got += take
-    pts[:, 2] = 0.0
-    return pts
+    xy = _fill_interior(dom, n, lambda m, drawn: (2 * halton(m, 2, skip=drawn) - 1) * half,
+                        margin)
+    return np.column_stack([xy, np.zeros(n)])
 
 
-def _scan_points(points) -> np.ndarray:
+def _scan_rows(points, worker, n_threads):
+    """(points, values, verdicts) of worker(x) -> (row, verdict) over (n, 3) points."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
         raise ValueError(f"scan points must be an (n, 3) array with n >= 1, "
                          f"got shape {points.shape}")
-    return points
+    results = _parallel_map(lambda i: worker(points[i]), range(len(points)), n_threads)
+    return points, np.array([row for row, _ in results]), [v for _, v in results]
 
 
 def _verdict(det, err, sig, converged):
@@ -295,66 +294,71 @@ def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
     right signature; |det| within 10x the estimate is indeterminate, not a
     failure (Monte Carlo fields cannot certify strict inequalities).
     """
-    t0 = time.time()
-    points = _scan_points(points)
-
-    def worker(i):
-        s = eval_hessian(ctx, points[i], which, eps=eps, b=b)
+    def worker(x):
+        s = eval_hessian(ctx, x, which, eps=eps, b=b)
         h = s.hess
         row = [h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2],
                s.det, s.trace, s.signature[0], s.signature[1], s.det_err]
         return row, _verdict(s.det, s.det_err, s.signature, s.converged)
 
-    results = _parallel_map(worker, range(len(points)), n_threads)
-    values = np.array([r[0] for r in results])
-    verdicts = [r[1] for r in results]
+    points, values, verdicts = _scan_rows(points, worker, n_threads)
     return ScanReport(
         experiment=f"hessian_scan[{which}]", descriptor=descriptor,
         config={"which": which, "eps": eps, "b": b, "n_points": len(points)},
         point_columns=["x1", "x2", "x3"], points=points,
         columns=_HESS_COLUMNS, values=values, verdicts=verdicts,
-        scan_column="det", runtime=time.time() - t0)
+        scan_column="det")
 
 
 def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
                descriptor: str = "custom", n_threads: int = 1) -> ScanReport:
     """det(Hess Psi_b) > 0 across the blend grid; the field Hessian is
     evaluated once per point and blended with the closed-form companion."""
-    t0 = time.time()
     b_grid = np.asarray(b_grid, dtype=float)
-    points = _scan_points(points)
 
-    def worker(i):
-        s = eval_hessian(ctx, points[i], "u")
-        w_h = aux_w_hess(points[i])
-        dets = []
-        worst = (math.inf, None)
-        for bb in b_grid:
-            hb = (1 - bb) * s.hess + bb * w_h
-            det = float(np.linalg.det(hb))
-            dets.append(det)
-            if det < worst[0]:
-                worst = (det, bb)
-        dets = np.array(dets)
+    def worker(x):
+        s = eval_hessian(ctx, x, "u")
+        w_h = aux_w_hess(x)
+        blends = [(1 - bb) * s.hess + bb * w_h for bb in b_grid]
+        dets = np.array([np.linalg.det(hb) for hb in blends])
+        worst = int(np.argmin(dets))
         err = float(np.max((1 - b_grid)) * s.det_err)
-        min_det = float(np.min(dets))
-        sig_ok = all(hessian_signature((1 - bb) * s.hess + bb * w_h) == (1, 2, 0)
-                     for bb in b_grid)
-        verdict = _verdict(min_det, err, (1, 2, 0) if sig_ok else (0, 0, 3), s.converged)
-        return [min_det, float(worst[1]), err], verdict
+        sig_ok = all(hessian_signature(hb) == (1, 2, 0) for hb in blends)
+        verdict = _verdict(dets[worst], err, (1, 2, 0) if sig_ok else (0, 0, 3), s.converged)
+        return [dets[worst], b_grid[worst], err], verdict
 
-    results = _parallel_map(worker, range(len(points)), n_threads)
-    values = np.array([r[0] for r in results])
-    verdicts = [r[1] for r in results]
+    points, values, verdicts = _scan_rows(points, worker, n_threads)
     return ScanReport(
         experiment="psi_b_scan", descriptor=descriptor,
         config={"b_grid": [float(bb) for bb in b_grid], "n_points": len(points)},
         point_columns=["x1", "x2", "x3"], points=points,
         columns=["min_det", "argmin_b", "det_err"], values=values,
-        verdicts=verdicts, scan_column="min_det", runtime=time.time() - t0)
+        verdicts=verdicts, scan_column="min_det")
 
 
 # -- concavity and the general-alpha inequalities ---------------------------------------
+
+def _chord_rows(phi_eval, stderr_eval, tol, z, terms):
+    """Values (lhs, chord, margin, allowance) and verdicts of phi(z) >= sum w_k phi(x_k).
+
+    terms holds (w_k, x_k) pairs; the allowance is tol, widened by three
+    combined standard errors sqrt(s_z^2 + sum (w_k s_k)^2) when stderr_eval is
+    given.  Each sum starts from its first term, so a -0.0 keeps its sign.
+    """
+    lhs = phi_eval(z)
+    chord = terms[0][0] * phi_eval(terms[0][1])
+    for w, x in terms[1:]:
+        chord = chord + w * phi_eval(x)
+    margin = lhs - chord
+    allowance = np.full(len(z), tol)
+    if stderr_eval is not None:
+        var = stderr_eval(z) ** 2
+        for w, x in terms:
+            var = var + (w * stderr_eval(x)) ** 2
+        allowance = tol + 3.0 * np.sqrt(var)
+    verdicts = [_PASS if ok else _FAIL for ok in margin >= -allowance]
+    return np.column_stack([lhs, chord, margin, allowance]), verdicts
+
 
 def concavity_check(phi_eval, dom, n_triples: int, tol: float, *, seed: int = 0,
                     stderr_eval=None, transform=None,
@@ -365,30 +369,22 @@ def concavity_check(phi_eval, dom, n_triples: int, tol: float, *, seed: int = 0,
     tol widened by three combined standard errors when stderr_eval is given.
     transform (e.g. sqrt for the Brownian case) is applied to the values.
     """
-    t0 = time.time()
     rng = Generator(Philox(key=np.array([seed, 0xC0CA], dtype=np.uint64)))
     xs = _interior_points(dom, n_triples, rng)
     ys = _interior_points(dom, n_triples, rng)
     lam = rng.uniform(0.0, 1.0, n_triples)
     mids = lam[:, None] * xs + (1 - lam[:, None]) * ys
-    fx, fy, fm = phi_eval(xs), phi_eval(ys), phi_eval(mids)
-    if transform is not None:
-        fx, fy, fm = transform(fx), transform(fy), transform(fm)
-    margin = fm - (lam * fx + (1 - lam) * fy)
-    tol_eff = np.full(n_triples, tol)
-    if stderr_eval is not None:
-        sx, sy, sm = stderr_eval(xs), stderr_eval(ys), stderr_eval(mids)
-        tol_eff = tol + 3.0 * np.sqrt(sm ** 2 + (lam * sx) ** 2 + ((1 - lam) * sy) ** 2)
-    verdicts = [_PASS if m >= -t else _FAIL for m, t in zip(margin, tol_eff)]
-    pts = np.concatenate([xs, ys, lam[:, None]], axis=1)
-    values = np.stack([fm, lam * fx + (1 - lam) * fy, margin, tol_eff], axis=1)
+    f = phi_eval if transform is None else (lambda pts: transform(phi_eval(pts)))
+    values, verdicts = _chord_rows(f, stderr_eval, tol, mids,
+                                   ((lam, xs), (1 - lam, ys)))
     return ScanReport(
         experiment="concavity_check", descriptor=descriptor or f"{n_triples} triples",
         config={"n_triples": n_triples, "tol": tol, "seed": seed,
                 "transform": bool(transform)},
-        point_columns=["x1", "x2", "y1", "y2", "lambda"], points=pts,
+        point_columns=["x1", "x2", "y1", "y2", "lambda"],
+        points=np.column_stack([xs, ys, lam]),
         columns=["phi_mid", "chord", "margin", "tol"], values=values,
-        verdicts=verdicts, scan_column="margin", runtime=time.time() - t0)
+        verdicts=verdicts, scan_column="margin")
 
 
 def scaling_inequality_check(dom, p: StableParams, phi_eval, n_cases: int, tol: float, *,
@@ -399,54 +395,36 @@ def scaling_inequality_check(dom, p: StableParams, phi_eval, n_cases: int, tol: 
     part a: phi(lam x + (1-lam) x0) >= lam^alpha phi(x) with x0 on the boundary;
     part b: phi(lam x + (1-lam) y) >= (lam^alpha phi(x) + (1-lam)^alpha phi(y)) / 2.
     """
-    t0 = time.time()
     rng = Generator(Philox(key=np.array([seed, 0x7743], dtype=np.uint64)))
     half = n_cases // 2
-    rows, vals, verdicts = [], [], []
 
     # part a
     xs = _interior_points(dom, half, rng)
-    angles = rng.uniform(0, 2 * np.pi, half)
-    x0 = dom.boundary_point(angles)
+    x0 = dom.boundary_point(rng.uniform(0, 2 * np.pi, half))
     lam = rng.uniform(0.0, 1.0, half)
     z = lam[:, None] * xs + (1 - lam[:, None]) * x0
-    lhs = phi_eval(z)
-    rhs = lam ** p.alpha * phi_eval(xs)
-    tol_a = np.full(half, tol)
-    if stderr_eval is not None:
-        tol_a = tol + 3.0 * np.sqrt(stderr_eval(z) ** 2
-                                    + (lam ** p.alpha * stderr_eval(xs)) ** 2)
-    for i in range(half):
-        rows.append([0.0, xs[i, 0], xs[i, 1], x0[i, 0], x0[i, 1], lam[i]])
-        vals.append([lhs[i], rhs[i], lhs[i] - rhs[i], tol_a[i]])
-        verdicts.append(_PASS if lhs[i] - rhs[i] >= -tol_a[i] else _FAIL)
+    vals_a, verdicts_a = _chord_rows(phi_eval, stderr_eval, tol, z, ((lam ** p.alpha, xs),))
+    rows_a = np.column_stack([np.zeros(half), xs, x0, lam])
 
-    # part b
+    # part b; halving each weight is exact, so this is half the weighted sum
     nb = n_cases - half
     xs = _interior_points(dom, nb, rng)
     ys = _interior_points(dom, nb, rng)
     lam = rng.uniform(0.0, 1.0, nb)
     z = lam[:, None] * xs + (1 - lam[:, None]) * ys
-    lhs = phi_eval(z)
-    rhs = 0.5 * (lam ** p.alpha * phi_eval(xs) + (1 - lam) ** p.alpha * phi_eval(ys))
-    tol_b = np.full(nb, tol)
-    if stderr_eval is not None:
-        tol_b = tol + 3.0 * np.sqrt(
-            stderr_eval(z) ** 2 + (0.5 * lam ** p.alpha * stderr_eval(xs)) ** 2
-            + (0.5 * (1 - lam) ** p.alpha * stderr_eval(ys)) ** 2)
-    for i in range(nb):
-        rows.append([1.0, xs[i, 0], xs[i, 1], ys[i, 0], ys[i, 1], lam[i]])
-        vals.append([lhs[i], rhs[i], lhs[i] - rhs[i], tol_b[i]])
-        verdicts.append(_PASS if lhs[i] - rhs[i] >= -tol_b[i] else _FAIL)
+    vals_b, verdicts_b = _chord_rows(
+        phi_eval, stderr_eval, tol, z,
+        ((0.5 * lam ** p.alpha, xs), (0.5 * (1 - lam) ** p.alpha, ys)))
+    rows_b = np.column_stack([np.ones(nb), xs, ys, lam])
 
     return ScanReport(
         experiment="scaling_inequality_check",
         descriptor=descriptor or f"alpha={p.alpha}, {n_cases} cases",
         config={"alpha": p.alpha, "n_cases": n_cases, "tol": tol, "seed": seed},
         point_columns=["part", "x1", "x2", "y1", "y2", "lambda"],
-        points=np.array(rows), columns=["lhs", "rhs", "margin", "tol"],
-        values=np.array(vals), verdicts=verdicts, scan_column="margin",
-        runtime=time.time() - t0)
+        points=np.concatenate([rows_a, rows_b]), columns=["lhs", "rhs", "margin", "tol"],
+        values=np.concatenate([vals_a, vals_b]), verdicts=verdicts_a + verdicts_b,
+        scan_column="margin")
 
 
 def cone_nonconcavity_hunt(cone: ConeDomain, p: StableParams, cfg: WalkConfig, *,
@@ -459,7 +437,6 @@ def cone_nonconcavity_hunt(cone: ConeDomain, p: StableParams, cfg: WalkConfig, *
     """
     if not 1.0 < p.alpha < 2.0:
         raise StableTauError("the non-concavity hunt targets alpha in (1, 2)")
-    t0 = time.time()
     scales = np.asarray(scales if scales is not None
                         else [0.6, 0.45, 0.3, 0.2, 0.12, 0.07], dtype=float)
     axis = np.zeros(cone.dim)
@@ -491,7 +468,7 @@ def cone_nonconcavity_hunt(cone: ConeDomain, p: StableParams, cfg: WalkConfig, *
     monotone = all(
         profile[i + 1][1] - profile[i][1] >= -3.0 * math.hypot(profile[i + 1][2], profile[i][2])
         for i in range(len(profile) - 1))
-    report = ScanReport(
+    return ScanReport(
         experiment="cone_nonconcavity_hunt",
         descriptor=f"theta={cone.theta:g}, dim={cone.dim}, alpha={p.alpha:g}",
         config={"theta": cone.theta, "dim": cone.dim, "alpha": p.alpha,
@@ -499,12 +476,7 @@ def cone_nonconcavity_hunt(cone: ConeDomain, p: StableParams, cfg: WalkConfig, *
                 "axis_profile_nondecreasing": monotone},
         point_columns=["t1", "t2", "t_mid"], points=np.array(rows),
         columns=["phi1", "phi2", "phi_mid", "deficit", "sigma", "zscore"],
-        values=np.array(vals), verdicts=verdicts, scan_column="zscore",
-        runtime=time.time() - t0)
-    report.witnesses = [
-        {"point": [float(c) for c in rows[i]], "value": float(vals[i][5])}
-        for i in range(len(rows)) if verdicts[i] == _FAIL]
-    return report
+        values=np.array(vals), verdicts=verdicts, scan_column="zscore")
 
 
 # -- boundary exponents ------------------------------------------------------------------
@@ -597,21 +569,23 @@ def _slab_quantity(ctx, y0, n_in, t_cw, delta, quantity):
 
 # -- deformation sweep ----------------------------------------------------------------
 
-def deformation_sweep(dom: SupportDomain, t_grid, *, gap_tol: float = 1e-9,
-                      curvature_slack: float = 1e-6) -> ScanReport:
+_GAP_TOL = 1e-9
+_CURVATURE_SLACK = 1e-6
+
+
+def deformation_sweep(dom: SupportDomain, t_grid) -> ScanReport:
     """Classify each interpolated domain and check the curvature pinching law.
 
     Curvatures of D(t) must stay within [min(kappa1, 1), max(kappa2, 1)] up to
-    curvature_slack; consecutive boundary gaps must obey the support-function
-    Lipschitz bound |dt| (1 + max h).
+    _CURVATURE_SLACK; consecutive boundary gaps must obey the support-function
+    Lipschitz bound |dt| (1 + max h) up to _GAP_TOL.
     """
-    t0c = time.time()
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid holds no values")
     base = dom.classify()
-    lo = min(base.kappa1, 1.0) - curvature_slack
-    hi = max(base.kappa2, 1.0) + curvature_slack
+    lo = min(base.kappa1, 1.0) - _CURVATURE_SLACK
+    hi = max(base.kappa2, 1.0) + _CURVATURE_SLACK
     doms = [deform(dom, float(t)) for t in t_grid]
     rows, vals, verdicts = [], [], []
     max_h = dom.max_support()
@@ -619,15 +593,14 @@ def deformation_sweep(dom: SupportDomain, t_grid, *, gap_tol: float = 1e-9,
         cl = doms[i].classify()
         gap = domain_gap(doms[i], doms[i + 1]) if i + 1 < len(t_grid) else 0.0
         gap_bound = (abs(t_grid[i + 1] - t) if i + 1 < len(t_grid) else 0.0) * (1 + max_h)
-        ok = lo <= cl.kappa1 and cl.kappa2 <= hi and gap <= gap_bound + gap_tol
+        ok = lo <= cl.kappa1 and cl.kappa2 <= hi and gap <= gap_bound + _GAP_TOL
         rows.append([t])
         vals.append([cl.R1, cl.kappa1, cl.kappa2, cl.C1, gap, gap_bound])
         verdicts.append(_PASS if ok else _FAIL)
     return ScanReport(
         experiment="deformation_sweep",
         descriptor=f"t in [{t_grid[0]:g}, {t_grid[-1]:g}], {len(t_grid)} steps",
-        config={"kappa_low": lo, "kappa_high": hi, "curvature_slack": curvature_slack},
+        config={"kappa_low": lo, "kappa_high": hi, "curvature_slack": _CURVATURE_SLACK},
         point_columns=["t"], points=np.array(rows),
         columns=["R1", "kappa1", "kappa2", "C1", "gap_next", "gap_bound"],
-        values=np.array(vals), verdicts=verdicts, scan_column="kappa2",
-        runtime=time.time() - t0c)
+        values=np.array(vals), verdicts=verdicts, scan_column="kappa2")

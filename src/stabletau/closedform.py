@@ -233,10 +233,9 @@ def exterior_half_laplacian(dom, phi_eval, x, quad_spec=None):
     from .quad import QuadSpec, integrate  # local import: quad depends on geom only
 
     x = np.asarray(x, dtype=float)
-    sd = dom.signed_distance(x)
+    foot, _, sd = dom.nearest_boundary(x)
     if sd > -1e-12:
         raise InsideDomainError("exterior formula needs x strictly outside D")
-    foot, _, _ = dom.nearest_boundary(x)
     spec = quad_spec if quad_spec is not None else QuadSpec()
     spec = spec.with_singular_center(foot)
 

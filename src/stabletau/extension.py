@@ -79,9 +79,6 @@ class ExtensionContext:
     phi: object
     quad: QuadSpec = field(default_factory=QuadSpec)
 
-    def phi_stderr(self) -> float:
-        return float(self.phi.typical_stderr())
-
 
 @dataclass(frozen=True)
 class HessianSample:
@@ -112,9 +109,9 @@ def symmetric_eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.sort(np.array([e1, 3.0 * q - e1 - e3, e3]))
 
 
-def hessian_signature(h: np.ndarray, cut: float = _SIGNATURE_CUT) -> tuple:
+def hessian_signature(h: np.ndarray) -> tuple:
     eig = symmetric_eigenvalues(h)
-    tau = cut * float(np.max(np.abs(eig)))
+    tau = _SIGNATURE_CUT * float(np.max(np.abs(eig)))
     n_pos = int(np.count_nonzero(eig > tau))
     n_neg = int(np.count_nonzero(eig < -tau))
     return (n_pos, n_neg, 3 - n_pos - n_neg)
@@ -220,7 +217,7 @@ def eval_hessian(ctx: ExtensionContext, x, which: str = "u", *,
 
 
 def _upper_hessian_entries(ctx: ExtensionContext, x):
-    sigma = ctx.phi_stderr()
+    sigma = float(ctx.phi.typical_stderr())
     with_noise = sigma > 0.0
 
     def integrand(pts):

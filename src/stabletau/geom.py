@@ -670,9 +670,12 @@ def deform(dom: SupportDomain, t: float) -> SupportDomain:
     return SupportDomain(coeffs)
 
 
-def domain_gap(a: SupportDomain, b: SupportDomain, n_samples: int = 2048) -> float:
+_GAP_SAMPLES = 2048
+
+
+def domain_gap(a: SupportDomain, b: SupportDomain) -> float:
     """Symmetric boundary-gap metric: min of the two one-sided boundary sups."""
-    tg = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    tg = np.linspace(0.0, 2 * np.pi, _GAP_SAMPLES, endpoint=False)
     pa = a.boundary_point(tg)
     pb = b.boundary_point(tg)
     # each boundary point's own normal angle seeds the other domain's query

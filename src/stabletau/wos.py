@@ -45,6 +45,7 @@ from .geom import _BOUNDARY_TOL, SupportDomain, builtin_domain, load_domain, sav
 
 _BATCH = 16384
 _MASK64 = (1 << 64) - 1
+_SHELL = 1e-8  # absorption shell of the alpha = 2 walks
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class WalkConfig:
     ball_fraction: float = 0.5
     max_steps: int = 10_000
     seed: int = 0
-    shell: float = 1e-8  # absorption shell; only consulted when alpha = 2
 
     def __post_init__(self):
         if self.n_walks < 1:
@@ -62,8 +62,6 @@ class WalkConfig:
             raise ValueError("ball_fraction must lie in (0, 1)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.shell <= 0:
-            raise ValueError("shell must be positive")
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     delta = np.array(delta0, dtype=float)
     t = np.zeros(batch_size)
     cb = ball_exit_constant(p)
-    exit_cut = cfg.shell if p.alpha == 2.0 else 1e-12
+    exit_cut = _SHELL if p.alpha == 2.0 else 1e-12
     gen = Generator(Philox(0))  # reset to each step's counter by _uniform_block
     for k in range(cfg.max_steps):
         if ids.size == 0:
@@ -458,32 +456,30 @@ class PhiField:
         c2 = self._sector_interp(self.blend_c2, theta)
         return c * np.sqrt(d) + c2 * d ** 1.5
 
-    def values_at(self, pts, foot=None) -> np.ndarray:
-        """Field values; foot is the (distance, angle) query of pts if already made."""
+    def _read(self, pts, foot, in_collar, deep):
+        """in_collar(theta, d) on collar rows, deep(x1, x2) on rows deeper than the
+        collar and zero outside the domain; foot as in values_at."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
-        collar = (d > 0) & (d <= self.collar)
-        deep = d > self.collar
-        if np.any(collar):
-            out[collar] = self._blend(theta[collar], d[collar])
-        if np.any(deep):
-            out[deep] = self._spline.ev(pts[deep, 0], pts[deep, 1])
+        rows = np.flatnonzero((d > 0) & (d <= self.collar))
+        if rows.size:
+            out[rows] = in_collar(theta.take(rows), d.take(rows))
+        rows = np.flatnonzero(d > self.collar)
+        if rows.size:
+            out[rows] = deep(*pts.take(rows, axis=0).T)
         return out
+
+    def values_at(self, pts, foot=None) -> np.ndarray:
+        """Field values; foot is the (distance, angle) query of pts if already made."""
+        return self._read(pts, foot, self._blend, self._spline.ev)
 
     def stderr_at(self, pts, foot=None) -> np.ndarray:
         """Error bars of values_at; foot as there."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
-        out = np.zeros(len(pts))
-        collar = (d > 0) & (d <= self.collar)
-        deep = d > self.collar
-        if np.any(collar):
-            err_c = self._sector_interp(self.blend_c_err, theta[collar])
-            out[collar] = err_c * np.sqrt(d[collar])
-        if np.any(deep):
-            out[deep] = np.abs(self._err_spline.ev(pts[deep, 0], pts[deep, 1]))
-        return out
+        return self._read(
+            pts, foot,
+            lambda theta, d: self._sector_interp(self.blend_c_err, theta) * np.sqrt(d),
+            lambda x1, x2: np.abs(self._err_spline.ev(x1, x2)))
 
     def values_and_stderr_at(self, pts):
         """(values_at(pts), stderr_at(pts)) from one distance query.

@@ -284,8 +284,7 @@ def test_criterion_09_boundary_exponents(disk_ctx):
 
 @criterion(10, "Minkowski deformation keeps curvature pinched; disk law exact")
 def test_criterion_10_deformation():
-    rep = an.deformation_sweep(ELLIPSE, np.linspace(0, 1, 11),
-                               curvature_slack=1e-6)
+    rep = an.deformation_sweep(ELLIPSE, np.linspace(0, 1, 11))
     assert rep.n_fail == 0, rep.summary()
     r1 = 0.5
     for t in np.linspace(0, 1, 11):

@@ -249,6 +249,32 @@ def test_cone_walks_run_in_2d_and_3d():
     assert est2.mean > est3.mean > 0  # extra dimension only removes mass
 
 
+@pytest.mark.parametrize("dim", [4, 5])
+def test_directions_in_four_and_five_dimensions(dim):
+    # from dim 4 on, directions are normalised Box-Muller Gaussians
+    width = wos._uniform_width(dim)
+    assert width == 1 + 2 * ((dim + 1) // 2)
+    uni = Generator(Philox(key=dim)).random((width - 1, 200_000))
+    v = wos._directions(uni, dim)
+    assert v.shape == (dim, 200_000)
+    assert np.max(np.abs(np.linalg.norm(v, axis=0) - 1.0)) < 1e-15
+    # isotropic: E[v v^T] = I / dim
+    second = dim * (v @ v.T) / v.shape[1]
+    assert np.max(np.abs(second - np.eye(dim))) < 0.01
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_cone_walks_in_four_dimensions(alpha):
+    # the cone lies inside the unit ball, so its exit time is below the ball's
+    p = StableParams(alpha, 4)
+    x = [0.5, 0.0, 0.0, 0.0]
+    cfg = WalkConfig(n_walks=20_000, seed=43)  # two batches
+    est = estimate_phi(ConeDomain(0.3, 4), p, x, cfg)
+    assert 0 < est.mean + 3 * est.std_error < ball_phi(p, 1.0, x)
+    two = estimate_phi(ConeDomain(0.3, 4), p, x, cfg, n_threads=2)
+    assert two == est  # every field bitwise
+
+
 @pytest.fixture(scope="module")
 def disk_field():
     return build_field(DISK, CAUCHY, 0.08, WalkConfig(n_walks=8000, seed=3),
@@ -520,7 +546,7 @@ def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
     law = ExitRadiusLaw(p.alpha)
     width = wos._uniform_width(p.dim)
     cb = ball_exit_constant(p)
-    exit_cut = cfg.shell if p.alpha == 2.0 else 1e-12
+    exit_cut = wos._SHELL if p.alpha == 2.0 else 1e-12
     n = len(pos0)
     pos = np.array(pos0, dtype=float)
     delta = np.array(delta0, dtype=float)
