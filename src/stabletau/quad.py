@@ -1,14 +1,25 @@
 """Adaptive two-dimensional quadrature over convex support-function domains.
 
 The domain is charted in polar coordinates about an interior (or boundary)
-anchor: y = c + rho * R(psi) u(psi) with (psi, rho) in [0, 2pi] x [0, 1] and
-Jacobian rho R(psi)^2.  Cells are rectangles in chart coordinates, so every
-cell conforms to the boundary; each is integrated with a tensor Gauss-Kronrod
-7/15 pair.  Refinement runs in rounds, as in DCUHRE (Berntsen, Espelid & Genz,
-ACM TOMS 1991): each round bisects the cells with the largest error relative
-to tolerance, at most 32 of them, and evaluates the integrand once on the
-nodes of all their children.  Rounds stop when the component-wise tolerance
-is met or the cell budget runs out.
+anchor: y = c + rho(s) R(psi) u(psi), s in [0, 1], with the graded map
+rho = s + s^2 - s^3 and Jacobian rho R(psi)^2 rho', rho' = (1 - s)(1 + 3 s).
+Near the rim 1 - rho = (1 - s)^2 (1 + s), so a field's sqrt(d) edge is
+linear in s; rho'(0) = 1 keeps the node density at the anchor, where the
+kernel peaks.  Cells are rectangles in (psi, s), so every cell conforms to
+the boundary; each is integrated with a tensor Gauss-Kronrod 7/15 pair.  The
+first cells are pi/4-wide psi sectors by four s bands: eight round an
+interior anchor, four over the inward half-plane psi in [n + pi/2,
+n + 3 pi/2] of a boundary anchor with outer normal angle n.  Refinement runs
+in rounds, as in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS 1991): each round
+bisects the cells with the largest error relative to tolerance, at most 32
+of them, and evaluates the integrand once on the nodes of all their
+children.  A split in s is made only while the children's outermost nodes
+map strictly inside their mapped ends, and in psi only on cells at least
+1e-12 wide, so no node lands on an edge.  A bisection that raises every
+component's error estimate while that estimate is below 1e-10 of the value
+resolves only the integrand's rounding noise, which grows as graded nodes
+near an edge: it is undone, and the cell is not split again.  Rounds stop
+when the component-wise tolerance is met or the cell budget runs out.
 
 R(psi) is found by geom's bracketed Newton, the distance search's
 (_PolarChart): a per-chart table of the polar angle of the boundary point
@@ -57,6 +68,7 @@ _WG15[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
 _W = np.stack([np.multiply.outer(_WGK, _WGK), np.multiply.outer(_WG15, _WG15),
                np.multiply.outer(_WG15, _WGK), np.multiply.outer(_WGK, _WG15)]).reshape(4, -1)
 _ROUND = 32  # most cells bisected per round, which bounds the integrand's batch
+_ROUNDING = 1e-10  # relative error estimates at or below this are taken as rounding noise
 
 
 @dataclass(frozen=True)
@@ -90,14 +102,17 @@ class _PolarChart:
     R = g / cos t, from the series.
 
     An anchor on the boundary is given with its normal angle: its table
-    starts there, where b - c turns from the direction normal + pi/2, and
-    rays with cos(psi - normal) >= 0 point out of the domain, so R = 0.
+    starts there, where b - c turns from the direction normal + pi/2, and it
+    brackets the inward rays, psi in [normal + pi/2, normal + 3 pi/2], the
+    only ones integrate's cells hold.  The table's ends are the anchor
+    itself, where N has a double root, so the two tangent rays take R = 0
+    without Newton.
     """
 
     def __init__(self, dom, center, normal=None):
         self.dom = dom
         self.center = np.asarray(center, dtype=float)
-        self.normal = normal
+        self._anchored = normal is not None
         if dom._disk_radius is not None:
             return
         start = 0.0 if normal is None else float(normal)
@@ -117,16 +132,17 @@ class _PolarChart:
             cu = c[0] * np.cos(psi) + c[1] * np.sin(psi)
             disc = np.maximum(cu * cu + a * a - c @ c, 0.0)
             return np.maximum(-cu + np.sqrt(disc), 0.0)
-        out = np.zeros(psi.size)
-        rays = np.arange(psi.size)
-        if self.normal is not None:
-            rays = rays[np.cos(psi - self.normal) < 0.0]
-        psi = psi[rays]
         target = self._turn[0] + np.mod(psi - self._turn[0], 2 * np.pi)
         k = np.clip(np.searchsorted(self._turn, target, side="right") - 1, 0, _TABLE_GRID - 1)
         lo, hi = self._theta[k], self._theta[k + 1]
         frac = (target - self._turn[k]) / np.maximum(self._turn[k + 1] - self._turn[k], 1e-300)
         theta = lo + np.minimum(frac, 1.0) * (hi - lo)
+        out = np.zeros(psi.size)
+        rays = slice(None)
+        if self._anchored:  # the tangent rays start at the table's ends
+            rays = np.flatnonzero((theta - self._theta[0] > 1e-12)
+                                  & (self._theta[-1] - theta > 1e-12))
+            psi, theta, lo, hi = psi[rays], theta[rays], lo[rays], hi[rays]
         def normal(th, i):  # N and N'
             h, h1, h2 = dom._support_012(th)
             cth, sth, t = np.cos(th), np.sin(th), th - psi.take(i)
@@ -140,27 +156,49 @@ class _PolarChart:
         return out
 
 
+def _graded(s):
+    """rho(s) = s + s^2 - s^3 and rho'(s) = (1 - s)(1 + 3 s) at chart coordinates s."""
+    t = 1.0 - s
+    return s * (1.0 + s * t), t * (1.0 + 3.0 * s)
+
+
+def _splittable(cells):
+    """A (c, 2) mask: whether each cell may be bisected in psi and in s.
+
+    Either split must keep the children's Kronrod nodes off their edges in
+    floating point; in s that is tested on the mapped nodes, and near the rim
+    it fails once 1 - s < ~1e-8.
+    """
+    p0, p1, s0, s1 = cells.T
+    mid = 0.5 * (s0 + s1)
+    lo, hi = np.concatenate([s0, mid]), np.concatenate([mid, s1])
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)  # as _eval_cell places the nodes
+    rho = _graded(np.stack([lo, centre + half * _XGK[0], centre + half * _XGK[-1], hi]))[0]
+    inside = (rho[1] > rho[0]) & (rho[2] < rho[3])
+    return np.stack([p1 - p0 >= 1e-12, inside[:len(cells)] & inside[len(cells):]], axis=1)
+
+
 def _eval_cell(chart, f, cells):
-    """Kronrod/Gauss pairs on a (c, 4) array of chart rectangles (psi0, psi1, rho0, rho1).
+    """Kronrod/Gauss pairs on a (c, 4) array of chart rectangles (psi0, psi1, s0, s1).
 
     Evaluates f once on all c * 225 nodes.  Returns per-cell (value, error,
     split_axis) of shapes (c, m), (c, m) and (c,); split_axis picks the
     direction whose one-axis Gauss downgrade loses the most accuracy
-    (0 = psi, 1 = rho).
+    (0 = psi, 1 = s).
     """
-    p0, p1, r0, r1 = cells.T
-    ph, rh = 0.5 * (p1 - p0), 0.5 * (r1 - r0)
-    rho = 0.5 * (r0 + r1)[:, None] + rh[:, None] * _XGK
-    # the halves of a rho bisection share their psi nodes: chart each span
+    p0, p1, s0, s1 = cells.T
+    ph, sh = 0.5 * (p1 - p0), 0.5 * (s1 - s0)
+    rho, drho = _graded(0.5 * (s0 + s1)[:, None] + sh[:, None] * _XGK)
+    # the halves of an s bisection share their psi nodes: chart each span
     # once, taking the spans in sorted (psi0, psi1) order
     order = np.lexsort((p1, p0))
-    s0, s1 = p0[order], p1[order]
+    a0, a1 = p0[order], p1[order]
     new = np.ones(len(cells), dtype=bool)
-    new[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
+    new[1:] = (a0[1:] != a0[:-1]) | (a1[1:] != a1[:-1])
     span_of = np.empty_like(order)
     span_of[order] = np.cumsum(new) - 1
-    s0, s1 = s0[new], s1[new]
-    psi = 0.5 * (s0 + s1)[:, None] + 0.5 * (s1 - s0)[:, None] * _XGK
+    a0, a1 = a0[new], a1[new]
+    psi = 0.5 * (a0 + a1)[:, None] + 0.5 * (a1 - a0)[:, None] * _XGK
     R = chart.radial_extent(psi.ravel()).reshape(psi.shape)[span_of]
     rad = rho[:, None, :] * R[:, :, None]  # (cell, psi node, rho node)
     # the two node columns c + rad u(psi), built apart and stacked once
@@ -173,7 +211,7 @@ def _eval_cell(chart, f, cells):
         raise ValueError(f"integrand returned shape {vals.shape} for {n} nodes "
                          f"({len(cells)} cells of {_XGK.size ** 2} nodes); "
                          f"expected ({n},) or ({n}, m)")
-    jac = rad * R[:, :, None] * (ph * rh)[:, None, None]
+    jac = rad * R[:, :, None] * (drho * (ph * sh)[:, None])[:, None, :]
     # each node's weight repeated over its m columns: one contiguous product
     m = vals.size // n
     wv = np.repeat(jac.ravel(), m)
@@ -206,9 +244,13 @@ def integrate(dom, f, spec: QuadSpec | None = None):
             center = np.asarray(spec.singular_center, dtype=float)
     chart = _PolarChart(dom, center, normal)
 
-    i, j = np.divmod(np.arange(32), 4)
-    cells = np.stack([2 * np.pi * i / 8, 2 * np.pi * (i + 1) / 8, j / 4, (j + 1) / 4], axis=1)
+    # pi/4-wide sectors: the whole turn, or the inward half-plane
+    sectors, start = (8, 0.0) if normal is None else (4, normal + 0.5 * np.pi)
+    i, j = np.divmod(np.arange(4 * sectors), 4)
+    cells = np.stack([start + np.pi / 4 * i, start + np.pi / 4 * (i + 1), j / 4, (j + 1) / 4],
+                     axis=1)
     vals, errs, axes = _eval_cell(chart, f, cells)
+    can = _splittable(cells)
     while True:
         # totals are re-summed in array order each round, so results are
         # bitwise deterministic
@@ -218,11 +260,7 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         tol = np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
         if not np.any(total_err > tol):
             return result
-        # below ~1e-12 width the Kronrod nodes collide with the cell edge in
-        # floating point (edge-singular integrands would be sampled at the edge)
-        can_psi = cells[:, 1] - cells[:, 0] >= 1e-12
-        can_rho = cells[:, 3] - cells[:, 2] >= 1e-12
-        live = np.flatnonzero(can_psi | can_rho)
+        live = np.flatnonzero(can[:, 0] | can[:, 1])
         budget = min(_ROUND, spec.max_cells - len(cells))
         if budget <= 0 or live.size == 0:
             raise NonConvergedError(*result)
@@ -232,7 +270,7 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         enough = np.all(left <= 0.5 * tol, axis=1)
         split = order[:np.argmax(enough) + 1] if enough.any() else order
 
-        by_psi = ((axes[split] == 0) & can_psi[split]) | ~can_rho[split]
+        by_psi = ((axes[split] == 0) & can[split, 0]) | ~can[split, 1]
         lo = np.where(by_psi, 0, 2)
         rows = np.arange(len(split))
         first, second = cells[split], cells[split]
@@ -241,9 +279,21 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         second[rows, lo] = mid
         children = np.concatenate([first, second])
         c_vals, c_errs, c_axes = _eval_cell(chart, f, children)
+        # undo the bisections that only resolve rounding noise (see the
+        # module docstring); their parents are not split again
+        k = len(split)
+        pair_val, pair_err = c_vals[:k] + c_vals[k:], c_errs[:k] + c_errs[k:]
+        noise = np.all((pair_err >= errs[split]) & (pair_err <= _ROUNDING * np.abs(pair_val)),
+                       axis=1)
+        if noise.any():
+            can[split[noise]] = False
+            split, took = split[~noise], np.tile(~noise, 2)
+            children, c_vals, c_errs, c_axes = (children[took], c_vals[took], c_errs[took],
+                                                c_axes[took])
         keep = np.ones(len(cells), dtype=bool)
         keep[split] = False
         cells = np.concatenate([cells[keep], children])
         vals = np.concatenate([vals[keep], c_vals])
         errs = np.concatenate([errs[keep], c_errs])
         axes = np.concatenate([axes[keep], c_axes])
+        can = np.concatenate([can[keep], _splittable(children)])

@@ -51,8 +51,9 @@ def test_eval_u_undefined_on_cut(ctx):
 def test_eval_u_raises_when_not_converged(ctx):
     starved = ExtensionContext(ctx.dom, ctx.phi, QuadSpec(rel_tol=1e-14, abs_tol=1e-14,
                                                           max_cells=64))
+    # the kernel's peak, x3 = 0.01 wide at the anchor, needs more than 64 cells
     with pytest.raises(NonConvergedError):
-        eval_u(starved, [0.2, -0.1, 0.7])
+        eval_u(starved, [0.2, -0.1, 0.01])
 
 
 def test_eval_u_reflection_identity(ctx):
@@ -113,6 +114,81 @@ def test_trace_vanishes(ctx):
     for x in ([0.5, 0.3, 0.8], [-1.2, 0.4, 0.3], [2.0, 0.0, 1.5]):
         s = eval_hessian(ctx, x)
         assert abs(s.trace) <= 10 * float(np.sum(s.entry_err)) + 1e-13
+
+
+def _exact_disk_u(x1, x2, x3):
+    """Harmonic extension of DiskPhi above the slab, in closed form (mpmath).
+
+    u = x3 R_D(1 + lam, 1 + lam, lam) / (2 R_D(1, 0, 1)) with lam the largest
+    root of (x1^2 + x2^2) / (1 + lam) + x3^2 / lam = 1: minus the vertical
+    derivative of the flat disk's potential, normalised so that -u_3 = 1 on
+    the slab over the disk.  It reduces to DiskPhi on the slab.
+    """
+    import mpmath
+
+    b = 1 - x1 * x1 - x2 * x2 - x3 * x3
+    root = mpmath.sqrt(b * b + 4 * x3 * x3)
+    lam = 2 * x3 * x3 / (b + root) if b > 0 else (root - b) / 2
+    return x3 * mpmath.elliprd(1 + lam, 1 + lam, lam) / (2 * mpmath.elliprd(1, 0, 1))
+
+
+def _exact_disk_hessian(x):
+    """D^2 u of _exact_disk_u by central differences at 50 digits (step 1e-12).
+
+    Below the slab u(x1, x2, -x3) - 2 x3 flips the 13 and 23 entries.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(float(v)) for v in x]
+        flip = p[2] < 0
+        p[2] = abs(p[2])
+        step = mpmath.mpf("1e-12")
+
+        def u(*moves):
+            q = list(p)
+            for axis, sign in moves:
+                q[axis] += sign * step
+            return _exact_disk_u(*q)
+
+        h = np.empty((3, 3))
+        centre = u()
+        for i in range(3):
+            h[i, i] = float((u((i, 1)) - 2 * centre + u((i, -1))) / step ** 2)
+            for j in range(i):
+                mixed = (u((i, 1), (j, 1)) - u((i, 1), (j, -1))
+                         - u((i, -1), (j, 1)) + u((i, -1), (j, -1))) / (4 * step ** 2)
+                h[i, j] = h[j, i] = float(mixed)
+    if flip:
+        h[:2, 2] *= -1
+        h[2, :2] *= -1
+    return h
+
+
+def _oracle_points():
+    """S1-S4 at h = 0.01 and 0.32, exterior and interior anchors, one reflection."""
+    pts = []
+    probes = [(-1.0, 0.125), (-1.0, 0.625), (1.0, 0.625), (1.0, 0.125)]  # (x1, x3) / h
+    for k, ((a1, a3), h) in enumerate((p, h) for p in probes for h in (0.01, 0.32)):
+        psi = 0.4 + 0.77 * k
+        pts.append([(1.0 - a1 * h) * math.cos(psi), (1.0 - a1 * h) * math.sin(psi), a3 * h])
+    pts += [[1.6, 0.7, 0.4], [-0.9, -2.1, 0.05], [2.4, -1.3, -1.1],
+            [0.2, 0.1, 0.3], [-0.4, 0.2, 0.6], [0.9, -0.3, 0.15], [0.2, 0.1, -0.3]]
+    return np.array(pts)
+
+
+def test_disk_hessian_matches_exact_extension():
+    # the closed-form u at alpha = 1: every entry within its reported error
+    ctx = ExtensionContext(SupportDomain.disk(1.0), DiskPhi(), _CRITERION5_QUAD)
+    for x in _oracle_points():
+        exact = _exact_disk_hessian(x)
+        assert abs(np.trace(exact)) <= 1e-9 * np.max(np.abs(exact)), x
+        s = eval_hessian(ctx, x)
+        assert s.converged
+        (h11, h12, h13), (_, h22, h23), (_, _, h33) = s.hess - exact
+        dev = np.abs([h11, h22, h33, h12, h13, h23])
+        assert np.all(dev <= s.entry_err), (x, dev / s.entry_err)
+        assert abs(s.trace) <= float(np.sum(s.entry_err[:3])), x
 
 
 def test_reflection_det_exact_and_fd_crosscheck(ctx):

@@ -89,11 +89,20 @@ def test_budget_doubling_never_worse(disk):
         assert all(b <= a * (1 + 1e-3) for a, b in zip(errs, errs[1:]))
 
 
+def test_inverse_sqrt_edge_converges(disk):
+    # the graded radial map makes 1 / sqrt(d) at the rim smooth in the chart
+    val, err = integrate(disk, lambda p: 1.0 / np.sqrt(np.maximum(1 - _r2(p), 1e-300)),
+                         QuadSpec(rel_tol=1e-12, abs_tol=1e-14, max_cells=64))
+    assert abs(val - 2 * math.pi) <= 1e-10
+    assert abs(val - 2 * math.pi) <= max(err, 1e-12)
+
+
 def test_nonconverged_carries_value(disk):
+    # d^(-3/4) at the rim stays singular under the map; its integral is 4 pi
     with pytest.raises(NonConvergedError) as info:
-        integrate(disk, lambda p: 1.0 / np.sqrt(np.maximum(1 - _r2(p), 1e-300)),
+        integrate(disk, lambda p: np.maximum(1 - _r2(p), 1e-300) ** -0.75,
                   QuadSpec(rel_tol=1e-12, abs_tol=1e-14, max_cells=64))
-    assert info.value.value == pytest.approx(2 * math.pi, rel=0.05)
+    assert info.value.value == pytest.approx(4 * math.pi, rel=0.05)
     assert info.value.err_estimate > 0
 
 
@@ -175,12 +184,13 @@ def test_radial_extent_matches_bisection(dom, anchor):
         oracle = _radial_extent_bisection(dom, np.asarray(anchor), psi)
         assert np.max(np.abs(R - oracle)) < 1e-11
         return
+    # a boundary anchor's chart holds the inward rays, tangent ends included
+    psi = anchor + np.pi * np.linspace(0.5, 1.5, 1001)
     c = dom.boundary_point(anchor)
     R = quad._PolarChart(dom, c, anchor).radial_extent(psi)
-    across = np.cos(psi - anchor)
-    assert np.all(R[across >= 0.0] == 0.0)  # outward rays
+    assert np.all(np.isfinite(R[[0, -1]])) and np.all(R[[0, -1]] >= 0.0)
     # the reference's grid does not bracket rays within 0.6 degrees of the tangent
-    inward = across < -0.01
+    inward = np.cos(psi - anchor) < -0.01
     oracle = _radial_extent_bisection(dom, c, psi[inward], start=anchor)
     assert np.max(np.abs(R[inward] - oracle)) < 1e-11
 
@@ -193,31 +203,42 @@ def test_radial_extent_raises_when_newton_stalls(monkeypatch):
 
 
 def _eval_cell_reference(chart, f, cells):
-    """_eval_cell with np.unique spans and the nodes as one 4-D broadcast."""
-    p0, p1, r0, r1 = cells.T
-    ph, rh = 0.5 * (p1 - p0), 0.5 * (r1 - r0)
-    rho = 0.5 * (r0 + r1)[:, None] + rh[:, None] * quad._XGK
+    """_eval_cell with np.unique spans and the nodes as one 4-D broadcast.
+
+    Chart coordinates (psi, s) map to y = c + rho(s) R(psi) u(psi) with
+    rho = s + s^2 - s^3, written in Horner form, and Jacobian
+    rho R^2 rho'(s), rho' = (1 - s)(1 + 3 s).
+    """
+    p0, p1, s0, s1 = cells.T
+    ph, sh = 0.5 * (p1 - p0), 0.5 * (s1 - s0)
+    s = 0.5 * (s0 + s1)[:, None] + sh[:, None] * quad._XGK
+    rho = s * (1.0 + s * (1.0 - s))
+    drho = (1.0 - s) * (1.0 + 3.0 * s)
     spans, span_of = np.unique(cells[:, :2], axis=0, return_inverse=True)
-    s0, s1 = spans.T
-    psi = 0.5 * (s0 + s1)[:, None] + 0.5 * (s1 - s0)[:, None] * quad._XGK
+    a0, a1 = spans.T
+    psi = 0.5 * (a0 + a1)[:, None] + 0.5 * (a1 - a0)[:, None] * quad._XGK
     R = chart.radial_extent(psi.ravel()).reshape(psi.shape)[span_of]
     u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)[span_of]
     rad = rho[:, None, :] * R[:, :, None]
     nodes = (chart.center + rad[..., None] * u[:, :, None, :]).reshape(-1, 2)
     vals = np.asarray(f(nodes), dtype=float)
-    jac = rad * R[:, :, None] * (ph * rh)[:, None, None]
+    area = (ph * sh)[:, None] * drho  # per s node
+    jac = rad * R[:, :, None] * area[:, None, :]
     wv = jac.reshape(len(cells), -1, 1) * vals.reshape(len(cells), jac[0].size, -1)
-    vk, vg, v_gpsi, v_grho = np.moveaxis(quad._W @ wv, 1, 0)
+    vk, vg, v_gpsi, v_gs = np.moveaxis(quad._W @ wv, 1, 0)
     err_psi = np.abs(vk - v_gpsi)
-    err_rho = np.abs(vk - v_grho)
-    err = np.maximum(np.abs(vk - vg), np.maximum(err_psi, err_rho))
-    axis = (np.max(err_psi, axis=1) < np.max(err_rho, axis=1)).astype(int)
+    err_s = np.abs(vk - v_gs)
+    err = np.maximum(np.abs(vk - vg), np.maximum(err_psi, err_s))
+    axis = (np.max(err_psi, axis=1) < np.max(err_s, axis=1)).astype(int)
     return vk, err, axis
 
 
-def _cell_sets():
-    i, j = np.divmod(np.arange(32), 4)  # integrate's first cells: shared psi spans
-    first = np.stack([2 * np.pi * i / 8, 2 * np.pi * (i + 1) / 8, j / 4, (j + 1) / 4], axis=1)
+def _cell_sets(normal=None):
+    """Cell sets over the whole turn, or over the inward half-plane of a boundary anchor."""
+    sectors, start = (8, 0.0) if normal is None else (4, normal + 0.5 * np.pi)
+    i, j = np.divmod(np.arange(4 * sectors), 4)  # integrate's first cells: shared psi spans
+    first = np.stack([start + np.pi / 4 * i, start + np.pi / 4 * (i + 1), j / 4, (j + 1) / 4],
+                     axis=1)
     # spans that share one edge only: [a, b], [b, c] and [a, c]
     a, b, c = 0.4, 0.9, 1.7
     edges = np.array([[a, b, 0.0, 0.5], [b, c, 0.0, 0.5], [a, c, 0.5, 1.0],
@@ -227,12 +248,21 @@ def _cell_sets():
     wide = rng.integers(1, 3, 64) * (2 * np.pi / 80)
     r0 = rng.integers(0, 8, 64) / 8
     many = np.stack([lo, lo + wide, r0, r0 + rng.integers(1, 3, 64) / 16], axis=1)
+    if normal is not None:  # squeeze psi in [0, 2 pi] onto the inward half
+        for cells in (edges, many):
+            cells[:, :2] = start + 0.5 * cells[:, :2]
     return {"first": first, "one edge": edges, "one cell": first[5:6], "64 cells": many}
+
+
+def _boundary_anchor():
+    ell = SupportDomain.ellipse(0.8, 0.5)
+    foot, theta, _ = ell.nearest_boundary(np.array([0.9, 0.6]))
+    return ell, foot, theta
 
 
 def _charts():
     disk, ell = SupportDomain.disk(1.0), SupportDomain.ellipse(0.8, 0.5)
-    foot, theta, _ = ell.nearest_boundary(np.array([0.9, 0.6]))
+    _, foot, theta = _boundary_anchor()
     return {"disk": quad._PolarChart(disk, (0.3, -0.2)),
             "ellipse": quad._PolarChart(ell, (0.2, -0.1)),
             "ellipse boundary": quad._PolarChart(ell, foot, theta)}
@@ -256,7 +286,8 @@ def _integrands():
 @pytest.mark.parametrize("chart", list(_charts()))
 @pytest.mark.parametrize("m", [1, 6, 12])
 def test_eval_cell_bitwise(cells, chart, m):
-    cells, chart, f = _cell_sets()[cells], _charts()[chart], _integrands()[m]
+    normal = _boundary_anchor()[2] if chart == "ellipse boundary" else None
+    cells, chart, f = _cell_sets(normal)[cells], _charts()[chart], _integrands()[m]
     got, want = quad._eval_cell(chart, f, cells), _eval_cell_reference(chart, f, cells)
     for g, w in zip(got, want):
         assert g.shape == w.shape
