@@ -43,11 +43,18 @@ and, after those, the `json_text()` of the analysis reports:
 - a small `cone_nonconcavity_hunt` in the planar cone of half-aperture 0.1;
 - a 6-step `deformation_sweep` of the ellipse (0.8, 0.5).
 
+and, last, the Poisson integrals of the field:
+
+- `eval_u` and `eval_u_grad` with `DiskPhi` and with the alpha = 1 ellipse
+  `PhiField`, on points above and below the slab;
+- `eval_u3_slab` with the same two fields on slab points outside their domains.
+
 Run it on two checkouts and compare:
 
     PYTHONPATH=src python scripts/output_digest.py
 """
 
+import functools
 import hashlib
 import itertools
 
@@ -63,7 +70,7 @@ from stabletau.analysis import (
     slab_points,
 )
 from stabletau.closedform import StableParams, ball_exit_constant
-from stabletau.extension import DiskPhi, ExtensionContext
+from stabletau.extension import DiskPhi, ExtensionContext, eval_u, eval_u3_slab, eval_u_grad
 from stabletau.geom import ConeDomain, SupportDomain
 from stabletau.quad import QuadSpec
 from stabletau.wos import ExitRadiusLaw, WalkConfig, build_field, estimate_phi
@@ -75,6 +82,16 @@ CRITERION5_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=3e-8, max_cells=30000)
 # S1-S4 as (x1, x3) / h in the boundary frame (x1 along the inner normal)
 S_PROBES = [(-1.0, 0.125), (-1.0, 0.625), (1.0, 0.625), (1.0, 0.125)]
 EXTERIOR_POINTS = [[1.6, 0.7, 0.4], [-0.9, -2.1, 0.05], [2.4, -1.3, -1.1]]
+
+
+FIELD_QUAD = QuadSpec(abs_tol=1e-6)
+EXTERIOR_SLAB_POINTS = np.array([[-2.0, 0.0], [1.2, 0.5], [0.3, -1.1], [0.7, 0.75]])
+
+
+@functools.cache
+def _ellipse_field(alpha):
+    return build_field(SupportDomain.ellipse(0.8, 0.5), StableParams(alpha, 2), 0.1,
+                       WalkConfig(n_walks=600, seed=11))
 
 
 def _probe_points():
@@ -126,8 +143,7 @@ def outputs():
     square = SupportDomain.from_polygon(SQUARE)
     fields = {}
     for alpha in (0.5, 1.0, 1.5):
-        fields[alpha] = build_field(ellipse, StableParams(alpha, 2), 0.1,
-                                    WalkConfig(n_walks=600, seed=11))
+        fields[alpha] = _ellipse_field(alpha)
         yield f"build_field ellipse alpha={alpha:g}", _field_arrays(fields[alpha])
     for name, dom, x in (("disk", disk, [0.3, 0.1]), ("ellipse", ellipse, [0.3, 0.1]),
                          ("cone", ConeDomain(0.4, 3), [0.5, 0.05, -0.05])):
@@ -202,6 +218,20 @@ def analysis_outputs():
         SupportDomain.ellipse(0.8, 0.5), np.linspace(0.0, 1.0, 6))
 
 
+def poisson_outputs():
+    disk, field = SupportDomain.disk(1.0), _ellipse_field(1.0)
+    # the Monte Carlo field's integrals are resolved to about 1e-4 of its error bar
+    contexts = {"DiskPhi": ExtensionContext(disk, DiskPhi()),
+                "ellipse PhiField": ExtensionContext(field.dom, field, FIELD_QUAD)}
+    for (name, ctx), scale in zip(contexts.items(), (1.0, 0.7)):
+        above = SCAN_POINTS[SCAN_POINTS[:, 2] > 0.0] * [scale, scale, 1.0]
+        pts = np.concatenate([above, above * [1.0, 1.0, -1.0], EXTERIOR_POINTS])
+        yield f"eval_u eval_u_grad {name}", ([eval_u(ctx, x) for x in pts],
+                                             [eval_u_grad(ctx, x) for x in pts])
+    yield "eval_u3_slab exterior", ([eval_u3_slab(ctx, xy) for ctx in contexts.values()
+                                     for xy in EXTERIOR_SLAB_POINTS],)
+
+
 def main():
     total = hashlib.sha256()
     for label, arrays in outputs():
@@ -213,6 +243,8 @@ def main():
         print(f"{_digest(*arrays)}  {label}")
     for label, report in analysis_outputs():
         print(f"{_digest(report.json_text())}  {label}")
+    for label, arrays in poisson_outputs():
+        print(f"{_digest(*arrays)}  {label}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from .closedform import (
     disk_h,
     disk_poisson_density,
     eps_quadratic,
-    exterior_half_laplacian,
     kernel_K,
     kernel_K_grad,
     kernel_K_hess,
@@ -54,7 +53,7 @@ __all__ = [
     "aux_w", "aux_w_hess_det", "ball_exit_constant", "ball_phi",
     "build_field", "deform", "disk_h", "disk_poisson_density",
     "domain_gap", "eps_quadratic", "estimate_phi", "eval_hessian",
-    "eval_u", "eval_u3_slab", "exterior_half_laplacian", "integrate",
+    "eval_u", "eval_u3_slab", "integrate",
     "kernel_K", "kernel_K_grad", "kernel_K_hess", "load_domain",
     "load_field", "sample_exit", "save_domain", "save_field",
 ]

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .closedform import StableParams, exterior_half_laplacian
+from .closedform import StableParams
 from .errors import InsufficientRangeError, StableTauError
 from .extension import (
     ExtensionContext,
-    aux_w_hess,
     eval_hessian,
-    hessian_signature,
+    eval_u3_slab,
     local_frame_hessian,
+    psi_blend,
 )
 from .geom import ConeDomain, SupportDomain, deform, domain_gap, _unit
 from .wos import WalkConfig, _parallel_map, estimate_phi
@@ -313,19 +313,18 @@ def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
 def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
                descriptor: str = "custom", n_threads: int = 1) -> ScanReport:
     """det(Hess Psi_b) > 0 across the blend grid; the field Hessian is
-    evaluated once per point and blended with the closed-form companion."""
+    evaluated once per point and blended with the closed-form companion.  The
+    verdict is the worst blend's, judged by that blend's own det error."""
     b_grid = np.asarray(b_grid, dtype=float)
 
     def worker(x):
-        s = eval_hessian(ctx, x, "u")
-        w_h = aux_w_hess(x)
-        blends = [(1 - bb) * s.hess + bb * w_h for bb in b_grid]
-        dets = np.array([np.linalg.det(hb) for hb in blends])
-        worst = int(np.argmin(dets))
-        err = float(np.max((1 - b_grid)) * s.det_err)
-        sig_ok = all(hessian_signature(hb) == (1, 2, 0) for hb in blends)
-        verdict = _verdict(dets[worst], err, (1, 2, 0) if sig_ok else (0, 0, 3), s.converged)
-        return [dets[worst], b_grid[worst], err], verdict
+        u = eval_hessian(ctx, x, "u")
+        blends = [psi_blend(u, bb) for bb in b_grid]
+        worst = int(np.argmin([s.det for s in blends]))
+        s = blends[worst]
+        sig_ok = all(bs.signature == (1, 2, 0) for bs in blends)
+        verdict = _verdict(s.det, s.det_err, (1, 2, 0) if sig_ok else (0, 0, 3), s.converged)
+        return [s.det, b_grid[worst], s.det_err], verdict
 
     points, values, verdicts = _scan_rows(points, worker, n_threads)
     return ScanReport(
@@ -533,9 +532,7 @@ def boundary_exponent_fit(ctx: ExtensionContext, probe: str, quantity: str,
         if probe == "normal-slab":
             vals[i] = _slab_quantity(ctx, y0, n_in, t_cw, h, quantity)
         elif probe == "exterior":
-            x = y0 - h * n_in
-            v, _ = exterior_half_laplacian(ctx.dom, ctx.phi.values_at, x, ctx.quad)
-            vals[i] = v
+            vals[i] = -eval_u3_slab(ctx, y0 - h * n_in)
         else:
             a1, a3 = _S_LOCAL[probe]
             xy = y0 + a1 * h * n_in

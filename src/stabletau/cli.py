@@ -186,9 +186,8 @@ def _phi_context(ns, dom, domain_ref):
     if field_path:
         phi = load_field(field_path)
         return ExtensionContext(phi.dom, phi)
-    if isinstance(dom, SupportDomain) and dom._disk_radius is not None \
-            and abs(dom._disk_radius - 1.0) < 1e-15:
-        return ExtensionContext(dom, DiskPhi())
+    if isinstance(dom, SupportDomain) and dom._disk_radius is not None:
+        return ExtensionContext(dom, DiskPhi(dom._disk_radius))
     raise UsageError(
         f"{domain_ref}: no closed-form field; build one with field-build and pass --field")
 

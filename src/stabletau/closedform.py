@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     BadGeometryError,
     BelowPoleError,
-    InsideDomainError,
     OriginSingularError,
     OutsideBallError,
 )
@@ -220,29 +219,3 @@ def eps_quadratic(x):
     x1, x2, x3 = _split3(x)
     return -0.5 * x1 * x1 - 0.5 * x2 * x2 + x3 * x3
 
-
-# -- exterior half-Laplacian ---------------------------------------------------------
-
-def exterior_half_laplacian(dom, phi_eval, x, quad_spec=None):
-    """(-Delta)^{1/2} phi at x strictly outside the closed domain.
-
-    Evaluates -(2 pi)^{-1} int_D phi(y) |y - x|^{-3} dy by adaptive quadrature
-    anchored at the boundary point nearest to x; always negative for phi >= 0.
-    Returns (value, err_estimate).
-    """
-    from .quad import QuadSpec, integrate  # local import: quad depends on geom only
-
-    x = np.asarray(x, dtype=float)
-    foot, _, sd = dom.nearest_boundary(x)
-    if sd > -1e-12:
-        raise InsideDomainError("exterior formula needs x strictly outside D")
-    spec = quad_spec if quad_spec is not None else QuadSpec()
-    spec = spec.with_singular_center(foot)
-
-    def integrand(pts):
-        d2 = np.sum((pts - x[None, :]) ** 2, axis=1)
-        return phi_eval(pts) * d2 ** -1.5
-
-    val, err = integrate(dom, integrand, spec)
-    scale = -1.0 / (2.0 * math.pi)
-    return scale * float(val), abs(scale) * float(err)

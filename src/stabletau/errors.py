@@ -9,10 +9,6 @@ class PointOutsideError(StableTauError):
     """A point that must lie inside the domain does not."""
 
 
-class InsideDomainError(StableTauError):
-    """A point that must lie strictly outside the closed domain does not."""
-
-
 class OnBoundaryError(StableTauError):
     """A point sits on the boundary within tolerance where a side is required."""
 

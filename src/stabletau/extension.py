@@ -1,12 +1,18 @@
 """Harmonic extension of the exit-time field to 3-space and its Hessian.
 
 For x3 > 0 the extension is the half-space Poisson integral of the planar
-field; its second derivatives are obtained by differentiating the kernel
-under the integral (never by differencing the Monte Carlo field).  The lower
-half-space is the reflection u(x1, x2, -x3) - 2 x3, whose Hessian follows by
-flipping the signs of the 13 and 23 entries, and on the slab over the domain
-the vertical column is (0, 0, -u11 - u22) with the planar block read off the
+field; its derivatives are obtained by differentiating the kernel under the
+integral (never by differencing the Monte Carlo field).  The lower half-space
+is the reflection u(x1, x2, -x3) - 2 x3, whose Hessian follows by flipping
+the signs of the 13 and 23 entries, and on the slab over the domain the
+vertical column is (0, 0, -u11 - u22) with the planar block read off the
 field itself.
+
+Every integral of the field runs through one routine, _poisson: a kernel
+evaluated at the mirror image (x1, x2, |x3|), integrated on the chart that
+integrate anchors at (x1, x2).  Outside the domain the slab derivative
+u3 = -(-Delta)^{1/2} phi is the third component of the gradient kernel's
+integral at x3 = 0, where that component is C_K / |x - y|^3.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import numpy as np
 from .closedform import (
     EPS_QUADRATIC_HESS,
     aux_w_hess,
-    exterior_half_laplacian,
     kernel_K,
     kernel_K_grad,
     kernel_K_hess_components,
@@ -92,25 +97,8 @@ class HessianSample:
     converged: bool = True
 
 
-def symmetric_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric 3x3 matrix by the trigonometric closed form."""
-    p1 = h[0, 1] ** 2 + h[0, 2] ** 2 + h[1, 2] ** 2
-    if p1 == 0.0:
-        return np.sort(np.diag(h))
-    q = np.trace(h) / 3.0
-    p2 = sum((h[i, i] - q) ** 2 for i in range(3)) + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b = (h - q * np.eye(3)) / p
-    r = np.linalg.det(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * p * math.cos(phi)
-    e3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    return np.sort(np.array([e1, 3.0 * q - e1 - e3, e3]))
-
-
 def hessian_signature(h: np.ndarray) -> tuple:
-    eig = symmetric_eigenvalues(h)
+    eig = np.linalg.eigvalsh(h)
     tau = _SIGNATURE_CUT * float(np.max(np.abs(eig)))
     n_pos = int(np.count_nonzero(eig > tau))
     n_neg = int(np.count_nonzero(eig < -tau))
@@ -149,23 +137,42 @@ def _offsets(x, pts) -> np.ndarray:
     return rel.T
 
 
+def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
+    """integrate's (value, err) for kernel(x' - (y, 0)) phi(y), x' = (x1, x2, |x3|).
+
+    The chart's anchor is (x1, x2): integrate makes the one nearest-boundary
+    query and, over the exterior, anchors at the foot.  With noisy, columns
+    |kernel| * stderr follow the kernel's, and abs_tol is floored at a quarter
+    of the field's typical error bar, below which quadrature is wasted work.
+    """
+    mirror = np.array([x[0], x[1], abs(x[2])])
+    spec = ctx.quad.with_singular_center(x[:2])
+    if noisy:
+        spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
+
+    def integrand(pts):
+        # a fresh C-contiguous (n, m) kernel array, scaled in place; the result
+        # must stay C-ordered (see the quad module docstring)
+        k = kernel(_offsets(mirror, pts)).reshape(len(pts), -1)
+        if not noisy:
+            k *= ctx.phi.values_at(pts)[:, None]
+            return k
+        vals, errs = ctx.phi.values_and_stderr_at(pts)
+        return np.concatenate([k * vals[:, None], np.abs(k) * errs[:, None]], axis=1)
+
+    return integrate(ctx.dom, integrand, spec)
+
+
 def eval_u(ctx: ExtensionContext, x) -> float:
     """Value of the extension at x in R^3 away from the exterior cut."""
     x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x
-    if x3 == 0.0:
+    if x[2] == 0.0:
         sd = ctx.dom.signed_distance(x[:2])
         if sd < -1e-12:
             raise UndefinedOnCutError("u is undefined on int(D^c) x {0}")
         return float(ctx.phi.values_at(x[:2].reshape(1, 2))[0]) if sd > 0 else 0.0
-    if x3 < 0.0:
-        return eval_u(ctx, np.array([x1, x2, -x3])) - 2.0 * x3
-
-    def integrand(pts):
-        return kernel_K(_offsets(x, pts)) * ctx.phi.values_at(pts)
-
-    val, _ = integrate(ctx.dom, integrand, ctx.quad.with_singular_center(x[:2]))
-    return float(val)
+    val, _ = _poisson(ctx, x, kernel_K)
+    return float(val) - 2.0 * min(x[2], 0.0)
 
 
 def eval_u_grad(ctx: ExtensionContext, x) -> np.ndarray:
@@ -173,80 +180,61 @@ def eval_u_grad(ctx: ExtensionContext, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x[2] == 0.0:
         raise UndefinedOnCutError("gradient on the slab is one-sided; use eval_u3_slab")
+    g, _ = _poisson(ctx, x, kernel_K_grad)
     if x[2] < 0.0:
-        g = eval_u_grad(ctx, np.array([x[0], x[1], -x[2]]))
-        return np.array([g[0], g[1], -g[2] - 2.0])
+        g[2] = -g[2] - 2.0
+    return g
 
-    def integrand(pts):
-        return kernel_K_grad(_offsets(x, pts)) * ctx.phi.values_at(pts)[:, None]
 
-    val, _ = integrate(ctx.dom, integrand, ctx.quad.with_singular_center(x[:2]))
-    return np.asarray(val)
+def _sample(x, h, entry_err, converged) -> HessianSample:
+    return HessianSample(
+        x=x, hess=h, det=float(np.linalg.det(h)), trace=float(np.trace(h)),
+        signature=hessian_signature(h), det_err=_det_error(h, entry_err),
+        entry_err=entry_err, converged=converged)
+
+
+def psi_blend(s: HessianSample, b: float) -> HessianSample:
+    """Sample of the blend psi_b = (1 - b) u + b w from a sample s of u.
+
+    The companion w is closed-form, so the blend's entry errors are (1 - b)
+    times those of u, and its det error follows from them.
+    """
+    return _sample(s.x, (1.0 - b) * s.hess + b * aux_w_hess(s.x), (1.0 - b) * s.entry_err,
+                   s.converged)
 
 
 def eval_hessian(ctx: ExtensionContext, x, which: str = "u", *,
                  eps: float = 0.0, b: float = 0.0) -> HessianSample:
     """Hessian sample of u, of v^eps = u + eps q, or of the blend psi_b.
 
-    Above the slab the entries are integrals of the kernel's second
-    derivatives against the field; below it they are reflected with the
-    (13, 23) sign flips; on the slab over the domain the vertical mixed
-    entries vanish and u33 = -u11 - u22.
+    Off the slab the entries are integrals of the kernel's second
+    derivatives against the field, with the (13, 23) sign flips below it;
+    on the slab over the domain the vertical mixed entries vanish and
+    u33 = -u11 - u22.
     """
     x = np.asarray(x, dtype=float)
-    if x[2] == 0.0:
-        entries, entry_err, conv = _slab_hessian_entries(ctx, x[:2])
-    elif x[2] > 0.0:
-        entries, entry_err, conv = _upper_hessian_entries(ctx, x)
-    else:
-        mirror = np.array([x[0], x[1], -x[2]])
-        entries, entry_err, conv = _upper_hessian_entries(ctx, mirror)
-        entries = entries * np.array([1, 1, 1, 1, -1, -1.0])
-    h = _assemble(entries)
-    if which == "veps":
-        h = h + eps * EPS_QUADRATIC_HESS
-    elif which == "psib":
-        h = (1.0 - b) * h + b * aux_w_hess(x)
-        entry_err = (1.0 - b) * entry_err
-    elif which != "u":
-        raise ValueError(f"unknown hessian target {which!r}")
-    return HessianSample(
-        x=x, hess=h, det=float(np.linalg.det(h)), trace=float(np.trace(h)),
-        signature=hessian_signature(h), det_err=_det_error(h, entry_err),
-        entry_err=entry_err, converged=conv)
-
-
-def _upper_hessian_entries(ctx: ExtensionContext, x):
-    sigma = float(ctx.phi.typical_stderr())
-    with_noise = sigma > 0.0
-
-    def integrand(pts):
-        # a fresh C-contiguous (n, 6) array, scaled in place; the result must
-        # stay C-ordered (see the quad module docstring)
-        comps = kernel_K_hess_components(_offsets(x, pts))
-        if not with_noise:
-            comps *= ctx.phi.values_at(pts)[:, None]
-            return comps
-        vals, errs = ctx.phi.values_and_stderr_at(pts)
-        return np.concatenate([comps * vals[:, None], np.abs(comps) * errs[:, None]], axis=1)
-
-    spec = ctx.quad.with_singular_center(x[:2])
-    if with_noise:
-        # resolving quadrature below the Monte Carlo noise is wasted work
-        spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * sigma))
     conv = True
-    try:
-        val, err = integrate(ctx.dom, integrand, spec)
-    except NonConvergedError as exc:
-        val, err = exc.value, exc.err_estimate
-        conv = False
-    if with_noise:
-        entries, quad_err = val[:6], err[:6]
-        noise = val[6:]
-        entry_err = np.sqrt(quad_err ** 2 + noise ** 2)
+    if x[2] == 0.0:
+        entries, entry_err = _slab_hessian_entries(ctx, x[:2])
     else:
-        entries, entry_err = val, err
-    return entries, entry_err, conv
+        noisy = ctx.phi.typical_stderr() > 0.0
+        try:
+            val, err = _poisson(ctx, x, kernel_K_hess_components, noisy)
+        except NonConvergedError as exc:
+            val, err, conv = exc.value, exc.err_estimate, False
+        entries, entry_err = val[:6], err[:6]
+        if noisy:
+            entry_err = np.sqrt(entry_err ** 2 + val[6:] ** 2)
+        if x[2] < 0.0:
+            entries = entries * np.array([1, 1, 1, 1, -1, -1.0])
+    h = _assemble(entries)
+    if which == "u":
+        return _sample(x, h, entry_err, conv)
+    if which == "veps":
+        return _sample(x, h + eps * EPS_QUADRATIC_HESS, entry_err, conv)
+    if which == "psib":
+        return psi_blend(_sample(x, h, entry_err, conv), b)
+    raise ValueError(f"unknown hessian target {which!r}")
 
 
 def _slab_hessian_entries(ctx: ExtensionContext, xy):
@@ -259,8 +247,7 @@ def _slab_hessian_entries(ctx: ExtensionContext, xy):
         err = np.zeros(6)
     else:
         h11, h22, h12, err = _stencil_slab_hessian(ctx, xy, sd)
-    entries = np.array([h11, h22, -h11 - h22, h12, 0.0, 0.0])
-    return entries, err, True
+    return np.array([h11, h22, -h11 - h22, h12, 0.0, 0.0]), err
 
 
 def _stencil_slab_hessian(ctx: ExtensionContext, xy, sd):
@@ -291,8 +278,8 @@ def eval_u3_slab(ctx: ExtensionContext, xy) -> float:
         raise OnBoundaryError("u3 jumps across the domain boundary")
     if sd > 0:
         return -1.0
-    val, _ = exterior_half_laplacian(ctx.dom, ctx.phi.values_at, xy, ctx.quad)
-    return -val
+    g, _ = _poisson(ctx, np.array([xy[0], xy[1], 0.0]), kernel_K_grad)
+    return float(g[2])
 
 
 def local_frame_hessian(h: np.ndarray, normal_angle: float) -> np.ndarray:

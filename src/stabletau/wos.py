@@ -511,7 +511,9 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
 
     cfg.n_walks is the per-node walk budget.  All nodes run in one grouped
     simulation (walk i belongs to node i // n_walks), so fields are
-    reproducible and independent of n_threads.
+    reproducible and independent of n_threads.  Raises GridTooCoarseError
+    when the lattice has fewer than 100 interior nodes, or no reliable node
+    in the band where the boundary blend is fitted.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing:g}")
@@ -550,8 +552,12 @@ def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):
     """
     lo, hi = _FIT_BAND[0] * spacing, _FIT_BAND[1] * spacing
     band = reliable_idx[(d[reliable_idx] > lo) & (d[reliable_idx] <= hi)]
+    if band.size == 0:
+        raise GridTooCoarseError(
+            f"spacing {spacing:g} leaves no node {_FIT_BAND[0]:g} to {_FIT_BAND[1]:g} "
+            "spacings deep to fit the boundary blend")
     sector = np.floor(theta[band] * _N_SECTORS / (2 * np.pi)).astype(int) % _N_SECTORS
-    c = np.full(_N_SECTORS, np.nan)
+    c = np.zeros(_N_SECTORS)
     c2 = np.zeros(_N_SECTORS)
     cerr = np.zeros(_N_SECTORS)
     for k in range(_N_SECTORS):
@@ -562,8 +568,6 @@ def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):
                                (k - sector) % _N_SECTORS) <= widen)
             rows = band[near]
             widen += 1
-        if rows.size == 0:
-            continue
         dd = d[rows]
         basis = np.stack([np.sqrt(dd), dd ** 1.5], axis=1)
         w = 1.0 / (np.maximum(stderr[rows], 1e-12) + 0.05 * dd ** 2.5)
@@ -573,9 +577,6 @@ def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):
         scatter = float(np.sqrt(np.mean(resid ** 2))) / math.sqrt(max(rows.size, 1))
         cerr[k] = scatter / math.sqrt(float(np.mean(dd))) + float(
             np.mean(stderr[rows] / np.sqrt(dd)))
-    if np.any(np.isnan(c)):
-        fallback = np.nanmean(c) if np.any(~np.isnan(c)) else 0.0
-        c = np.where(np.isnan(c), fallback, c)
     return c, c2, cerr
 
 

@@ -276,6 +276,15 @@ def test_psi_b_scan_near_boundary_circle(ctx):
                                                   rel=1e-12)
 
 
+def test_psi_b_scan_scores_the_worst_blend_by_its_own_error(ctx):
+    pts = np.array([[0.2, 0.1, 0.3], [-0.4, 0.2, 0.6], [0.9, -0.3, 0.15]])
+    rep = an.psi_b_scan(ctx, np.linspace(0, 1, 5), pts)
+    det, b, err = (rep.columns.index(c) for c in ("min_det", "argmin_b", "det_err"))
+    for x, row in zip(pts, rep.values):
+        blend = an.eval_hessian(ctx, x, "psib", b=row[b])
+        assert (row[det], row[err]) == (blend.det, blend.det_err)
+
+
 @pytest.mark.parametrize("points", [np.empty((0, 3)), np.array([0.2, 0.1, 0.3]),
                                     np.zeros((4, 2))])
 def test_scans_reject_points_not_of_shape_n_by_3(ctx, points):

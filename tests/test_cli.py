@@ -178,6 +178,10 @@ def test_hessian_scan_needs_field_for_nondisk():
                 "--points", "halton:4"]) == EXIT_USAGE
 
 
+def test_hessian_scan_closed_form_on_any_disk():
+    assert run(["hessian-scan", "--builtin", "disk:0.5", "--points", "halton:4"]) == EXIT_OK
+
+
 def test_field_build_and_scan_roundtrip(tmp_path):
     fpath = tmp_path / "disk.pf"
     assert run(["field-build", "--builtin", "disk", "--alpha", "1",

@@ -21,7 +21,6 @@ from stabletau.closedform import (
     disk_poisson_density,
     eps_quadratic,
     EPS_QUADRATIC_HESS,
-    exterior_half_laplacian,
     kernel_K,
     kernel_K_grad,
     kernel_K_hess,
@@ -30,12 +29,9 @@ from stabletau.closedform import (
 from stabletau.errors import (
     BadGeometryError,
     BelowPoleError,
-    InsideDomainError,
     OriginSingularError,
     OutsideBallError,
 )
-from stabletau.extension import DiskPhi
-from stabletau.geom import SupportDomain
 
 
 def test_ball_phi_cauchy_center():
@@ -293,34 +289,3 @@ def test_norm_const_documented():
     assert StableParams(1.0, 2).norm_const == pytest.approx(1 / (2 * math.pi), rel=1e-12)
     assert math.isnan(StableParams(2.0, 2).norm_const)
 
-
-@pytest.fixture(scope="module")
-def unit_disk():
-    return SupportDomain.disk(1.0)
-
-
-def test_exterior_half_laplacian_sign(unit_disk):
-    val, err = exterior_half_laplacian(unit_disk, DiskPhi().values_at, [-2.0, 0.0])
-    assert val < 0
-    assert err < abs(val) * 1e-4
-
-
-def test_exterior_half_laplacian_inside_raises(unit_disk):
-    with pytest.raises(InsideDomainError):
-        exterior_half_laplacian(unit_disk, DiskPhi().values_at, [0.5, 0.0])
-
-
-def test_exterior_half_laplacian_brute_force(unit_disk):
-    # 10^6-node midpoint rule oracle at x = (-1.5, 0)
-    x = np.array([-1.5, 0.0])
-    n = 1000
-    g = ((np.arange(n) + 0.5) / n) * 2.0 - 1.0
-    gx, gy = np.meshgrid(g, g)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    r2 = np.sum(pts * pts, axis=1)
-    inside = r2 < 1.0
-    phi = (2 / math.pi) * np.sqrt(np.maximum(1 - r2, 0.0))
-    d3 = np.sum((pts - x) ** 2, axis=1) ** 1.5
-    brute = -(1 / (2 * math.pi)) * float(np.sum(phi[inside] / d3[inside])) * (2 / n) ** 2
-    val, _ = exterior_half_laplacian(unit_disk, DiskPhi().values_at, x)
-    assert val == pytest.approx(brute, rel=1e-4)

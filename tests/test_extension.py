@@ -11,7 +11,6 @@ from stabletau.analysis import cylinder_points
 from stabletau.closedform import (
     StableParams,
     aux_w_hess_det,
-    exterior_half_laplacian,
     kernel_K_grad,
 )
 from stabletau.errors import NonConvergedError, OnBoundaryError, UndefinedOnCutError
@@ -25,7 +24,6 @@ from stabletau.extension import (
     eval_u_grad,
     hessian_signature,
     local_frame_hessian,
-    symmetric_eigenvalues,
 )
 from stabletau.geom import SupportDomain
 from stabletau.quad import QuadSpec, integrate
@@ -257,6 +255,35 @@ def test_u3_slab_fd_consistency(ctx):
         assert fd == pytest.approx(-1.0, abs=1e-2)
 
 
+@pytest.mark.parametrize("dom, xy", [
+    (SupportDomain.disk(1.0), (-2.0, 0.0)),
+    # points whose chart failed the radial-extent Newton when its anchor was
+    # queried from their boundary foot instead of from the point itself
+    (SupportDomain.ellipse(0.8, 0.5), (-0.3654539164320145, 0.46535310234802296)),
+    (SupportDomain.ellipse(0.9, 0.15), (0.5384124901191011, -0.12122223370231305)),
+    (SupportDomain.from_polygon([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]),
+     (-0.5166415339642634, 0.3805608771790026)),
+], ids=["disk", "ellipse-0.8-0.5", "ellipse-0.9-0.15", "square"])
+def test_exterior_u3_positive(dom, xy):
+    u3 = eval_u3_slab(ExtensionContext(dom, DiskPhi()), xy)
+    assert np.isfinite(u3) and u3 > 0
+
+
+def test_exterior_u3_brute_force(ctx):
+    # 10^6-node midpoint rule oracle for C_K int phi(y) |y - x|^-3 dy at x = (-1.5, 0)
+    x = np.array([-1.5, 0.0])
+    n = 1000
+    g = ((np.arange(n) + 0.5) / n) * 2.0 - 1.0
+    gx, gy = np.meshgrid(g, g)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    r2 = np.sum(pts * pts, axis=1)
+    inside = r2 < 1.0
+    phi = (2 / math.pi) * np.sqrt(np.maximum(1 - r2, 0.0))
+    d3 = np.sum((pts - x) ** 2, axis=1) ** 1.5
+    brute = (1 / (2 * math.pi)) * float(np.sum(phi[inside] / d3[inside])) * (2 / n) ** 2
+    assert eval_u3_slab(ctx, x) == pytest.approx(brute, rel=1e-4)
+
+
 def test_grad_matches_fd(ctx):
     x = np.array([0.4, -0.2, 0.8])
     g = eval_u_grad(ctx, x)
@@ -276,10 +303,8 @@ def test_u13_two_routes(ctx):
     slab vertical derivative field (unit disk; the exterior part is radial)."""
     # radial table of u3 outside the disk
     deltas = np.geomspace(1e-4, 9.0, 60)
-    u3_out = np.array([
-        -exterior_half_laplacian(ctx.dom, ctx.phi.values_at, [1.0 + d, 0.0],
-                                 QuadSpec(rel_tol=1e-7))[0]
-        for d in deltas])
+    fine = ExtensionContext(ctx.dom, ctx.phi, QuadSpec(rel_tol=1e-7))
+    u3_out = np.array([eval_u3_slab(fine, [1.0 + d, 0.0]) for d in deltas])
     table = PchipInterpolator(np.log(deltas), np.log(u3_out))
 
     def u3_ext(r):
@@ -335,14 +360,17 @@ def test_det_error_singular_matrix():
     assert _det_error(h, err) == pytest.approx(1.25 * 0.2, rel=1e-15)
 
 
-def test_symmetric_eigensolver():
+def test_hessian_signature():
+    # random rotations of diagonals with known signs; eigenvalues below 1e-9
+    # of the largest count as zero
     rng = Generator(Philox(key=31))
     for _ in range(50):
-        m = rng.normal(size=(3, 3))
-        h = m + m.T
-        got = symmetric_eigenvalues(h)
-        want = np.linalg.eigvalsh(h)
-        assert np.allclose(got, want, atol=1e-10 * max(1, np.max(np.abs(want))))
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        eig = rng.uniform(0.1, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
+        n_pos = int(np.count_nonzero(eig > 0))
+        assert hessian_signature(q @ np.diag(eig) @ q.T) == (n_pos, 3 - n_pos, 0)
+        eig[0] = 1e-12
+        assert sum(hessian_signature(q @ np.diag(eig) @ q.T)[:2]) == 2
     assert hessian_signature(np.diag([1.0, -2.0, -3.0])) == (1, 2, 0)
     assert hessian_signature(np.diag([1.0, 1e-12, -3.0])) == (1, 1, 1)
 

@@ -523,6 +523,10 @@ def test_field_file_rejects_duplicate_and_missing_nodes(tmp_path, disk_field):
 def test_field_grid_too_coarse():
     with pytest.raises(GridTooCoarseError):
         build_field(DISK, CAUCHY, 0.5, WalkConfig(n_walks=100, seed=1))
+    # 130 interior nodes, none of them deep enough to fit the boundary blend
+    strip = SupportDomain.from_polygon([[1, .03], [-1, .03], [-1, -.03], [1, -.03]])
+    with pytest.raises(GridTooCoarseError, match="boundary blend"):
+        build_field(strip, CAUCHY, 0.045, WalkConfig(n_walks=100, seed=1))
     for spacing in (0.0, -0.1, float("nan")):  # 0 divided by zero, -0.1 built no nodes
         with pytest.raises(ValueError, match="spacing must be positive"):
             build_field(DISK, CAUCHY, spacing, WalkConfig(n_walks=100, seed=1))
