@@ -28,6 +28,9 @@ with checkouts older than them:
 
 - `ExitRadiusLaw.factor` at alpha = 0.5, 0.7, 1.5 and 1.9 on fixed uniforms,
   the edge values 0, 2^-53, 0.5 and 1 - 2^-53 included;
+- the walk directions `_directions` at dim = 2, 3 and 5 on the edge uniforms
+  0, 2^-53, 1/4, 1/2, 3/4 and 1 - 2^-53 (each uniform row a rotation of
+  them) and on fixed uniforms;
 - `estimate_phi` (with exit points) on the unit disk at alpha = 0.5, 1.5 and 2,
   and on the three-dimensional cone at alpha = 1.5.
 
@@ -73,7 +76,14 @@ from stabletau.closedform import StableParams, ball_exit_constant
 from stabletau.extension import DiskPhi, ExtensionContext, eval_u, eval_u3_slab, eval_u_grad
 from stabletau.geom import ConeDomain, SupportDomain
 from stabletau.quad import QuadSpec
-from stabletau.wos import ExitRadiusLaw, WalkConfig, build_field, estimate_phi
+from stabletau.wos import (
+    ExitRadiusLaw,
+    WalkConfig,
+    _directions,
+    _uniform_width,
+    build_field,
+    estimate_phi,
+)
 
 SQUARE = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
 SCAN_POINTS = np.array([[0.2, 0.1, 0.3], [-0.4, 0.2, 0.6], [0.9, -0.3, 0.15],
@@ -82,9 +92,6 @@ CRITERION5_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=3e-8, max_cells=30000)
 # S1-S4 as (x1, x3) / h in the boundary frame (x1 along the inner normal)
 S_PROBES = [(-1.0, 0.125), (-1.0, 0.625), (1.0, 0.625), (1.0, 0.125)]
 EXTERIOR_POINTS = [[1.6, 0.7, 0.4], [-0.9, -2.1, 0.05], [2.4, -1.3, -1.1]]
-
-
-FIELD_QUAD = QuadSpec(abs_tol=1e-6)
 EXTERIOR_SLAB_POINTS = np.array([[-2.0, 0.0], [1.2, 0.5], [0.3, -1.1], [0.7, 0.75]])
 
 
@@ -178,6 +185,11 @@ def walk_outputs():
                         [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]])
     for alpha in (0.5, 0.7, 1.5, 1.9):
         yield f"exit_law factor alpha={alpha:g}", (ExitRadiusLaw(alpha).factor(u),)
+    edge = np.array([0.0, 2.0 ** -53, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+    uni = np.concatenate([[np.roll(edge, i) for i in range(6)],
+                          np.random.default_rng(20261020).random((6, 1000))], axis=1)
+    yield "_directions dim=2,3,5", tuple(_directions(uni[:_uniform_width(dim) - 1], dim)
+                                         for dim in (2, 3, 5))
     disk = SupportDomain.disk(1.0)
     for name, dom, alpha, x, n in (("disk", disk, 0.5, [0.3, 0.1], 40_000),
                                    ("disk", disk, 1.5, [0.3, 0.1], 40_000),
@@ -220,9 +232,8 @@ def analysis_outputs():
 
 def poisson_outputs():
     disk, field = SupportDomain.disk(1.0), _ellipse_field(1.0)
-    # the Monte Carlo field's integrals are resolved to about 1e-4 of its error bar
     contexts = {"DiskPhi": ExtensionContext(disk, DiskPhi()),
-                "ellipse PhiField": ExtensionContext(field.dom, field, FIELD_QUAD)}
+                "ellipse PhiField": ExtensionContext(field.dom, field)}
     for (name, ctx), scale in zip(contexts.items(), (1.0, 0.7)):
         above = SCAN_POINTS[SCAN_POINTS[:, 2] > 0.0] * [scale, scale, 1.0]
         pts = np.concatenate([above, above * [1.0, 1.0, -1.0], EXTERIOR_POINTS])

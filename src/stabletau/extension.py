@@ -141,14 +141,14 @@ def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
     """integrate's (value, err) for kernel(x' - (y, 0)) phi(y), x' = (x1, x2, |x3|).
 
     The chart's anchor is (x1, x2): integrate makes the one nearest-boundary
-    query and, over the exterior, anchors at the foot.  With noisy, columns
-    |kernel| * stderr follow the kernel's, and abs_tol is floored at a quarter
-    of the field's typical error bar, below which quadrature is wasted work.
+    query and, over the exterior, anchors at the foot.  abs_tol is floored
+    at a quarter of the field's typical error bar, below which quadrature
+    resolves only the field's noise (a closed-form field has none).  With
+    noisy, columns |kernel| * stderr follow the kernel's.
     """
     mirror = np.array([x[0], x[1], abs(x[2])])
     spec = ctx.quad.with_singular_center(x[:2])
-    if noisy:
-        spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
+    spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
 
     def integrand(pts):
         # a fresh C-contiguous (n, m) kernel array, scaled in place; the result

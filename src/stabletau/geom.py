@@ -79,14 +79,15 @@ def _unit(theta):
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def _bracketed_newton(fn, theta, lo, hi, what):
+def _bracketed_newton(fn, theta, lo, hi, what, bisect=False):
     """Per row, the zero of an increasing f in [lo, hi], by Newton from theta.
 
     fn(theta, rows) returns (f, f') at the angles theta of the rows given by
     their indices into theta.  Each iterate shrinks the bracket by the sign
     of f, and a step that leaves it is replaced by bisection.  A row is done
     when a step is at most _NEWTON_TOL and takes that step's end; rows left
-    after _NEWTON_STEPS steps raise NewtonError, naming what.
+    after _NEWTON_STEPS steps raise NewtonError, naming what, unless bisect:
+    then their brackets are halved on the sign of f (_bisect_bracket).
     """
     out = np.empty(len(theta))
     rows = np.arange(len(theta))
@@ -104,8 +105,26 @@ def _bracketed_newton(fn, theta, lo, hi, what):
                 out[rows[done]] = theta[done]
                 go = ~done
                 rows, theta, lo, hi = rows[go], theta[go], lo[go], hi[go]
+        if bisect:
+            out[rows] = _bisect_bracket(fn, rows, lo, hi, what)
+            return out
     raise NewtonError(f"{what}: Newton did not converge on {rows.size} of {out.size} "
                       f"rows in {_NEWTON_STEPS} steps")
+
+
+def _bisect_bracket(fn, rows, lo, hi, what):
+    """The zeros of an increasing f in the brackets [lo, hi], by bisection on
+    the sign of f until each bracket is at most _NEWTON_TOL wide; a bracket
+    that a NaN keeps wider after 64 halvings raises NewtonError, naming what."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        wide = hi - lo > _NEWTON_TOL
+        if not wide.any():
+            return mid
+        f, _ = fn(mid, rows)
+        lo = np.where(wide & (f < 0.0), mid, lo)
+        hi = np.where(wide & (f >= 0.0), mid, hi)
+    raise NewtonError(f"{what}: bisection did not converge on {np.count_nonzero(wide)} rows")
 
 
 def _project_coeffs(fn, n_modes: int, n_fft: int | None = None) -> np.ndarray:
@@ -389,10 +408,10 @@ class SupportDomain:
         """
         pts = np.asarray(pts, dtype=float)
         if self._disk_radius is not None:
-            r = np.hypot(pts[:, 0], pts[:, 1])
+            d = self._disk_distance(pts)
             theta = np.arctan2(pts[:, 1], pts[:, 0])
-            theta[r == 0] = 0.0
-            return self._disk_radius - r, theta
+            theta[(pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)] = 0.0
+            return d, theta
         if self._r0 == 0.0:
             return self._search_foot(pts)
         lattice = self._lattice()
@@ -427,8 +446,16 @@ class SupportDomain:
         """
         pts = np.asarray(pts, dtype=float)
         if self._disk_radius is not None:
-            return self._disk_radius - np.hypot(pts[:, 0], pts[:, 1])
+            return self._disk_distance(pts)
         return self._lattice().lower(pts)
+
+    def _disk_distance(self, pts: np.ndarray) -> np.ndarray:
+        """The disk's closed form r - |x|, the exact distance and both its bounds."""
+        x1, x2 = pts[:, 0], pts[:, 1]
+        d = x1 * x1
+        d += x2 * x2
+        np.sqrt(d, out=d)
+        return np.subtract(self._disk_radius, d, out=d)
 
     def step_distance(self, pts: np.ndarray, cut: float) -> np.ndarray:
         """Per row, the distance r a walk steps on from x.

@@ -99,14 +99,17 @@ class _PolarChart:
     g (h + h'') / |b - c|^2), so a table of it on _TABLE_GRID steps of theta
     (the domain's Hermite knots, shifted to the start angle) and searchsorted
     bracket each psi, and geom._bracketed_newton on N finishes.
-    R = g / cos t, from the series.
+    R = g / cos t, from the series; a grazing ray (cos t < 1e-3) takes
+    R = |b(theta) - c| = |(g, g')| instead, which does not magnify the
+    error of theta by 1 / cos t.
 
     An anchor on the boundary is given with its normal angle: its table
     starts there, where b - c turns from the direction normal + pi/2, and it
     brackets the inward rays, psi in [normal + pi/2, normal + 3 pi/2], the
     only ones integrate's cells hold.  The table's ends are the anchor
     itself, where N has a double root, so the two tangent rays take R = 0
-    without Newton.
+    without Newton.  Next to them N is at rounding level and Newton may
+    stall; such rays finish by bisecting their brackets down to _NEWTON_TOL.
     """
 
     def __init__(self, dom, center, normal=None):
@@ -150,9 +153,15 @@ class _PolarChart:
             g = h - (c[0] * cth + c[1] * sth)
             gp = h1 - (-c[0] * sth + c[1] * cth)
             return gp * ct + g * np.sin(t), (h + h2) * ct
-        theta = _bracketed_newton(normal, theta, lo, hi, "radial extent")
-        g = _series(dom.coeffs, theta) - (c[0] * np.cos(theta) + c[1] * np.sin(theta))
-        out[rays] = np.maximum(g / np.maximum(np.cos(theta - psi), 1e-12), 0.0)
+        theta = _bracketed_newton(normal, theta, lo, hi, "radial extent", self._anchored)
+        cth, sth, ct = np.cos(theta), np.sin(theta), np.cos(theta - psi)
+        g = _series(dom.coeffs, theta) - (c[0] * cth + c[1] * sth)
+        R = g / np.maximum(ct, 1e-12)
+        i = np.flatnonzero(ct < 1e-3)  # grazing rays
+        if i.size:
+            gp = dom.support(theta[i], 1) - (-c[0] * sth[i] + c[1] * cth[i])
+            R[i] = np.hypot(g[i], gp)
+        out[rays] = np.maximum(R, 0.0)
         return out
 
 

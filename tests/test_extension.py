@@ -255,6 +255,16 @@ def test_u3_slab_fd_consistency(ctx):
         assert fd == pytest.approx(-1.0, abs=1e-2)
 
 
+SQUARE_DOM = SupportDomain.from_polygon([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
+# exterior points 0.0013-0.043 off the smoothed square's corners, where some
+# of the boundary-anchored chart's rays lie so near a tangent that their N is
+# at rounding level and Newton stalls; bisection finishes them
+_TANGENT_RAY_POINTS = [(-0.5539476524364224, -0.4560998277644411),
+                       (0.45205693378933937, 0.5122479780757269),
+                       (0.5122006172414523, 0.4520512482046123),
+                       (0.4532896715961062, 0.5250021094908998)]
+
+
 @pytest.mark.parametrize("dom, xy", [
     (SupportDomain.disk(1.0), (-2.0, 0.0)),
     # points whose chart failed the radial-extent Newton when its anchor was
@@ -263,10 +273,35 @@ def test_u3_slab_fd_consistency(ctx):
     (SupportDomain.ellipse(0.9, 0.15), (0.5384124901191011, -0.12122223370231305)),
     (SupportDomain.from_polygon([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]),
      (-0.5166415339642634, 0.3805608771790026)),
-], ids=["disk", "ellipse-0.8-0.5", "ellipse-0.9-0.15", "square"])
+    *((SQUARE_DOM, xy) for xy in _TANGENT_RAY_POINTS),
+], ids=["disk", "ellipse-0.8-0.5", "ellipse-0.9-0.15", "square",
+        *(f"square-tangent-{k}" for k in range(len(_TANGENT_RAY_POINTS)))])
 def test_exterior_u3_positive(dom, xy):
     u3 = eval_u3_slab(ExtensionContext(dom, DiskPhi()), xy)
     assert np.isfinite(u3) and u3 > 0
+
+
+@pytest.mark.parametrize("xy", _TANGENT_RAY_POINTS)
+def test_exterior_u3_tangent_rays_brute_force(xy):
+    """The tangent-ray points against a midpoint rule about x itself.
+
+    u3 = C_K int_D phi(y) |y - x|^-3 dy, in polar coordinates about x with
+    r = d e^s (d the distance to D): C_K int int phi r^-1 ds dpsi, on a
+    1000 x 1000 midpoint grid masked by the sign of the distance oracle.
+    """
+    x = np.asarray(xy)
+    d = -SQUARE_DOM.signed_distance(x)
+    s_max = math.log(2.0 / d)  # the domain lies within 2 of x
+    n = 1000
+    psi = (np.arange(n) + 0.5) * (2 * math.pi / n)
+    r = d * np.exp((np.arange(n) + 0.5) * (s_max / n))
+    y = (x + r[None, :, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)[:, None, :]
+         ).reshape(-1, 2)
+    inside = SQUARE_DOM.step_distance(y, 0.0) > 0.0  # exact sign of the distance
+    f = np.where(inside, DiskPhi().values_at(y), 0.0).reshape(n, n) / r
+    brute = float(f.sum()) * (s_max / n) / n  # C_K = 1 / (2 pi) times d psi = 2 pi / n
+    assert eval_u3_slab(ExtensionContext(SQUARE_DOM, DiskPhi()), xy) == pytest.approx(
+        brute, rel=5e-4)
 
 
 def test_exterior_u3_brute_force(ctx):
@@ -487,3 +522,41 @@ def test_noisy_integrand_reads_field_with_one_distance_query(monkeypatch):
     assert field.typical_stderr() > 0.0  # the integrand carries the noise columns
     assert np.all(sample.entry_err > 0.0)
     assert per_call and all(n == 1 for n in per_call)
+
+
+def _exact_ellipse_u(x, a=0.8, b=0.5):
+    """The alpha = 1 harmonic extension on the ellipse with semi-axes a, b, in closed form.
+
+    u = x3 R_D(a^2 + lam, b^2 + lam, lam) / (R_D(b^2, 0, a^2) + R_D(a^2, 0, b^2)),
+    with lam the largest root of x1^2 / (a^2 + lam) + x2^2 / (b^2 + lam) + x3^2 / lam = 1
+    (minus the vertical derivative of the flat ellipsoid's potential); below
+    the slab u(x1, x2, -x3) - 2 x3.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import elliprd
+
+    x1, x2, x3 = x
+    if x3 < 0:
+        return _exact_ellipse_u((x1, x2, -x3), a, b) - 2 * x3
+    lam = brentq(lambda t: x1 * x1 / (a * a + t) + x2 * x2 / (b * b + t) + x3 * x3 / t - 1,
+                 1e-300, 100.0, xtol=1e-16, rtol=1e-15)
+    return x3 * elliprd(a * a + lam, b * b + lam, lam) / (elliprd(b * b, 0, a * a)
+                                                         + elliprd(a * a, 0, b * b))
+
+
+def test_field_integrals_stop_at_the_field_noise():
+    # every Poisson integral of a Monte Carlo field floors abs_tol at a quarter
+    # of its typical error bar: without it, eval_u_grad ran out of cells at
+    # these points under the default QuadSpec, while eval_hessian converged
+    field = build_field(SupportDomain.ellipse(0.8, 0.5), StableParams(1.0, 2), 0.1,
+                        WalkConfig(n_walks=600, seed=11))
+    ctx = ExtensionContext(field.dom, field)
+    sigma = field.typical_stderr()
+    assert sigma > 0.0
+    e = 1e-5
+    for x in ([0.2, 0.1, 0.5], [0.1, -0.2, 0.2], [0.3, 0.1, -0.3]):
+        x = np.array(x)
+        exact = [(_exact_ellipse_u(x + e * step) - _exact_ellipse_u(x - e * step)) / (2 * e)
+                 for step in np.eye(3)]
+        assert np.max(np.abs(eval_u_grad(ctx, x) - exact)) < 3 * sigma
+        assert abs(eval_u(ctx, x) - _exact_ellipse_u(x)) < 3 * sigma

@@ -738,6 +738,11 @@ def test_disk_bounds_are_the_closed_form():
     disk = SupportDomain.disk(0.7)
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(500, 2))
     d, _ = disk._signed_distance_foot(pts)
-    for got in (disk.lower_distance(pts), disk.step_distance(pts, 1e-12)):
+    x1, x2 = pts[:, 0], pts[:, 1]
+    for got in (0.7 - np.sqrt(x1 * x1 + x2 * x2), disk.lower_distance(pts),
+                disk.step_distance(pts, 1e-12)):
         assert got.tobytes() == d.tobytes()
+    # the centre, signed zeros included, takes the foot angle 0
+    d, theta = disk._signed_distance_foot(np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0]]))
+    assert np.all(d == 0.7) and np.all(theta == 0.0)
     assert disk._lattice_cache is None  # the disk never builds a lattice

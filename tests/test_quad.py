@@ -195,6 +195,22 @@ def test_radial_extent_matches_bisection(dom, anchor):
     assert np.max(np.abs(R[inward] - oracle)) < 1e-11
 
 
+@pytest.mark.parametrize("dom", [SupportDomain.ellipse(0.9, 0.15), SupportDomain.ellipse(0.8, 0.5),
+                                 SupportDomain.from_polygon(SQUARE)],
+                         ids=["ellipse-0.9-0.15", "ellipse-0.8-0.5", "square"])
+def test_radial_extent_next_to_a_boundary_anchors_tangents(dom):
+    # rays 1e-9 to 6e-4 rad inside either tangent, where N is at rounding
+    # level and Newton stalls: each ray's end lies on the boundary
+    offsets = np.geomspace(1e-9, 6e-4, 30)
+    for n in np.linspace(0.0, 2 * np.pi, 12, endpoint=False):
+        c = dom.boundary_point(n)
+        chart = quad._PolarChart(dom, c, n)
+        psi = np.concatenate([n + 0.5 * np.pi + offsets, n + 1.5 * np.pi - offsets])
+        R = chart.radial_extent(psi)
+        end = c + R[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)
+        assert np.max(np.abs(dom.signed_distance(end))) < 1e-11, n
+
+
 def test_radial_extent_raises_when_newton_stalls(monkeypatch):
     chart = quad._PolarChart(SupportDomain.from_polygon(SQUARE), (0.1, -0.2))
     monkeypatch.setattr(geom, "_NEWTON_STEPS", 1)

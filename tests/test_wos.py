@@ -263,6 +263,30 @@ def test_directions_in_four_and_five_dimensions(dim):
     assert np.max(np.abs(second - np.eye(dim))) < 0.01
 
 
+_EDGE_UNIFORMS = [0.0, 2.0 ** -53, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53]
+
+
+def test_table_directions_match_libm():
+    u = np.concatenate([_EDGE_UNIFORMS, Generator(Philox(key=18)).random(10 ** 6)])
+    c, s = wos._cos_sin_turns(u, np.empty((2, u.size)))
+    assert np.max(np.abs(c - np.cos(2.0 * np.pi * u))) <= 1e-15
+    assert np.max(np.abs(s - np.sin(2.0 * np.pi * u))) <= 1e-15
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 1e-15
+
+
+def test_table_direction_rows_do_not_depend_on_batch_size():
+    u = np.concatenate([_EDGE_UNIFORMS, Generator(Philox(key=19)).random(16384 - 6)])
+    full = wos._cos_sin_turns(u, np.empty((2, u.size)))
+    for n in (1, 64):
+        assert wos._cos_sin_turns(u[:n], np.empty((2, n))).tobytes() == full[:, :n].tobytes()
+    # and through _directions, one column at a time, as the per-walk reference reads it
+    for dim in (2, 3, 5):
+        uni = Generator(Philox(key=dim)).random((wos._uniform_width(dim) - 1, 64))
+        rows = wos._directions(uni, dim)
+        for j in (0, 37, 63):
+            assert wos._directions(uni[:, j:j + 1], dim).tobytes() == rows[:, j:j + 1].tobytes()
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_cone_walks_in_four_dimensions(alpha):
     # the cone lies inside the unit ball, so its exit time is below the ball's
