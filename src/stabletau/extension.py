@@ -10,14 +10,17 @@ field itself.
 
 Every integral of the field runs through one routine, _poisson: a kernel
 evaluated at the mirror image (x1, x2, |x3|), integrated on the chart that
-integrate anchors at (x1, x2).  Outside the domain the slab derivative
-u3 = -(-Delta)^{1/2} phi is the third component of the gradient kernel's
-integral at x3 = 0, where that component is C_K / |x - y|^3.
+integrate anchors at (x1, x2).  A point and its reflection share that
+integral, and the context's memo computes it once.  Outside the domain the
+slab derivative u3 = -(-Delta)^{1/2} phi is the third component of the
+gradient kernel's integral at x3 = 0, where that component is C_K / |x - y|^3.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +37,9 @@ from .geom import SupportDomain
 from .quad import QuadSpec, integrate
 
 _SIGNATURE_CUT = 1e-9  # zero-eigenvalue threshold, relative to the largest one
+# Poisson integrals a context keeps for their mirror twins; above the 1 000
+# points of a 500-point scan with its reflections, so every mirror finds its twin
+_MEMO_CAP = 4096
 
 
 class DiskPhi:
@@ -76,13 +82,26 @@ class DiskPhi:
         return self.values_at(pts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtensionContext:
-    """Domain, planar field, and quadrature defaults shared by evaluations."""
+    """Domain, planar field, and quadrature defaults shared by evaluations.
+
+    Contexts are immutable, so the integrals they keep cannot go stale.  A
+    point and its reflection below the slab cost one integral: each context
+    keeps a memo of Poisson integrals keyed on (kernel, noisy, bytes of the
+    mirror image (x1, x2, |x3|)), and the twin on the other side of the slab
+    takes the stored (value, err) out of it, or raises NonConvergedError
+    again with the stored best value.  The memo holds at most _MEMO_CAP
+    (4 096) integrals still waiting for their twin and drops the oldest
+    first.  A point evaluated again on the same side is integrated again.
+    """
 
     dom: SupportDomain
     phi: object
     quad: QuadSpec = field(default_factory=QuadSpec)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                       repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -144,23 +163,43 @@ def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
     query and, over the exterior, anchors at the foot.  abs_tol is floored
     at a quarter of the field's typical error bar, below which quadrature
     resolves only the field's noise (a closed-form field has none).  With
-    noisy, columns |kernel| * stderr follow the kernel's.
+    noisy, columns |kernel| * stderr follow the kernel's.  The twin on the
+    other side of the slab takes the result out of the context's memo.
     """
     mirror = np.array([x[0], x[1], abs(x[2])])
-    spec = ctx.quad.with_singular_center(x[:2])
-    spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
+    key, below = (kernel, noisy, mirror.tobytes()), bool(x[2] < 0.0)
+    with ctx._memo_lock:
+        twin = ctx._memo.get(key)
+        if twin is not None and twin[0] != below:  # the mirror stored it: take it
+            del ctx._memo[key]
+            _, val, err, converged = twin
+        else:
+            twin = None
+    if twin is None:
+        spec = ctx.quad.with_singular_center(x[:2])
+        spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
 
-    def integrand(pts):
-        # a fresh C-contiguous (n, m) kernel array, scaled in place; the result
-        # must stay C-ordered (see the quad module docstring)
-        k = kernel(_offsets(mirror, pts)).reshape(len(pts), -1)
-        if not noisy:
-            k *= ctx.phi.values_at(pts)[:, None]
-            return k
-        vals, errs = ctx.phi.values_and_stderr_at(pts)
-        return np.concatenate([k * vals[:, None], np.abs(k) * errs[:, None]], axis=1)
+        def integrand(pts):
+            # a fresh C-contiguous (n, m) kernel array, scaled in place; the
+            # result must stay C-ordered (see the quad module docstring)
+            k = kernel(_offsets(mirror, pts)).reshape(len(pts), -1)
+            if not noisy:
+                k *= ctx.phi.values_at(pts)[:, None]
+                return k
+            vals, errs = ctx.phi.values_and_stderr_at(pts)
+            return np.concatenate([k * vals[:, None], np.abs(k) * errs[:, None]], axis=1)
 
-    return integrate(ctx.dom, integrand, spec)
+        try:
+            (val, err), converged = integrate(ctx.dom, integrand, spec), True
+        except NonConvergedError as exc:
+            val, err, converged = exc.value, exc.err_estimate, False
+        with ctx._memo_lock:  # a copy, as the caller may change its result in place
+            ctx._memo[key] = (below, copy.copy(val), copy.copy(err), converged)
+            if len(ctx._memo) > _MEMO_CAP:
+                del ctx._memo[next(iter(ctx._memo))]
+    if not converged:
+        raise NonConvergedError(val, err)
+    return val, err
 
 
 def eval_u(ctx: ExtensionContext, x) -> float:

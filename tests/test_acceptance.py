@@ -352,6 +352,8 @@ def test_criterion_14_determinism(tmp_path):
                      "--seed", "5"],
         "scan.csv": ["hessian-scan", "--builtin", "disk", "--points",
                      "halton:12", "--region", "cylinder:M=3"],
+        "scan_reflected.csv": ["hessian-scan", "--builtin", "disk", "--points",
+                               "halton:12", "--include-reflected"],
         "fit.csv": ["exponent-fit", "--builtin", "disk", "--probe", "S1",
                     "--quantity", "u13", "--h", "0.02:0.2:geometric:6"],
         "sweep.csv": ["deform-sweep", "--builtin", "ellipse:0.8,0.5",

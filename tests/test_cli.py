@@ -173,6 +173,25 @@ def test_hessian_scan_veps_trace_unchanged(tmp_path):
         assert abs(tu - tv) <= 1e-12
 
 
+def test_hessian_scan_include_reflected(tmp_path):
+    common = ["hessian-scan", "--builtin", "disk", "--points", "halton:3", "--format", "json"]
+    plain, both = tmp_path / "plain.json", tmp_path / "both.json"
+    assert run(common + ["--out", str(plain)]) == EXIT_OK
+    assert run(common + ["--include-reflected", "--out", str(both)]) == EXIT_OK
+    up, rep = json.loads(plain.read_text()), json.loads(both.read_text())
+    n = len(up["points"])
+    assert len(rep["points"]) == len(rep["values"]) == len(rep["verdicts"]) == 2 * n
+    assert rep["points"][:n] == up["points"] and rep["values"][:n] == up["values"]
+    cols = rep["columns"]
+    flipped = [cols.index("u13"), cols.index("u23")]
+    for i in range(n):
+        x, row = rep["points"][n + i], rep["values"][n + i]
+        assert x == [*up["points"][i][:2], -up["points"][i][2]]
+        for j, (lo, hi) in enumerate(zip(row, up["values"][i])):
+            assert lo == (-hi if j in flipped else hi), cols[j]
+        assert rep["verdicts"][n + i] == up["verdicts"][i]
+
+
 def test_hessian_scan_needs_field_for_nondisk():
     assert run(["hessian-scan", "--builtin", "ellipse:0.8,0.5",
                 "--points", "halton:4"]) == EXIT_USAGE

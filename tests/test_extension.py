@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from scipy.integrate import quad as quad1d
 from scipy.interpolate import PchipInterpolator
 
 from stabletau import extension
-from stabletau.analysis import cylinder_points
+from stabletau.analysis import cylinder_points, hessian_scan
 from stabletau.closedform import (
     StableParams,
     aux_w_hess_det,
@@ -560,3 +563,133 @@ def test_field_integrals_stop_at_the_field_noise():
                  for step in np.eye(3)]
         assert np.max(np.abs(eval_u_grad(ctx, x) - exact)) < 3 * sigma
         assert abs(eval_u(ctx, x) - _exact_ellipse_u(x)) < 3 * sigma
+
+
+# -- the mirror memo: a point and its reflection cost one integral -------------------
+
+@pytest.fixture(scope="module")
+def noisy_ellipse_field():
+    return build_field(SupportDomain.ellipse(0.8, 0.5), StableParams(1.0, 2), 0.1,
+                       WalkConfig(n_walks=200, seed=4))
+
+
+def _bits(result):
+    """Every byte of an evaluation's result, samples included."""
+    if isinstance(result, extension.HessianSample):
+        return (result.hess.tobytes(), result.entry_err.tobytes(), result.det, result.det_err,
+                result.trace, result.signature, result.converged)
+    return np.asarray(result).tobytes()
+
+
+def _counting_integrate(monkeypatch):
+    calls = [0]
+    real_integrate = extension.integrate
+
+    def counting(dom_, f, spec):
+        calls[0] += 1
+        return real_integrate(dom_, f, spec)
+
+    monkeypatch.setattr(extension, "integrate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("evaluate", [eval_u, eval_u_grad, eval_hessian])
+@pytest.mark.parametrize("first_sign", [-1.0, 1.0], ids=["lower_first", "upper_first"])
+@pytest.mark.parametrize("phi", ["disk", "noisy ellipse"])
+def test_mirror_twin_matches_a_fresh_context(phi, first_sign, evaluate, noisy_ellipse_field,
+                                             monkeypatch):
+    if phi == "disk":
+        make = lambda: ExtensionContext(SupportDomain.disk(1.0), DiskPhi())  # noqa: E731
+        x = np.array([0.3, -0.2, 0.4])
+    else:
+        field = noisy_ellipse_field
+        make = lambda: ExtensionContext(field.dom, field)  # noqa: E731
+        x = np.array([0.1, 0.05, 0.3])
+        assert field.typical_stderr() > 0.0
+    first, second = x * [1, 1, first_sign], x * [1, 1, -first_sign]
+    shared = make()
+    calls = _counting_integrate(monkeypatch)
+    got_first, got_second = evaluate(shared, first), evaluate(shared, second)
+    assert calls[0] == 1  # the second side read its twin's integral
+    assert not shared._memo
+    # the in-place gradient flip of a lower point must not reach its twin
+    assert _bits(got_first) == _bits(evaluate(make(), first))
+    assert _bits(got_second) == _bits(evaluate(make(), second))
+
+
+def test_mirror_twin_replays_non_convergence(ctx, monkeypatch):
+    def starved():
+        return ExtensionContext(ctx.dom, ctx.phi, QuadSpec(rel_tol=1e-14, abs_tol=1e-14,
+                                                           max_cells=64))
+
+    x, mirror = np.array([0.2, -0.1, 0.01]), np.array([0.2, -0.1, -0.01])
+    shared = starved()
+    calls = _counting_integrate(monkeypatch)
+    up, lo = eval_hessian(shared, x), eval_hessian(shared, mirror)
+    assert calls[0] == 1
+    assert not up.converged and not lo.converged
+    assert _bits(lo) == _bits(eval_hessian(starved(), mirror))
+    with pytest.raises(NonConvergedError) as fresh:
+        eval_u(starved(), mirror)
+    with pytest.raises(NonConvergedError):
+        eval_u(shared, x)
+    with pytest.raises(NonConvergedError) as twin:
+        eval_u(shared, mirror)
+    assert twin.value.value == fresh.value.value
+    assert twin.value.err_estimate == fresh.value.err_estimate
+
+
+def test_scan_with_reflections_integrates_each_pair_once(ctx, monkeypatch):
+    pts = cylinder_points(3.0, 12)
+    both = np.concatenate([pts, pts * np.array([1.0, 1.0, -1.0])])
+    fresh = ExtensionContext(ctx.dom, ctx.phi)
+    calls = _counting_integrate(monkeypatch)
+    hessian_scan(fresh, both)
+    assert calls[0] == len(pts)
+    assert not fresh._memo
+    # only a twin reads the memo: points seen before on the same side are
+    # integrated again, and keep their integrals for a twin still to come
+    hessian_scan(fresh, pts)
+    hessian_scan(fresh, pts)
+    assert calls[0] == 3 * len(pts)
+    assert len(fresh._memo) == len(pts)
+
+
+def test_memo_keeps_at_most_its_cap(ctx, monkeypatch):
+    assert extension._MEMO_CAP >= 1024  # every mirror of a 500-point scan finds its twin
+    monkeypatch.setattr(extension, "_MEMO_CAP", 8)
+    fresh = ExtensionContext(ctx.dom, ctx.phi)
+    pts = cylinder_points(3.0, 20)
+    for x in pts:
+        eval_u(fresh, x)
+    assert len(fresh._memo) == 8
+    calls = _counting_integrate(monkeypatch)
+    eval_u(fresh, pts[-1] * [1, 1, -1])  # its twin is among the newest eight
+    assert calls[0] == 0
+    eval_u(fresh, pts[0] * [1, 1, -1])  # the oldest twins were dropped
+    assert calls[0] == 1
+    assert len(fresh._memo) <= 8
+
+
+def test_memo_under_many_threads(ctx):
+    # more workers than cores, switching often: twins read and write the memo
+    # at once, and every result must still be a fresh context's
+    pts = cylinder_points(3.0, 24)
+    both = np.concatenate([pts, pts * np.array([1.0, 1.0, -1.0])])
+    expected = [_bits(eval_hessian(ExtensionContext(ctx.dom, ctx.phi), x)) for x in both]
+    shared = ExtensionContext(ctx.dom, ctx.phi)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(eval_hessian, shared, x)
+                       for x in np.concatenate([both, both[::-1]])]
+            got = [_bits(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected + expected[::-1]
+
+
+def test_context_is_immutable(ctx):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.quad = QuadSpec(rel_tol=1e-3)
