@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .closedform import StableParams
-from .errors import InsufficientRangeError, StableTauError
+from .errors import InsufficientRangeError
 from .extension import (
     ExtensionContext,
     eval_hessian,
@@ -435,7 +435,7 @@ def cone_nonconcavity_hunt(cone: ConeDomain, p: StableParams, cfg: WalkConfig, *
     prediction is asymptotic in the aperture).
     """
     if not 1.0 < p.alpha < 2.0:
-        raise StableTauError("the non-concavity hunt targets alpha in (1, 2)")
+        raise ValueError(f"the non-concavity hunt targets alpha in (1, 2), got {p.alpha:g}")
     scales = np.asarray(scales if scales is not None
                         else [0.6, 0.45, 0.3, 0.2, 0.12, 0.07], dtype=float)
     axis = np.zeros(cone.dim)

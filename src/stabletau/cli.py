@@ -120,23 +120,30 @@ def _parse_t(text: str) -> np.ndarray:
         raise UsageError(f"malformed --t spec {text!r}") from exc
 
 
-def _apply_config(ns, command: str):
-    """Fill argparse namespace holes from the [command] section of the config."""
-    if not getattr(ns, "config", None):
-        return
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(ns.config)
-    if not read:
+def _config_args(ns, sp) -> list:
+    """The [command] section of the --config file as command-line arguments, so
+    that its values are parsed and checked as the command line's are."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        found = cp.read(ns.config)
+    except configparser.Error as exc:
+        raise DomainFileError(f"config file {ns.config!r}: {exc}") from exc
+    if not found:
         raise DomainFileError(f"config file {ns.config!r} not found")
-    if not cp.has_section(command):
-        return
-    known = {k.replace("-", "_") for k in vars(ns)}
-    for key, raw in cp.items(command):
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise UsageError(f"unknown config key {key!r} in [{command}]")
-        if getattr(ns, dest) is None:
-            setattr(ns, dest, raw)
+    options = {a.dest: a for a in sp._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    args = []
+    for key, raw in cp.items(ns.command) if cp.has_section(ns.command) else ():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r} in [{ns.command}]")
+        if action.nargs != 0:
+            args.append(f"{action.option_strings[0]}={raw}")
+        elif raw.lower() not in cp.BOOLEAN_STATES:
+            raise UsageError(f"config flag {key!r} takes true or false, not {raw!r}")
+        elif cp.BOOLEAN_STATES[raw.lower()]:
+            args.append(action.option_strings[0])
+    return args
 
 
 def _need(ns, name, default=None, cast=str):
@@ -149,6 +156,10 @@ def _need(ns, name, default=None, cast=str):
         return cast(val)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for --{name.replace('_', '-')}: {val!r}") from exc
+
+
+def _count(text) -> int:
+    return int(float(text))  # counts may be written as 1e6
 
 
 def _threads(ns) -> int:
@@ -201,9 +212,9 @@ def cmd_solve(ns) -> int:
     p = _checked("--alpha", StableParams, alpha, at.size)
     cfg = _checked(
         "--walks, --ball-fraction or --max-steps", WalkConfig,
-        n_walks=int(float(_need(ns, "walks", "100000"))),
+        n_walks=_need(ns, "walks", "100000", _count),
         ball_fraction=_need(ns, "ball_fraction", "0.5", float),
-        max_steps=int(float(_need(ns, "max_steps", "10000"))),
+        max_steps=_need(ns, "max_steps", "10000", _count),
         seed=_need(ns, "seed", "0", int),
     )
     est = estimate_phi(dom, p, at, cfg, n_threads=_threads(ns))
@@ -226,9 +237,9 @@ def cmd_field_build(ns) -> int:
     p = _checked("--alpha", StableParams, _need(ns, "alpha", cast=float), 2)
     cfg = _checked(
         "--walks-per-node, --ball-fraction or --max-steps", WalkConfig,
-        n_walks=int(float(_need(ns, "walks_per_node", "10000"))),
+        n_walks=_need(ns, "walks_per_node", "10000", _count),
         ball_fraction=_need(ns, "ball_fraction", "0.5", float),
-        max_steps=int(float(_need(ns, "max_steps", "10000"))),
+        max_steps=_need(ns, "max_steps", "10000", _count),
         seed=_need(ns, "seed", "0", int),
     )
     spacing = _need(ns, "spacing", cast=float)
@@ -324,9 +335,10 @@ def cmd_cone_hunt(ns) -> int:
     dim = _need(ns, "dim", "2", int)
     cone = _checked("--theta or --dim", ConeDomain, theta, dim)
     p = _checked("--alpha", StableParams, alpha, dim)
-    cfg = _checked("--walks", WalkConfig, n_walks=int(float(_need(ns, "walks", "100000"))),
+    cfg = _checked("--walks", WalkConfig, n_walks=_need(ns, "walks", "100000", _count),
                    seed=_need(ns, "seed", "0", int))
-    rep = analysis.cone_nonconcavity_hunt(cone, p, cfg, n_threads=_threads(ns))
+    rep = _checked("--alpha", analysis.cone_nonconcavity_hunt, cone, p, cfg,
+                   n_threads=_threads(ns))
     print(rep.summary())
     if rep.witnesses:
         best = max(rep.witnesses, key=lambda w: w["value"])
@@ -351,7 +363,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(prog="stabletau", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     common = dict(default=None)
@@ -395,13 +408,16 @@ def _build_parser() -> _Parser:
             sp.add_argument("--alpha", **common)
             sp.add_argument("--theta", **common)
             sp.add_argument("--dim", **common)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _build_parser().parse_args(argv)
-        _apply_config(ns, ns.command)
+        parser, subs = _build_parser()
+        ns = parser.parse_args(argv)
+        if ns.config:  # the file's arguments go first, so the command line's win
+            ns = parser.parse_args([ns.command, *_config_args(ns, subs[ns.command]), *argv[1:]])
         return _COMMANDS[ns.command](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

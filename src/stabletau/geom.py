@@ -51,29 +51,6 @@ _FINE_SPLITS = 4        # at most this many more split a knot cell without a con
                         # certificate, on the Hermite table
 
 
-def _trig_eval(coeffs: np.ndarray, theta, deriv: int = 0):
-    """Evaluate the truncated Fourier series (or a derivative) at theta.
-
-    coeffs has shape (n_modes, 2) holding (a_j, b_j); deriv=k applies d^k/dtheta^k.
-    """
-    theta = np.asarray(theta, dtype=float)
-    j = np.arange(coeffs.shape[0], dtype=float)
-    jt = np.multiply.outer(theta, j)
-    c, s = np.cos(jt), np.sin(jt)
-    a, b = coeffs[:, 0], coeffs[:, 1]
-    k = deriv % 4
-    if k == 0:
-        basis_a, basis_b = c, s
-    elif k == 1:
-        basis_a, basis_b = -s, c
-    elif k == 2:
-        basis_a, basis_b = -c, -s
-    else:
-        basis_a, basis_b = s, -c
-    scale = j ** deriv
-    return basis_a @ (a * scale) + basis_b @ (b * scale)
-
-
 def _unit(theta):
     theta = np.asarray(theta, dtype=float)
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -163,7 +140,7 @@ class SupportDomain:
         nt = _TABLE_GRID
         tt = np.linspace(0.0, 2 * np.pi, nt + 1)
         self._tab_step = 2 * np.pi / nt
-        self._tab_cols = np.stack([_trig_eval(self.coeffs, tt, k) for k in range(4)])
+        self._tab_cols = np.stack([_series(self.coeffs, tt, k) for k in range(4)])
         self._tab_u = np.stack([np.cos(tt), np.sin(tt)])
         # certified bounds of h + h'' (the knots are the 4096-angle grid of
         # _certify): on each cell of w knots of the search, its least and
@@ -221,7 +198,7 @@ class SupportDomain:
 
     def support(self, theta, deriv: int = 0):
         """h(theta) or its deriv-th derivative."""
-        return _trig_eval(self.coeffs, theta, deriv)
+        return _series(self.coeffs, theta, deriv)
 
     def _support_012(self, theta):
         """(h, h', h'') by cubic Hermite interpolation of the cached tables."""
@@ -246,11 +223,11 @@ class SupportDomain:
 
     def _certify(self):
         tg = np.linspace(0.0, 2 * np.pi, _CERT_GRID, endpoint=False)
-        h = _trig_eval(self.coeffs, tg)
+        h = _series(self.coeffs, tg)
         if np.min(h) <= 0:
             raise NonConvexError("support function must be positive (origin inside)")
         self._max_h = float(np.max(h))
-        rc = h + _trig_eval(self.coeffs, tg, 2)
+        rc = h + _series(self.coeffs, tg, 2)
         if np.min(rc) <= 0:
             raise NonConvexError("h + h'' <= 0: boundary not strictly convex")
         # r0, a certified lower bound of min(h + h''): between grid angles w
@@ -268,7 +245,7 @@ class SupportDomain:
         if thin.size:
             step = 2 * np.pi / _CERT_GRID
             fine = (tg[thin][:, None] + np.linspace(0, step, 65)[None, :]).ravel()
-            rc_f = _trig_eval(self.coeffs, fine) + _trig_eval(self.coeffs, fine, 2)
+            rc_f = _series(self.coeffs, fine) + _series(self.coeffs, fine, 2)
             if np.min(rc_f) <= 0:
                 raise NonConvexError("h + h'' <= 0 on refined grid")
 
@@ -535,10 +512,10 @@ class SupportDomain:
     def classify(self) -> "ClassFParams":
         """Tightest (C1, R1, kappa1, kappa2) over a dense grid with local polish."""
         tg = np.linspace(0.0, 2 * np.pi, _CERT_GRID, endpoint=False)
-        h = _trig_eval(self.coeffs, tg)
+        h = _series(self.coeffs, tg)
         if np.max(h) > 1.0 + 1e-12:
             raise NotInUnitBallError("classify requires D inside B(0,1): max h <= 1")
-        rc = h + _trig_eval(self.coeffs, tg, 2)
+        rc = h + _series(self.coeffs, tg, 2)
         kappa = 1.0 / rc
         r1 = self._polish_extremum(tg[np.argmin(h)], kind="support", minimize=True)
         k_lo = self._polish_extremum(tg[np.argmax(rc)], kind="radius", minimize=False)
@@ -604,7 +581,7 @@ class _DistanceLattice:
 
     def __init__(self, dom: SupportDomain):
         n = _LATTICE_CELLS
-        h_axes = _trig_eval(dom.coeffs, np.arange(4) * (np.pi / 2))
+        h_axes = _series(dom.coeffs, np.arange(4) * (np.pi / 2))
         self.lo = np.array([-h_axes[2], -h_axes[3]])
         self.hi = h_axes[:2].copy()
         self.scale = n / (self.hi - self.lo)
@@ -660,16 +637,23 @@ class _DistanceLattice:
         return np.minimum(ub, best), theta.take(at), self.deep.take(k)
 
 
-def _series(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """h(theta) from the Fourier series, the sum of _trig_eval, by Horner's rule
-    in exp(i theta): one complex exponential per angle, not two per angle and mode."""
-    z = np.exp(1j * theta)
+def _series(coeffs: np.ndarray, theta, deriv: int = 0):
+    """h(theta), or its deriv-th derivative, from the Fourier series.
+
+    h = Re sum_j c_j z^j with c_j = a_j - i b_j and z = exp(i theta), summed by
+    Horner's rule: one complex exponential per angle, not two per angle and
+    mode.  d^k/dtheta^k multiplies c_j by (i j)^k.  A scalar theta gives a scalar.
+    """
+    theta = np.asarray(theta, dtype=float)
     c = coeffs[:, 0] - 1j * coeffs[:, 1]
+    if deriv:
+        c = c * (1j * np.arange(c.size)) ** deriv
+    z = np.exp(1j * theta)
     p = np.full(z.shape, c[-1])
     for cj in c[-2::-1]:
         p *= z
         p += cj
-    return p.real
+    return p.real.copy()[()]
 
 
 @dataclass(frozen=True)

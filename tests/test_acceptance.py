@@ -253,33 +253,43 @@ def test_criterion_09_boundary_exponents(disk_ctx):
     small = 0.0005 * 2.0 ** np.arange(6)
     mid = 0.01 * 2.0 ** np.arange(6)
 
-    fit = an.boundary_exponent_fit(disk_ctx, "normal-slab", "phi_n", small)
+    def fit_of(probe, quantity, h):
+        # one [info] line per fit: `pytest -s -k criterion_09` prints the table
+        fit = an.boundary_exponent_fit(disk_ctx, probe, quantity, h)
+        target = an.target_slope(probe, quantity)
+        tail = f"target {target:+.2f}" if target is not None else "no target"
+        print(f"    [info] {fit.summary()}  [{tail}]")
+        return fit
+
+    fit = fit_of("normal-slab", "phi_n", small)
     assert fit.slope == pytest.approx(-0.5, abs=0.05), fit.summary()
     assert np.all(fit.signs > 0)
 
-    fit = an.boundary_exponent_fit(disk_ctx, "S1", "u13", mid)
+    fit_of("normal-slab", "phi_nn", small)
+    fit_of("normal-slab", "phi_TT", small)
+
+    fit = fit_of("S1", "u13", mid)
     assert fit.slope == pytest.approx(-1.5, abs=0.25), fit.summary()
     assert np.all(fit.signs > 0)
 
-    fit = an.boundary_exponent_fit(disk_ctx, "S2", "u11", mid)
+    fit = fit_of("S2", "u11", mid)
     assert fit.slope == pytest.approx(-1.5, abs=0.25), fit.summary()
     assert np.all(fit.signs > 0)
 
-    fit = an.boundary_exponent_fit(disk_ctx, "S4", "u22", mid)
-    assert fit.slope == pytest.approx(-0.5, abs=0.25), fit.summary()
-    assert np.all(fit.signs < 0)
-
-    fit = an.boundary_exponent_fit(disk_ctx, "S3", "u13", mid)
+    fit = fit_of("S3", "u13", mid)
     assert np.all(fit.signs < 0)  # sign claim opposite to S1
 
-    fit = an.boundary_exponent_fit(disk_ctx, "exterior", "ext_half_lap", small)
-    assert fit.slope == pytest.approx(-0.5, abs=0.15), fit.summary()
+    fit = fit_of("S4", "u22", mid)
+    assert fit.slope == pytest.approx(-0.5, abs=0.25), fit.summary()
     assert np.all(fit.signs < 0)
 
     # bounded mixed entry on S4: slope reported without a pass/fail target
     # (on the disk the probe sits on a symmetry plane, so it reads as noise)
-    fit = an.boundary_exponent_fit(disk_ctx, "S4", "u23", mid)
-    print(f"    [info] u23 on S4: {fit.summary()}")
+    fit_of("S4", "u23", mid)
+
+    fit = fit_of("exterior", "ext_half_lap", small)
+    assert fit.slope == pytest.approx(-0.5, abs=0.15), fit.summary()
+    assert np.all(fit.signs < 0)
 
 
 @criterion(10, "Minkowski deformation keeps curvature pinched; disk law exact")

@@ -7,9 +7,10 @@ import pytest
 
 from stabletau import analysis as an
 from stabletau.closedform import StableParams, ball_phi
-from stabletau.errors import InsufficientRangeError, StableTauError
+from stabletau.errors import InsufficientRangeError
 from stabletau.extension import DiskPhi, ExtensionContext
 from stabletau.geom import ConeDomain, SupportDomain, deform
+from stabletau.quad import QuadSpec
 from stabletau.wos import WalkConfig, build_field, estimate_phi
 
 DISK = SupportDomain.disk(1.0)
@@ -231,7 +232,7 @@ def test_cone_hunt_finds_witness_in_narrow_cone():
 
 
 def test_cone_hunt_requires_midrange_alpha():
-    with pytest.raises(StableTauError):
+    with pytest.raises(ValueError, match=r"alpha in \(1, 2\), got 1"):
         an.cone_nonconcavity_hunt(ConeDomain(0.1, 2), StableParams(1.0, 2),
                                   WalkConfig(n_walks=10, seed=1))
 
@@ -274,6 +275,19 @@ def test_psi_b_scan_near_boundary_circle(ctx):
     for i in range(3):
         assert zero.values[i, 0] == pytest.approx(plain.values[i, det_col],
                                                   rel=1e-12)
+
+
+def test_psi_b_scan_blend_family_near_the_slab_edge():
+    # every blend b = 0, 0.1, ..., 1 has det > 0 on the 200 Halton points of the
+    # M = 1.3 cylinder with x3 scaled by 0.05 (r < 1.3, x3 < 0.065), under the
+    # criterion-5 quadrature spec
+    ctx5 = ExtensionContext(DISK, DiskPhi(), QuadSpec(rel_tol=1e-6, abs_tol=3e-8,
+                                                      max_cells=30000))
+    ring = an.cylinder_points(1.3, 200)
+    ring[:, 2] *= 0.15 / 3.0
+    rep = an.psi_b_scan(ctx5, np.linspace(0, 1, 11), ring,
+                        descriptor="blend family near the slab edge")
+    assert rep.n_pass == 200, rep.summary()
 
 
 def test_psi_b_scan_scores_the_worst_blend_by_its_own_error(ctx):

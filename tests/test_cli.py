@@ -112,6 +112,11 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
     # no point of the unit disk is 2 deep
     (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=2",
       "--points", "halton:3"], "--region"),
+    # the hunt targets alpha in (1, 2)
+    (["cone-hunt", "--alpha", "0.5", "--theta", "0.1", "--walks", "100"], "--alpha"),
+    # a count that does not parse
+    (SOLVE + ["--alpha", "1", "--walks", "abc"], "--walks"),
+    (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--walks", "1e"], "--walks"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE
@@ -274,3 +279,49 @@ def test_config_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[solve]\nalpha = 1\nat = 0,0\nbogus_key = 3\n")
     assert run(["solve", "--builtin", "disk", "--config", str(cfg)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text, code, says", [
+    ("walks = 5\n", EXIT_IO, "section"),  # no section header
+    ("[solve]\nalpha = 1\nat = 0,0\nwalks = 5%\n", EXIT_USAGE, "--walks"),  # read raw
+])
+def test_config_file_errors_exit_with_a_message(tmp_path, capsys, text, code, says):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run(["solve", "--builtin", "disk", "--config", str(cfg)]) == code
+    assert says in capsys.readouterr().err
+
+
+SCAN_CFG = "[hessian-scan]\nbuiltin = disk\npoints = halton:2\n"
+
+
+@pytest.mark.parametrize("value, rows", [("true", 4), ("yes", 4), ("false", 2), ("0", 2)])
+def test_config_flag_parses_as_on_the_command_line(tmp_path, value, rows):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "scan.csv"
+    cfg.write_text(SCAN_CFG + f"include-reflected = {value}\n")
+    assert run(["hessian-scan", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == rows
+
+
+def test_config_flag_rejects_a_value_that_is_not_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SCAN_CFG + "include-reflected = maybe\n")
+    assert run(["hessian-scan", "--config", str(cfg)]) == EXIT_USAGE
+    assert "include-reflected" in capsys.readouterr().err
+
+
+def test_config_choice_is_checked_as_on_the_command_line(tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "scan.out"
+    cfg.write_text(SCAN_CFG + "format = xml\n")
+    assert run(["hessian-scan", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--format" in err and "xml" in err, err
+    assert not out.exists()
+    # a valid choice from the file is used, and the command line's wins over it
+    cfg.write_text(SCAN_CFG + "format = json\n")
+    assert run(["hessian-scan", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["experiment"] == "hessian_scan[u]"
+    assert run(["hessian-scan", "--config", str(cfg), "--out", str(out),
+                "--format", "csv"]) == EXIT_OK
+    assert out.read_text().startswith("x1,x2,x3,")

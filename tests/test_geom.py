@@ -325,6 +325,35 @@ def test_distance_smoothed_square_corner_patch():
     assert np.max(np.abs(d - oracle[inside])) <= 1e-9
 
 
+# -- the Fourier series against its dense sum ----------------------------------------------
+
+def _dense_series(coeffs, theta, deriv):
+    """d^k/dtheta^k of sum_j a_j cos(j theta) + b_j sin(j theta), summed mode by mode
+    over the (angles, modes) tables of cos and sin."""
+    j = np.arange(coeffs.shape[0], dtype=float)
+    jt = np.multiply.outer(theta, j)
+    c, s = np.cos(jt), np.sin(jt)
+    basis_a, basis_b = [(c, s), (-s, c), (-c, -s), (s, -c)][deriv % 4]
+    scale = j ** deriv
+    return basis_a @ (coeffs[:, 0] * scale) + basis_b @ (coeffs[:, 1] * scale)
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse", "eccentric ellipse", "square"])
+@pytest.mark.parametrize("deriv", range(5))
+def test_series_matches_dense_sum(name, deriv):
+    dom = {"disk": SupportDomain.disk(1.0), "ellipse": SupportDomain.ellipse(0.8, 0.5),
+           "eccentric ellipse": ECCENTRIC, "square": SMOOTH_SQUARE}[name]
+    theta = np.concatenate([np.linspace(0.0, 2 * np.pi, geom._TABLE_GRID + 1),
+                            np.random.default_rng(3).uniform(-7.0, 7.0, 3000)])
+    got, want = geom._series(dom.coeffs, theta, deriv), _dense_series(dom.coeffs, theta, deriv)
+    if name == "disk":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    one = dom.support(0.3, deriv)  # a scalar angle gives a scalar, the array's bits
+    assert np.ndim(one) == 0 and one == geom._series(dom.coeffs, np.array([0.3]), deriv)[0]
+
+
 # -- bitwise equality of the packed table, and of one-row and batch queries ----------------
 
 def test_packed_hermite_table_bitwise(ellipse):
