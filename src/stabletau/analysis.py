@@ -31,7 +31,7 @@ from .extension import (
     psi_blend,
 )
 from .geom import ConeDomain, SupportDomain, deform, domain_gap, _unit
-from .wos import WalkConfig, _parallel_map, estimate_phi
+from .wos import WalkConfig, estimate_phi
 
 _PASS, _FAIL, _INDET = "pass", "fail", "indeterminate"
 
@@ -267,13 +267,14 @@ def slab_points(dom, n: int, margin: float = 0.02) -> np.ndarray:
     return np.column_stack([xy, np.zeros(n)])
 
 
-def _scan_rows(points, worker, n_threads):
-    """(points, values, verdicts) of worker(x) -> (row, verdict) over (n, 3) points."""
+def _scan_rows(points, worker):
+    """(points, values, verdicts) of worker(x) -> (row, verdict) over (n, 3) points,
+    in order."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
         raise ValueError(f"scan points must be an (n, 3) array with n >= 1, "
                          f"got shape {points.shape}")
-    results = _parallel_map(lambda i: worker(points[i]), range(len(points)), n_threads)
+    results = [worker(x) for x in points]
     return points, np.array([row for row, _ in results]), [v for _, v in results]
 
 
@@ -292,7 +293,9 @@ def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
 
     A point passes when det > 10x its propagated error estimate with the
     right signature; |det| within 10x the estimate is indeterminate, not a
-    failure (Monte Carlo fields cannot certify strict inequalities).
+    failure (Monte Carlo fields cannot certify strict inequalities).  Points
+    run in order; n_threads has no effect and stays only for callers that
+    still pass it.
     """
     def worker(x):
         s = eval_hessian(ctx, x, which, eps=eps, b=b)
@@ -301,7 +304,7 @@ def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
                s.det, s.trace, s.signature[0], s.signature[1], s.det_err]
         return row, _verdict(s.det, s.det_err, s.signature, s.converged)
 
-    points, values, verdicts = _scan_rows(points, worker, n_threads)
+    points, values, verdicts = _scan_rows(points, worker)
     return ScanReport(
         experiment=f"hessian_scan[{which}]", descriptor=descriptor,
         config={"which": which, "eps": eps, "b": b, "n_points": len(points)},
@@ -311,7 +314,7 @@ def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
 
 
 def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
-               descriptor: str = "custom", n_threads: int = 1) -> ScanReport:
+               descriptor: str = "custom") -> ScanReport:
     """det(Hess Psi_b) > 0 across the blend grid; the field Hessian is
     evaluated once per point and blended with the closed-form companion.  The
     verdict is the worst blend's, judged by that blend's own det error."""
@@ -326,7 +329,7 @@ def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
         verdict = _verdict(s.det, s.det_err, (1, 2, 0) if sig_ok else (0, 0, 3), s.converged)
         return [s.det, b_grid[worst], s.det_err], verdict
 
-    points, values, verdicts = _scan_rows(points, worker, n_threads)
+    points, values, verdicts = _scan_rows(points, worker)
     return ScanReport(
         experiment="psi_b_scan", descriptor=descriptor,
         config={"b_grid": [float(bb) for bb in b_grid], "n_points": len(points)},

@@ -260,6 +260,7 @@ def cmd_hessian_scan(ns) -> int:
     region = _parse_region(_need(ns, "region", "cylinder:M=3"))
     n_points = _parse_points(_need(ns, "points", "halton:500"))
     which, eps, b = _parse_which(_need(ns, "which", "u"))
+    _threads(ns)  # checked as on the pooled commands, though scan points run in order
     if region[0] == "cylinder":
         pts = _checked("--region", analysis.cylinder_points, region[1], n_points)
         descriptor = f"cylinder M={region[1]:g}, halton {n_points}"
@@ -269,30 +270,11 @@ def cmd_hessian_scan(ns) -> int:
     if getattr(ns, "include_reflected", False) and region[0] == "cylinder":
         pts = np.concatenate([pts, pts * np.array([1.0, 1.0, -1.0])])
         descriptor += " + reflected"
-    rep = analysis.hessian_scan(ctx, pts, which, eps=eps, b=b,
-                                descriptor=descriptor, n_threads=_threads(ns))
+    rep = analysis.hessian_scan(ctx, pts, which, eps=eps, b=b, descriptor=descriptor)
     print(rep.summary())
     if ns.out:
-        if ns.format == "json":
-            rep.to_json(ns.out)
-        else:
-            _write_hessian_csv(rep, ns.out)
+        rep.to_json(ns.out) if (ns.format == "json") else rep.to_csv(ns.out)
     return EXIT_OK
-
-
-def _write_hessian_csv(rep, path):
-    """Fixed column layout: x1..x3, the six entries, det, trace, signature, verdict."""
-    cols = ["u11", "u12", "u13", "u22", "u23", "u33", "det", "trace",
-            "sig_pos", "sig_neg"]
-    sel = [rep.columns.index(c) for c in cols]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "x3"] + cols + ["verdict"])
-        for i in range(len(rep.points)):
-            row = [analysis.fmt17(c) for c in rep.points[i]]
-            row += [analysis.fmt17(rep.values[i, j]) for j in sel]
-            row.append(rep.verdicts[i])
-            w.writerow(row)
 
 
 def cmd_exponent_fit(ns) -> int:

@@ -8,6 +8,12 @@ the signs of the 13 and 23 entries, and on the slab over the domain the
 vertical column is (0, 0, -u11 - u22) with the planar block read off the
 field itself.
 
+Every field answers the same calls: values_at(pts), typical_stderr() and
+slab_hessian(xy, depth), the planar block (phi_11, phi_22, phi_12) and the
+six entry errors at a slab point depth inside the domain.  A noisy field
+(typical_stderr() > 0) also answers values_and_stderr_at(pts).  DiskPhi
+differentiates in closed form; wos.PhiField differences its own values.
+
 Every integral of the field runs through one routine, _poisson: a kernel
 evaluated at the mirror image (x1, x2, |x3|), integrated on the chart that
 integrate anchors at (x1, x2).  A point and its reflection share that
@@ -45,8 +51,6 @@ _MEMO_CAP = 4096
 class DiskPhi:
     """Closed-form exit-time field of the planar Cauchy process on the unit disk."""
 
-    spacing = 0.0
-
     def __init__(self, radius: float = 1.0):
         self.radius = float(radius)
 
@@ -56,14 +60,9 @@ class DiskPhi:
         gap = np.maximum(self.radius ** 2 - (p0 * p0 + p1 * p1), 0.0)
         return (2.0 / math.pi) * np.sqrt(gap)
 
-    def stderr_at(self, pts) -> np.ndarray:
-        return np.zeros(len(np.atleast_2d(pts)))
-
-    def values_and_stderr_at(self, pts):
-        return self.values_at(pts), self.stderr_at(pts)
-
-    def slab_hessian(self, x):
-        """(phi_11, phi_22, phi_12) at an interior point, differentiated exactly."""
+    def slab_hessian(self, x, depth):
+        """(phi_11, phi_22, phi_12) and zero entry errors at an interior point,
+        differentiated exactly, so depth is not needed."""
         x = np.asarray(x, dtype=float)
         gap = self.radius ** 2 - float(x @ x)
         if gap <= 0:
@@ -73,13 +72,10 @@ class DiskPhi:
         h11 = -cb * (g12 + x[0] * x[0] * g32)
         h22 = -cb * (g12 + x[1] * x[1] * g32)
         h12 = -cb * x[0] * x[1] * g32
-        return h11, h22, h12
+        return h11, h22, h12, np.zeros(6)
 
     def typical_stderr(self) -> float:
         return 0.0
-
-    def __call__(self, pts):
-        return self.values_at(pts)
 
 
 @dataclass(frozen=True)
@@ -280,33 +276,8 @@ def _slab_hessian_entries(ctx: ExtensionContext, xy):
     sd = ctx.dom.signed_distance(xy)
     if sd <= 1e-12:
         raise UndefinedOnCutError("slab Hessian defined only over the open domain")
-    closed = getattr(ctx.phi, "slab_hessian", None)
-    if closed is not None:
-        h11, h22, h12 = closed(xy)
-        err = np.zeros(6)
-    else:
-        h11, h22, h12, err = _stencil_slab_hessian(ctx, xy, sd)
+    h11, h22, h12, err = ctx.phi.slab_hessian(xy, sd)
     return np.array([h11, h22, -h11 - h22, h12, 0.0, 0.0]), err
-
-
-def _stencil_slab_hessian(ctx: ExtensionContext, xy, sd):
-    """Five-point second differences of the planar field."""
-    h = max(1e-3, 2.0 * getattr(ctx.phi, "spacing", 0.0))
-    h = min(h, 0.45 * sd)  # keep the stencil inside the domain
-    x0, y0 = xy
-    pts = np.array([
-        [x0, y0], [x0 + h, y0], [x0 - h, y0], [x0, y0 + h], [x0, y0 - h],
-        [x0 + h, y0 + h], [x0 + h, y0 - h], [x0 - h, y0 + h], [x0 - h, y0 - h],
-    ])
-    v, v_err = ctx.phi.values_and_stderr_at(pts)
-    h11 = (v[1] - 2 * v[0] + v[2]) / h ** 2
-    h22 = (v[3] - 2 * v[0] + v[4]) / h ** 2
-    h12 = (v[5] - v[6] - v[7] + v[8]) / (4 * h ** 2)
-    noise = 4.0 * float(np.max(v_err)) / h ** 2
-    err = np.full(6, noise)
-    err[2] = 2 * noise
-    err[4] = err[5] = 0.0
-    return float(h11), float(h22), float(h12), err
 
 
 def eval_u3_slab(ctx: ExtensionContext, xy) -> float:

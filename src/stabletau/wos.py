@@ -508,11 +508,25 @@ class PhiField:
         c2 = self._sector_interp(self.blend_c2, theta)
         return c * np.sqrt(d) + c2 * d ** 1.5
 
+    def _foot(self, pts):
+        """(distance, angle) of pts as the reads use them.
+
+        Rows whose lower distance bound exceeds the collar read the splines,
+        which use neither the distance nor the angle, so they keep the bound
+        and angle 0 and only the other rows query the oracle; every read is
+        that of the all-rows query.
+        """
+        d = self.dom.lower_distance(pts)
+        theta = np.zeros(len(pts))
+        near = np.nonzero(d <= self.collar)[0]
+        d[near], theta[near] = self.dom._signed_distance_foot(pts.take(near, axis=0))
+        return d, theta
+
     def _read(self, pts, foot, in_collar, deep):
         """in_collar(theta, d) on collar rows, deep(x1, x2) on rows deeper than the
         collar and zero outside the domain; foot as in values_at."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, theta = self.dom._signed_distance_foot(pts) if foot is None else foot
+        d, theta = self._foot(pts) if foot is None else foot
         out = np.zeros(len(pts))
         rows = np.flatnonzero((d > 0) & (d <= self.collar))
         if rows.size:
@@ -534,21 +548,34 @@ class PhiField:
             lambda x1, x2: np.abs(self._err_spline.ev(x1, x2)))
 
     def values_and_stderr_at(self, pts):
-        """(values_at(pts), stderr_at(pts)) from one distance query.
-
-        Rows whose lower distance bound exceeds the collar read the splines,
-        which use neither the distance nor the angle, so only the other rows
-        query the oracle; the results are those of the all-rows query.
-        """
+        """(values_at(pts), stderr_at(pts)) from one distance query."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = self.dom.lower_distance(pts)
-        theta = np.zeros(len(pts))
-        near = np.nonzero(d <= self.collar)[0]
-        d[near], theta[near] = self.dom._signed_distance_foot(pts.take(near, axis=0))
-        return self.values_at(pts, (d, theta)), self.stderr_at(pts, (d, theta))
+        foot = self._foot(pts)
+        return self.values_at(pts, foot), self.stderr_at(pts, foot)
 
-    def __call__(self, pts):
-        return self.values_at(pts)
+    def slab_hessian(self, xy, depth):
+        """(phi_11, phi_22, phi_12) and the six entry errors at an interior point.
+
+        Five-point second differences of the field with step max(1e-3,
+        2 spacing), capped at 0.45 depth (the point's distance to the
+        boundary) to keep the stencil inside the domain.  The errors bound
+        the stencil's Monte Carlo noise; the 13 and 23 entries vanish.
+        """
+        h = min(max(1e-3, 2.0 * self.spacing), 0.45 * depth)
+        x0, y0 = xy
+        pts = np.array([
+            [x0, y0], [x0 + h, y0], [x0 - h, y0], [x0, y0 + h], [x0, y0 - h],
+            [x0 + h, y0 + h], [x0 + h, y0 - h], [x0 - h, y0 + h], [x0 - h, y0 - h],
+        ])
+        v, v_err = self.values_and_stderr_at(pts)
+        h11 = (v[1] - 2 * v[0] + v[2]) / h ** 2
+        h22 = (v[3] - 2 * v[0] + v[4]) / h ** 2
+        h12 = (v[5] - v[6] - v[7] + v[8]) / (4 * h ** 2)
+        noise = 4.0 * float(np.max(v_err)) / h ** 2
+        err = np.full(6, noise)
+        err[2] = 2 * noise
+        err[4] = err[5] = 0.0
+        return float(h11), float(h22), float(h12), err
 
     def typical_stderr(self) -> float:
         if np.any(self.reliable):

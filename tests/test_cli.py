@@ -117,6 +117,9 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
     # a count that does not parse
     (SOLVE + ["--alpha", "1", "--walks", "abc"], "--walks"),
     (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--walks", "1e"], "--walks"),
+    # scans ignore --threads but still check it
+    (["hessian-scan", "--builtin", "disk", "--points", "halton:3", "--threads", "0"],
+     "--threads"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE
@@ -159,7 +162,7 @@ def test_hessian_scan_csv_columns(tmp_path):
     with open(out) as fh:
         header = next(csv.reader(fh))
     assert header == ["x1", "x2", "x3", "u11", "u12", "u13", "u22", "u23",
-                      "u33", "det", "trace", "sig_pos", "sig_neg", "verdict"]
+                      "u33", "det", "trace", "sig_pos", "sig_neg", "det_err", "verdict"]
 
 
 def test_hessian_scan_veps_trace_unchanged(tmp_path):

@@ -30,7 +30,7 @@ from stabletau.extension import (
 )
 from stabletau.geom import SupportDomain
 from stabletau.quad import QuadSpec, integrate
-from stabletau.wos import WalkConfig, build_field
+from stabletau.wos import PhiField, WalkConfig, build_field
 
 
 @pytest.fixture(scope="module")
@@ -424,26 +424,19 @@ def test_local_frame_hessian():
 
 
 def test_stencil_slab_hessian_on_quadratic():
-    # a field-like object without closed-form derivatives falls back to stencils
-    class QuadField:
-        spacing = 0.01
-
-        def values_at(self, pts):
-            pts = np.atleast_2d(pts)
-            return 1.0 - 0.8 * pts[:, 0] ** 2 - 0.5 * pts[:, 1] ** 2 \
-                + 0.3 * pts[:, 0] * pts[:, 1]
-
-        def stderr_at(self, pts):
-            return np.zeros(len(np.atleast_2d(pts)))
-
-        def values_and_stderr_at(self, pts):
-            return self.values_at(pts), self.stderr_at(pts)
-
-        def typical_stderr(self):
-            return 0.0
-
-    c = ExtensionContext(SupportDomain.disk(1.0), QuadField())
-    s = eval_hessian(c, [0.1, 0.05, 0.0])
+    # a PhiField differences its own values on the slab; nodes holding a
+    # quadratic, read by the bicubic spline far from the collar, give its
+    # second derivatives
+    dom, spacing = SupportDomain.disk(1.0), 0.01
+    half = 1.0 + spacing
+    n = int(round(2 * half / spacing)) + 1
+    xs = -half + spacing * np.arange(n)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    values = 1.0 - 0.8 * gx ** 2 - 0.5 * gy ** 2 + 0.3 * gx * gy
+    zero = np.zeros(8)
+    field = PhiField(dom, 1.0, [-half, -half], spacing, values, np.zeros_like(values),
+                     zero, zero, zero)
+    s = eval_hessian(ExtensionContext(dom, field), [0.1, 0.05, 0.0])
     assert s.hess[0, 0] == pytest.approx(-1.6, abs=1e-6)
     assert s.hess[1, 1] == pytest.approx(-1.0, abs=1e-6)
     assert s.hess[0, 1] == pytest.approx(0.3, abs=1e-6)
@@ -488,14 +481,6 @@ def test_round_refinement_batches_cells():
     assert max(phi.batches) <= 64 * 225
     assert max(phi.batches) > 225
     assert all(n % 225 == 0 for n in phi.batches)
-
-
-def test_disk_values_and_stderr_at():
-    phi = DiskPhi()
-    pts = np.random.default_rng(5).uniform(-1.2, 1.2, size=(500, 2))
-    values, errs = phi.values_and_stderr_at(pts)
-    assert values.tobytes() == phi.values_at(pts).tobytes()
-    assert errs.tobytes() == phi.stderr_at(pts).tobytes()
 
 
 def test_noisy_integrand_reads_field_with_one_distance_query(monkeypatch):

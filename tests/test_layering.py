@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,3 +67,18 @@ def test_traced_names_exist():
         assert callable(fn), (name, owner, attr)
         for alias_owner, alias_attr in aliases:
             assert getattr(alias_owner, alias_attr, None) is fn, (name, alias_owner, alias_attr)
+
+
+def test_traced_field_scan_smoke_run():
+    # the tracer's wrappers fire on the field reads and the traced run still
+    # passes its oracle checks
+    bench = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    proc = subprocess.run([sys.executable, str(bench), "--workload", "ellipse_field_scan",
+                           "--size", "smoke", "--seconds", "0.5", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    metrics = result["metrics"]
+    assert metrics["field.values_at_points"]["value"] > 0, metrics
+    assert metrics["field.stderr_at_points"]["value"] > 0, metrics

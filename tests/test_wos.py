@@ -409,6 +409,10 @@ def test_deep_field_reads_skip_the_oracle_bitwise(ellipse_field, monkeypatch):
     deep = np.count_nonzero(f.dom.lower_distance(pts) > f.collar)
     assert deep > 0.3 * np.count_nonzero(d > f.collar)
     assert queried == [len(pts) - deep]
+    # the separate reads make the same one query each
+    assert f.values_at(pts).tobytes() == want[0].tobytes()
+    assert f.stderr_at(pts).tobytes() == want[1].tobytes()
+    assert queried == [len(pts) - deep] * 3
 
 
 def test_estimate_phi_queries_start_once(monkeypatch):
