@@ -156,11 +156,14 @@ def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
     """integrate's (value, err) for kernel(x' - (y, 0)) phi(y), x' = (x1, x2, |x3|).
 
     The chart's anchor is (x1, x2): integrate makes the one nearest-boundary
-    query and, over the exterior, anchors at the foot.  abs_tol is floored
-    at a quarter of the field's typical error bar, below which quadrature
-    resolves only the field's noise (a closed-form field has none).  With
-    noisy, columns |kernel| * stderr follow the kernel's.  The twin on the
-    other side of the slab takes the result out of the context's memo.
+    query and, over the exterior, anchors at the foot.  The spec carries x'
+    whole, so the chart reads the kernel's length scale, the distance from
+    x' to the anchor, and maps itself when that is small (see the quad
+    module docstring).  abs_tol is floored at a quarter of the field's
+    typical error bar, below which quadrature resolves only the field's
+    noise (a closed-form field has none).  With noisy, columns
+    |kernel| * stderr follow the kernel's.  The twin on the other side of
+    the slab takes the result out of the context's memo.
     """
     mirror = np.array([x[0], x[1], abs(x[2])])
     key, below = (kernel, noisy, mirror.tobytes()), bool(x[2] < 0.0)
@@ -172,7 +175,7 @@ def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
         else:
             twin = None
     if twin is None:
-        spec = ctx.quad.with_singular_center(x[:2])
+        spec = ctx.quad.with_singular_center(mirror)
         spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
 
         def integrand(pts):

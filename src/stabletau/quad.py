@@ -9,17 +9,34 @@ kernel peaks.  Cells are rectangles in (psi, s), so every cell conforms to
 the boundary; each is integrated with a tensor Gauss-Kronrod 7/15 pair.  The
 first cells are pi/4-wide psi sectors by four s bands: eight round an
 interior anchor, four over the inward half-plane psi in [n + pi/2,
-n + 3 pi/2] of a boundary anchor with outer normal angle n.  Refinement runs
-in rounds, as in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS 1991): each round
-bisects the cells with the largest error relative to tolerance, at most 32
-of them, and evaluates the integrand once on the nodes of all their
+n + 3 pi/2] of a boundary anchor with outer normal angle n.
+
+A kernel peaked at height h over the singular centre x (QuadSpec's
+singular_height) has the length scale eps = |(x, h) - (c, 0)| at the anchor
+c.  When eps is below _MAP_BELOW (1/8) of the domain's size (max_support),
+the chart is mapped: with eps floored at _SCALE_FLOOR (1e-3) of the size,
+e = eps / R(psi) and A = asinh(1 / e), a node sits at
+rho = e sinh(A g(s)), g the graded map above, and the Jacobian's rho' is
+e A cosh(A g) g'.  Nodes then grade geometrically from eps at the anchor to
+the rim, where the map still ends at rho = 1: the sinh transform for nearly
+singular integrals (Johnston & Elliott, IJNME 62, 2005).  A mapped
+boundary-anchored chart also starts with sectors eps / size, 4 eps / size
+and 16 eps / size from each tangent ray (those below pi/4), where R(psi)
+falls to the kernel's scale.  Every other chart is the graded one.
+
+Refinement runs in rounds, as in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS
+1991): each round bisects the cells with the largest error relative to
+tolerance, at most 32 of them, picked by a partition rather than a sort of
+every live cell, and evaluates the integrand once on the nodes of all their
 children.  A split in s is made only while the children's outermost nodes
-map strictly inside their mapped ends, and in psi only on cells at least
-1e-12 wide, so no node lands on an edge.  A bisection that raises every
-component's error estimate while that estimate is below 1e-10 of the value
-resolves only the integrand's rounding noise, which grows as graded nodes
-near an edge: it is undone, and the cell is not split again.  Rounds stop
-when the component-wise tolerance is met or the cell budget runs out.
+map strictly inside their mapped ends (on a mapped chart, by a margin of a
+few ulps that the sinh map's rounding cannot close), and in psi only on
+cells at least 1e-12 wide, so no node lands on an edge.  A bisection that
+raises every component's error estimate while that estimate is below 1e-10
+of the value resolves only the integrand's rounding noise, which grows as
+graded nodes near an edge: it is undone, and the cell is not split again.
+Rounds stop when the component-wise tolerance is met or the cell budget runs
+out.
 
 R(psi) is found by geom's bracketed Newton, the distance search's
 (_PolarChart): a per-chart table of the polar angle of the boundary point
@@ -37,6 +54,7 @@ memory layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +87,14 @@ _W = np.stack([np.multiply.outer(_WGK, _WGK), np.multiply.outer(_WG15, _WG15),
                np.multiply.outer(_WG15, _WGK), np.multiply.outer(_WGK, _WG15)]).reshape(4, -1)
 _ROUND = 32  # most cells bisected per round, which bounds the integrand's batch
 _ROUNDING = 1e-10  # relative error estimates at or below this are taken as rounding noise
+# kernel scales below this fraction of the domain's size map the chart by sinh,
+# with the scale floored at _SCALE_FLOOR of the size
+_MAP_BELOW = 1.0 / 8.0
+_SCALE_FLOOR = 1e-3
+_TANGENT_SECTORS = (1.0, 4.0, 16.0)  # extra psi breaks, in units of scale / size
+# a mapped chart's s-split keeps its children's outermost nodes this far, in
+# relative terms, from their edges in g, so that the sinh map keeps them apart
+_MAPPED_MARGIN = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -77,15 +103,24 @@ class QuadSpec:
     abs_tol: float = 1e-10
     max_cells: int = 4096
     singular_center: tuple | None = None
+    singular_height: float | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_cells < 64:
             raise ValueError("max_cells must be >= 64")
+        if self.singular_height is not None:
+            if not (math.isfinite(self.singular_height) and self.singular_height >= 0.0):
+                raise ValueError("singular_height must be finite and >= 0")
+            if self.singular_center is None:
+                raise ValueError("singular_height needs a singular_center")
 
     def with_singular_center(self, c) -> "QuadSpec":
-        return replace(self, singular_center=(float(c[0]), float(c[1])))
+        """The spec anchored at c = (x1, x2), or at a kernel's peak (x1, x2, h)
+        a height h >= 0 above the plane, whose scale the chart then reads."""
+        height = float(c[2]) if len(c) > 2 else None
+        return replace(self, singular_center=(float(c[0]), float(c[1])), singular_height=height)
 
 
 class _PolarChart:
@@ -112,9 +147,10 @@ class _PolarChart:
     stall; such rays finish by bisecting their brackets down to _NEWTON_TOL.
     """
 
-    def __init__(self, dom, center, normal=None):
+    def __init__(self, dom, center, normal=None, scale=None):
         self.dom = dom
         self.center = np.asarray(center, dtype=float)
+        self.scale = scale  # the kernel's length scale on a mapped chart, else None
         self._anchored = normal is not None
         if dom._disk_radius is not None:
             return
@@ -164,6 +200,20 @@ class _PolarChart:
         out[rays] = np.maximum(R, 0.0)
         return out
 
+    def radii(self, g, R):
+        """Node radii r and slopes dr/dg on rays of extent R: (c, k) graded
+        chart coordinates g by (c, n) extents R give (c, n, k) arrays.
+
+        Unmapped, r = g R.  A mapped chart puts r = e sinh(A g) R with
+        e = scale / R and A = asinh(1 / e), so that r(1) = R and the nodes
+        grade geometrically from the kernel's scale at the anchor to the rim.
+        """
+        if self.scale is None:
+            return g[:, None, :] * R[:, :, None], R[:, :, None]
+        A = np.arcsinh(R / self.scale)[:, :, None]
+        sh = np.sinh(A * g[:, None, :])
+        return self.scale * sh, (self.scale * A) * np.sqrt(1.0 + sh * sh)
+
 
 def _graded(s):
     """rho(s) = s + s^2 - s^3 and rho'(s) = (1 - s)(1 + 3 s) at chart coordinates s."""
@@ -171,19 +221,22 @@ def _graded(s):
     return s * (1.0 + s * t), t * (1.0 + 3.0 * s)
 
 
-def _splittable(cells):
+def _splittable(cells, margin=0.0):
     """A (c, 2) mask: whether each cell may be bisected in psi and in s.
 
     Either split must keep the children's Kronrod nodes off their edges in
-    floating point; in s that is tested on the mapped nodes, and near the rim
-    it fails once 1 - s < ~1e-8.
+    floating point; in s that is tested on the graded nodes g, each
+    outermost node clearing its edge by more than margin (relative) in g,
+    and near the rim it fails once 1 - s < ~1e-8.  A mapped chart asks for
+    _MAPPED_MARGIN, which the sinh map's rounding, a few ulps of r, cannot
+    close; the graded chart for any gap (margin 0).
     """
     p0, p1, s0, s1 = cells.T
     mid = 0.5 * (s0 + s1)
     lo, hi = np.concatenate([s0, mid]), np.concatenate([mid, s1])
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)  # as _eval_cell places the nodes
-    rho = _graded(np.stack([lo, centre + half * _XGK[0], centre + half * _XGK[-1], hi]))[0]
-    inside = (rho[1] > rho[0]) & (rho[2] < rho[3])
+    g = _graded(np.stack([lo, centre + half * _XGK[0], centre + half * _XGK[-1], hi]))[0]
+    inside = (g[1] - g[0] > margin * g[1]) & (g[3] - g[2] > margin * g[3])
     return np.stack([p1 - p0 >= 1e-12, inside[:len(cells)] & inside[len(cells):]], axis=1)
 
 
@@ -197,7 +250,7 @@ def _eval_cell(chart, f, cells):
     """
     p0, p1, s0, s1 = cells.T
     ph, sh = 0.5 * (p1 - p0), 0.5 * (s1 - s0)
-    rho, drho = _graded(0.5 * (s0 + s1)[:, None] + sh[:, None] * _XGK)
+    g, dg = _graded(0.5 * (s0 + s1)[:, None] + sh[:, None] * _XGK)
     # the halves of an s bisection share their psi nodes: chart each span
     # once, taking the spans in sorted (psi0, psi1) order
     order = np.lexsort((p1, p0))
@@ -209,7 +262,7 @@ def _eval_cell(chart, f, cells):
     a0, a1 = a0[new], a1[new]
     psi = 0.5 * (a0 + a1)[:, None] + 0.5 * (a1 - a0)[:, None] * _XGK
     R = chart.radial_extent(psi.ravel()).reshape(psi.shape)[span_of]
-    rad = rho[:, None, :] * R[:, :, None]  # (cell, psi node, rho node)
+    rad, slope = chart.radii(g, R)  # (cell, psi node, s node)
     # the two node columns c + rad u(psi), built apart and stacked once
     c0, c1 = chart.center
     cos, sin = np.cos(psi)[span_of][:, :, None], np.sin(psi)[span_of][:, :, None]
@@ -220,7 +273,7 @@ def _eval_cell(chart, f, cells):
         raise ValueError(f"integrand returned shape {vals.shape} for {n} nodes "
                          f"({len(cells)} cells of {_XGK.size ** 2} nodes); "
                          f"expected ({n},) or ({n}, m)")
-    jac = rad * R[:, :, None] * (drho * (ph * sh)[:, None])[:, None, :]
+    jac = rad * slope * (dg * (ph * sh)[:, None])[:, None, :]
     # each node's weight repeated over its m columns: one contiguous product
     m = vals.size // n
     wv = np.repeat(jac.ravel(), m)
@@ -236,6 +289,21 @@ def _eval_cell(chart, f, cells):
     return vk, err, axis
 
 
+def _largest(key, k):
+    """Indices of the k largest keys, largest first and ties in index order:
+    np.argsort(-key, kind="stable")[:k], sorting only those k.
+
+    Keys hold no NaN (integrate returns before a NaN error is refined).
+    """
+    if key.size > k:
+        kth = np.partition(key, key.size - k)[key.size - k]
+        above, tied = np.flatnonzero(key > kth), np.flatnonzero(key == kth)
+        pick = np.sort(np.concatenate([above, tied[:k - above.size]]))
+    else:
+        pick = np.arange(key.size)
+    return pick[np.argsort(-key[pick], kind="stable")]
+
+
 def integrate(dom, f, spec: QuadSpec | None = None):
     """Adaptively integrate f over dom to the spec's component-wise tolerance.
 
@@ -244,22 +312,33 @@ def integrate(dom, f, spec: QuadSpec | None = None):
     the best value and estimate) if the cell budget is exhausted first.
     """
     spec = spec or QuadSpec()
-    center, normal = np.zeros(2), None
+    center, normal, scale = np.zeros(2), None, None
     if spec.singular_center is not None:
-        foot, theta, d = dom.nearest_boundary(np.asarray(spec.singular_center, dtype=float))
+        peak = np.asarray(spec.singular_center, dtype=float)
+        foot, theta, d = dom.nearest_boundary(peak)
         if d <= 0.0:  # anchor the chart at the nearest boundary point
             center, normal = foot, theta
         else:
-            center = np.asarray(spec.singular_center, dtype=float)
-    chart = _PolarChart(dom, center, normal)
+            center = peak
+        if spec.singular_height is not None:
+            size = dom.max_support()
+            eps = math.hypot(float(np.hypot(*(peak - center))), spec.singular_height)
+            if eps < _MAP_BELOW * size:
+                scale = max(eps, _SCALE_FLOOR * size)
+    chart = _PolarChart(dom, center, normal, scale)
 
     # pi/4-wide sectors: the whole turn, or the inward half-plane
     sectors, start = (8, 0.0) if normal is None else (4, normal + 0.5 * np.pi)
-    i, j = np.divmod(np.arange(4 * sectors), 4)
-    cells = np.stack([start + np.pi / 4 * i, start + np.pi / 4 * (i + 1), j / 4, (j + 1) / 4],
-                     axis=1)
+    edges = start + np.pi / 4 * np.arange(sectors + 1)
+    if normal is not None and scale is not None:  # resolve the rays by each tangent
+        near = scale / size * np.array(_TANGENT_SECTORS)
+        near = near[near < np.pi / 4]
+        edges = np.sort(np.concatenate([edges, start + near, edges[-1] - near]))
+    i, j = np.divmod(np.arange(4 * (edges.size - 1)), 4)
+    cells = np.stack([edges[i], edges[i + 1], j / 4, (j + 1) / 4], axis=1)
     vals, errs, axes = _eval_cell(chart, f, cells)
-    can = _splittable(cells)
+    margin = 0.0 if scale is None else _MAPPED_MARGIN
+    can = _splittable(cells, margin)
     while True:
         # totals are re-summed in array order each round, so results are
         # bitwise deterministic
@@ -273,7 +352,7 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         budget = min(_ROUND, spec.max_cells - len(cells))
         if budget <= 0 or live.size == 0:
             raise NonConvergedError(*result)
-        order = live[np.argsort(-np.max(errs[live] / tol, axis=1), kind="stable")][:budget]
+        order = live[_largest(np.max(errs[live] / tol, axis=1), budget)]
         # the shortest prefix whose removal leaves at most half the tolerance
         left = total_err - np.cumsum(errs[order], axis=0)
         enough = np.all(left <= 0.5 * tol, axis=1)
@@ -305,4 +384,4 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         vals = np.concatenate([vals[keep], c_vals])
         errs = np.concatenate([errs[keep], c_errs])
         axes = np.concatenate([axes[keep], c_axes])
-        can = np.concatenate([can[keep], _splittable(children)])
+        can = np.concatenate([can[keep], _splittable(children, margin)])

@@ -167,14 +167,18 @@ def _exact_disk_hessian(x):
 
 
 def _oracle_points():
-    """S1-S4 at h = 0.01 and 0.32, exterior and interior anchors, one reflection."""
+    """S1-S4 at h = 0.003 ... 0.32, exterior and interior anchors, one reflection,
+    and interior points at x3 = 1e-3 ... 0.05, where the chart maps by sinh."""
     pts = []
     probes = [(-1.0, 0.125), (-1.0, 0.625), (1.0, 0.625), (1.0, 0.125)]  # (x1, x3) / h
-    for k, ((a1, a3), h) in enumerate((p, h) for p in probes for h in (0.01, 0.32)):
+    hs = (0.003, 0.01, 0.02, 0.1, 0.32)
+    for k, ((a1, a3), h) in enumerate((p, h) for p in probes for h in hs):
         psi = 0.4 + 0.77 * k
         pts.append([(1.0 - a1 * h) * math.cos(psi), (1.0 - a1 * h) * math.sin(psi), a3 * h])
     pts += [[1.6, 0.7, 0.4], [-0.9, -2.1, 0.05], [2.4, -1.3, -1.1],
             [0.2, 0.1, 0.3], [-0.4, 0.2, 0.6], [0.9, -0.3, 0.15], [0.2, 0.1, -0.3]]
+    pts += [[0.3, 0.2, 1e-3], [-0.6, 0.5, 3e-3], [0.0, -0.9, 0.01], [0.95, 0.0, 0.02],
+            [-0.1, 0.7, 0.05], [0.5, -0.4, -4e-3]]
     return np.array(pts)
 
 
@@ -190,6 +194,22 @@ def test_disk_hessian_matches_exact_extension():
         dev = np.abs([h11, h22, h33, h12, h13, h23])
         assert np.all(dev <= s.entry_err), (x, dev / s.entry_err)
         assert abs(s.trace) <= float(np.sum(s.entry_err[:3])), x
+
+
+# the ROADMAP cliff table: (x1, x2) by x3, whether eval_hessian converges under
+# criterion 5's QuadSpec and under the default one
+_CLIFF = {(0.3, 0.2): {1e-2: (True, True), 1e-3: (True, False), 3e-4: (False, False)},
+          (0.95, 0.0): {1e-2: (True, True), 1e-3: (True, False), 3e-4: (True, False)},
+          (1.05, 0.0): {1e-2: (True, True), 1e-3: (True, True), 3e-4: (True, True)}}
+
+
+@pytest.mark.parametrize("anchor", list(_CLIFF))
+def test_cliff_table_converges_where_it_did(anchor):
+    dom, phi = SupportDomain.disk(1.0), DiskPhi()
+    for x3, want in _CLIFF[anchor].items():
+        got = tuple(eval_hessian(ExtensionContext(dom, phi, spec), [*anchor, x3]).converged
+                    for spec in (_CRITERION5_QUAD, QuadSpec()))
+        assert got == want, (anchor, x3)
 
 
 def test_reflection_det_exact_and_fd_crosscheck(ctx):

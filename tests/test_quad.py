@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,41 @@ def test_spec_validation():
         QuadSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadSpec(max_cells=32)
+
+
+@pytest.mark.parametrize("height", [-1e-3, -1e-300, math.nan, math.inf, -math.inf])
+def test_spec_rejects_bad_height(height):
+    with pytest.raises(ValueError, match="singular_height"):
+        QuadSpec().with_singular_center((0.1, 0.2, height))
+    with pytest.raises(ValueError, match="singular_height"):
+        QuadSpec(singular_center=(0.1, 0.2), singular_height=height)
+
+
+def test_spec_height_needs_a_center():
+    with pytest.raises(ValueError, match="singular_center"):
+        QuadSpec(singular_height=0.1)
+    spec = QuadSpec().with_singular_center((0.1, 0.2, 0.0))
+    assert spec.singular_center == (0.1, 0.2) and spec.singular_height == 0.0
+    assert QuadSpec().with_singular_center((0.1, 0.2)).singular_height is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_largest_matches_stable_argsort(seed):
+    # integrate's pick of the cells to bisect: the stable argsort's first k,
+    # ties in index order, found without sorting every key
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 31, 32, 33, 200, 3000):
+        key = rng.integers(0, max(2, n // 8), n).astype(float) * 0.25
+        key[rng.random(n) < 0.1] = 0.0
+        key[rng.random(n) < 0.02] = np.inf
+        if seed % 2:
+            key += rng.random(n) * (rng.random(n) < 0.5)
+        for k in (1, 2, 5, 32, n - 1, n, n + 3):
+            if k < 1:
+                continue
+            want = np.argsort(-key, kind="stable")[:k]
+            got = quad._largest(key, k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, k)
 
 
 def test_vector_integrand(disk):
@@ -310,3 +346,103 @@ def test_eval_cell_bitwise(cells, chart, m):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
     # integrate sums the values over cells: the same layout gives the same sums
     assert got[0].sum(axis=0).tobytes() == want[0].sum(axis=0).tobytes()
+
+
+def _scales(monkeypatch):
+    """Record the chart scale and the first cells of every integrate call."""
+    seen = []
+    real = quad._eval_cell
+
+    def recording(chart, f, cells):
+        if not seen or seen[-1][0] is not chart:
+            seen.append((chart, cells.copy()))
+        return real(chart, f, cells)
+
+    monkeypatch.setattr(quad, "_eval_cell", recording)
+    return seen
+
+
+# kernel peaks over an interior anchor and over a boundary anchor (height 0,
+# the scale is the distance to the foot)
+_PEAKS = {"interior": lambda eps: (0.3, -0.2, eps), "boundary": lambda eps: (1.0 + eps, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1])
+@pytest.mark.parametrize("peak", list(_PEAKS))
+def test_mapped_chart_area_and_dome(disk, monkeypatch, eps, peak):
+    seen = _scales(monkeypatch)
+    spec = QuadSpec().with_singular_center(_PEAKS[peak](eps))
+    val, err = integrate(disk, lambda p: np.ones(len(p)), spec)
+    assert val == pytest.approx(math.pi, abs=1e-10)
+    assert abs(val - math.pi) <= max(err, 1e-12)
+    val, err = integrate(disk, lambda p: np.sqrt(np.maximum(1 - _r2(p), 0.0)),
+                         replace(spec, rel_tol=1e-9))
+    assert val == pytest.approx(2 * math.pi / 3, abs=1e-8)
+    assert abs(val - 2 * math.pi / 3) <= err
+    assert [chart.scale for chart, _ in seen] == [pytest.approx(eps, rel=1e-12)] * 2
+
+
+def test_chart_maps_only_below_the_threshold(disk, monkeypatch):
+    seen = _scales(monkeypatch)
+    f = lambda p: np.ones(len(p))
+    for c in [(0.3, -0.2), (0.3, -0.2, 0.125), (0.3, -0.2, 1e-5), (1.05, 0.0, 0.05),
+              (1.2, 0.0, 0.0)]:
+        integrate(disk, f, QuadSpec().with_singular_center(c))
+    # no height, the threshold (1/8 of the disk's radius), a floored scale,
+    # an exterior peak at hypot(0.05, 0.05) from its foot, one 0.2 from it
+    scales = [chart.scale for chart, _ in seen]
+    assert scales[0] is None and scales[1] is None and scales[4] is None
+    assert scales[2] == quad._SCALE_FLOOR
+    assert scales[3] == pytest.approx(math.hypot(0.05, 0.05), rel=1e-12)
+
+
+def test_boundary_chart_starts_resolved_at_the_kernel_scale(disk, monkeypatch):
+    seen = _scales(monkeypatch)
+    f = lambda p: np.ones(len(p))
+    integrate(disk, f, QuadSpec().with_singular_center((1.01, 0.0, 0.0)))
+    integrate(disk, f, QuadSpec().with_singular_center((1.01, 0.0)))
+    (mapped, first), (plain, plain_first) = seen
+    assert plain.scale is None and len(plain_first) == 16
+    # sectors from each tangent ray at 0.01, 0.04 and 0.16 (0.64 > pi/4 is not added)
+    start, end = 0.5 * np.pi, 1.5 * np.pi
+    near = np.array([0.01, 0.04, 0.16])
+    want = np.concatenate([[start], start + near, start + np.pi / 4 * np.arange(1, 4),
+                           end - near[::-1], [end]])
+    edges = np.unique(first[:, :2])
+    assert len(first) == 4 * (len(want) - 1)
+    np.testing.assert_allclose(edges, want, rtol=0, atol=1e-12)
+    assert np.all(first[:, 1] > first[:, 0])
+
+
+@pytest.mark.parametrize("chart", ["disk interior", "ellipse boundary"])
+def test_mapped_s_split_keeps_nodes_off_edges(chart):
+    # near the anchor and near the rim, every s-split that _splittable allows
+    # on a mapped chart puts each child's nodes strictly inside its mapped ends
+    if chart == "disk interior":
+        chart = quad._PolarChart(SupportDomain.disk(1.0), (0.3, -0.2), scale=1e-3)
+        psi0, psi1 = 0.0, 2 * np.pi
+    else:
+        ell, foot, theta = _boundary_anchor()
+        chart = quad._PolarChart(ell, foot, theta, scale=2e-3)
+        psi0, psi1 = theta + 0.5 * np.pi, theta + 1.5 * np.pi
+    k = np.arange(1, 64)
+    near_anchor = np.stack([np.zeros_like(k, dtype=float), 0.5 ** k], axis=1)
+    near_rim = np.stack([1.0 - 0.5 ** k, np.ones_like(k, dtype=float)], axis=1)
+    inner = np.stack([0.3 - 0.5 ** k, 0.3 + 0.5 ** k], axis=1)
+    s = np.concatenate([near_anchor, near_rim, inner])
+    # rays across the chart, and rays within 1e-9..1e-3 rad of a tangent
+    psi = np.concatenate([np.linspace(psi0, psi1, 301)[1:-1], psi0 + np.geomspace(1e-9, 1e-3, 20),
+                          psi1 - np.geomspace(1e-9, 1e-3, 20)])
+    R = chart.radial_extent(psi)
+    cells = np.concatenate([np.full((len(s), 1), psi0), np.full((len(s), 1), psi1), s], axis=1)
+    can = quad._splittable(cells, quad._MAPPED_MARGIN)[:, 1]
+    assert can.any() and not can.all()
+    for s0, s1 in s[can]:
+        mid = 0.5 * (s0 + s1)
+        for lo, hi in ((s0, mid), (mid, s1)):
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            g = quad._graded(np.array([lo, c + h * quad._XGK[0], c + h * quad._XGK[-1], hi]))[0]
+            r = chart.radii(g[None, :], R[None, :])[0][0]  # (ray, 4)
+            assert np.all(r[:, 1] > r[:, 0]) and np.all(r[:, 2] < r[:, 3]), (lo, hi)
+            if hi == 1.0:  # the outermost node stays inside the boundary itself
+                assert np.all(r[:, 2] < R), (lo, hi)
