@@ -108,14 +108,9 @@ class ScanReport:
                 f"[{self.min_value:.6g}, {self.max_value:.6g}]")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(list(self.point_columns) + list(self.columns) + ["verdict"])
-            for i in range(len(self.points)):
-                row = [fmt17(c) for c in self.points[i]]
-                row += [fmt17(v) for v in self.values[i]]
-                row.append(self.verdicts[i])
-                w.writerow(row)
+        write_rows(path, "csv", [*self.point_columns, *self.columns, "verdict"],
+                   [[*x, *v, verdict] for x, v, verdict
+                    in zip(self.points, self.values, self.verdicts)])
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -138,6 +133,19 @@ class ScanReport:
                 "min": self.min_value, "max": self.max_value,
             },
         })
+
+
+def write_rows(path, fmt, header, rows) -> None:
+    """Rows under their header: CSV with 17-digit floats, or JSON ("json") as a
+    list of one object per row."""
+    with open(path, "w", newline="") as fh:
+        if fmt == "json":
+            fh.write(_json_dump([dict(zip(header, row)) for row in rows]))
+            return
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([fmt17(v) if isinstance(v, (float, np.floating)) else v for v in row]
+                    for row in rows)
 
 
 def _json_dump(obj, indent=0) -> str:
@@ -198,11 +206,8 @@ class ExponentFit:
             }))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["h", "value", "sign"])
-            for h, v, s in zip(self.h_values, self.values, self.signs):
-                w.writerow([fmt17(h), fmt17(v), int(s)])
+        write_rows(path, "csv", ["h", "value", "sign"],
+                   [[h, v, int(s)] for h, v, s in zip(self.h_values, self.values, self.signs)])
 
 
 def _ols_loglog(h, vals):
@@ -511,7 +516,7 @@ def target_slope(probe: str, quantity: str):
 
 
 def boundary_exponent_fit(ctx: ExtensionContext, probe: str, quantity: str,
-                          h_values, *, boundary_angle: float = 0.0) -> ExponentFit:
+                          h_values) -> ExponentFit:
     """Log-log slope of |quantity| along a boundary probe family.
 
     Probes: normal-slab (inward points on the slab), S1..S4 (the boundary
@@ -525,7 +530,7 @@ def boundary_exponent_fit(ctx: ExtensionContext, probe: str, quantity: str,
     if quantity not in _PROBE_QUANTITIES[probe]:
         raise ValueError(f"probe {probe!r} has no quantity {quantity!r} "
                          f"(use {', '.join(_PROBE_QUANTITIES[probe])})")
-    psi = float(boundary_angle)
+    psi = 0.0  # the probes stand on the boundary point at angle 0
     y0 = ctx.dom.boundary_point(psi)
     n_in = -_unit(psi)
     t_cw = np.array([math.sin(psi), -math.cos(psi)])

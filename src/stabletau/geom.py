@@ -173,9 +173,9 @@ class SupportDomain:
         )
 
     @staticmethod
-    def from_function(fn, n_modes: int = 64, n_fft: int | None = None) -> "SupportDomain":
+    def from_function(fn, n_modes: int = 64) -> "SupportDomain":
         """Project a periodic support function onto the Fourier basis."""
-        return SupportDomain(_project_coeffs(fn, n_modes, n_fft))
+        return SupportDomain(_project_coeffs(fn, n_modes))
 
     @staticmethod
     def from_polygon(vertices, n_modes: int = 64, rounding: float = 1e-3) -> "SupportDomain":

@@ -43,7 +43,7 @@ from scipy.special import betainc, betaincinv
 
 from .closedform import BallSpec, StableParams, ball_exit_constant
 from .errors import DomainFileError, GridTooCoarseError, PointOutsideError
-from .geom import _BOUNDARY_TOL, SupportDomain, builtin_domain, load_domain, save_domain, _unit
+from .geom import _BOUNDARY_TOL, SupportDomain, builtin_domain, load_domain
 
 _BATCH = 16384
 _MASK64 = (1 << 64) - 1

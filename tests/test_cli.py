@@ -5,13 +5,16 @@ import filecmp
 import numpy as np
 import pytest
 
+from stabletau import analysis
 from stabletau.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+from stabletau.errors import NonConvergedError
 from stabletau.geom import ConeDomain, SupportDomain, builtin_domain, save_domain
 
 
@@ -120,6 +123,31 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
     # scans ignore --threads but still check it
     (["hessian-scan", "--builtin", "disk", "--points", "halton:3", "--threads", "0"],
      "--threads"),
+    # a required option that is missing
+    (["solve", "--at", "0,0"], "--alpha"),
+    (["solve", "--alpha", "1"], "--at"),
+    (["field-build", "--alpha", "1", "--spacing", "0.2"], "--out"),
+    (["exponent-fit", "--probe", "S1"], "--quantity"),
+    (["cone-hunt", "--alpha", "1.5"], "--theta"),
+    # a value that does not parse
+    (SOLVE[:3] + ["--at", "0,x", "--alpha", "1"], "--at"),
+    (SOLVE[:3] + ["--at", "", "--alpha", "1"], "--at"),
+    (SOLVE + ["--alpha", "one"], "--alpha"),
+    (SOLVE + ["--alpha", "1", "--walks", "inf"], "--walks"),
+    (SOLVE + ["--alpha", "1", "--threads", "two"], "--threads"),
+    (["hessian-scan", "--points", "halton:2", "--which", "psib:x"], "--which"),
+    (["hessian-scan", "--points", "halton:2", "--which", "w"], "--which"),
+    (["exponent-fit", "--probe", "S1", "--quantity", "u13", "--h", "0.01:0.1:cubic:6"], "--h"),
+    (["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1"], "--t"),
+    (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--dim", "2.5"], "--dim"),
+    # every command parses --seed, those without walks too
+    *[(args + ["--seed", "abc"], "--seed") for args in (
+        ["hessian-scan", "--points", "halton:2"],
+        ["exponent-fit", "--probe", "S1", "--quantity", "u13"],
+        ["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1:2"],
+        SOLVE + ["--alpha", "1"],
+        ["field-build", "--alpha", "1", "--spacing", "0.2"],
+        ["cone-hunt", "--alpha", "1.5", "--theta", "0.1"])],
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE
@@ -328,3 +356,48 @@ def test_config_choice_is_checked_as_on_the_command_line(tmp_path, capsys):
     assert run(["hessian-scan", "--config", str(cfg), "--out", str(out),
                 "--format", "csv"]) == EXIT_OK
     assert out.read_text().startswith("x1,x2,x3,")
+
+
+def test_required_option_may_come_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[solve]\nalpha = 1\n")
+    assert run(["solve", "--config", str(cfg), "--at", "0,0", "--walks", "100"]) == EXIT_OK
+    assert run(["solve", "--config", str(cfg), "--walks", "100"]) == EXIT_USAGE
+    assert "--at" in capsys.readouterr().err
+
+
+def test_missing_config_file_is_io_error(tmp_path, capsys):
+    assert run(["solve", "--config", str(tmp_path / "absent.cfg")]) == EXIT_IO
+    assert "not found" in capsys.readouterr().err
+
+
+def test_nonconverged_numerics_exit_5(monkeypatch, capsys):
+    def stall(*args, **kwargs):
+        raise NonConvergedError(0.0, 1.0)
+
+    monkeypatch.setattr(analysis, "hessian_scan", stall)
+    assert run(["hessian-scan", "--points", "halton:2"]) == EXIT_NUMERIC
+    assert "converge" in capsys.readouterr().err
+
+
+def test_hessian_scan_slab_psib(tmp_path):
+    out = tmp_path / "slab.json"
+    assert run(["hessian-scan", "--region", "slab:margin=0.05", "--points", "halton:4",
+                "--which", "psib:0.3", "--format", "json", "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["experiment"] == "hessian_scan[psib]"
+    assert rep["descriptor"] == "slab margin=0.05, halton 4"
+    pts = np.array(rep["points"])
+    assert pts.shape == (4, 3) and np.all(pts[:, 2] == 0.0)
+    assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 1.0 - 0.05)
+
+
+def test_exponent_fit_linear_h_and_json(tmp_path):
+    out = tmp_path / "fit.json"
+    assert run(["exponent-fit", "--probe", "S1", "--quantity", "u13",
+                "--h", "0.02:0.2:linear:6", "--format", "json", "--out", str(out)]) == EXIT_OK
+    fit = json.loads(out.read_text())
+    assert fit["probe"] == "S1" and fit["quantity"] == "u13"
+    assert fit["h"] == pytest.approx(np.linspace(0.02, 0.2, 6).tolist(), abs=0)
+    assert len(fit["values"]) == len(fit["signs"]) == 6
+    assert fit["slope"] == pytest.approx(-1.5, abs=0.2)

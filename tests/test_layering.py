@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import stabletau
 
 LAYERS = ["errors", "geom", "quad", "closedform", "wos", "extension", "analysis", "cli"]
@@ -32,6 +34,27 @@ def test_imports_follow_layer_order():
             if LAYERS.index(target) >= LAYERS.index(name):
                 bad.append(f"{name} -> {target}")
     assert bad == []
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads (`__future__` imports aside)."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - read
+
+
+def test_no_unused_imports():
+    # __init__ imports its names to re-export them
+    pkg = Path(stabletau.__file__).parent
+    unused = {p.stem: sorted(_unused_imports(p)) for p in sorted(pkg.glob("*.py"))
+              if p.name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}
 
 
 def test_cross_layer_names_are_the_definitions():
@@ -67,6 +90,19 @@ def test_traced_names_exist():
         assert callable(fn), (name, owner, attr)
         for alias_owner, alias_attr in aliases:
             assert getattr(alias_owner, alias_attr, None) is fn, (name, alias_owner, alias_attr)
+
+
+@pytest.mark.parametrize("workload", ["disk_walks", "ellipse_field_build", "disk_hessian_scan"])
+def test_untraced_smoke_run(workload):
+    # the benchmark exits 1 on an exception in a round, a failed setup child
+    # or a failed check, so a change to an API it uses shows here first
+    bench = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    proc = subprocess.run([sys.executable, str(bench), "--workload", workload,
+                           "--size", "smoke", "--seconds", "0.5", "--trace", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
 
 
 def test_traced_field_scan_smoke_run():

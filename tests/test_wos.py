@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,41 @@ def _field_lines(tmp_path, disk_field):
     path = tmp_path / "disk.pf"
     save_field(disk_field, path)
     return path, path.read_text().splitlines(keepends=True)
+
+
+def test_field_file_domain_path_is_relative_to_the_field_file(tmp_path, disk_field,
+                                                               monkeypatch):
+    folder = tmp_path / "fields"
+    folder.mkdir()
+    path = folder / "disk.pf"
+    save_field(disk_field, path)
+    path.write_text(path.read_text().replace("domain=builtin:disk", "domain=unit.sf", 1))
+    geom.save_domain(DISK, folder / "unit.sf")
+    monkeypatch.chdir(tmp_path)  # the domain file is not in the working directory
+    back = load_field(path)
+    assert back.domain_ref == "unit.sf"
+    assert np.array_equal(back.dom.coeffs, DISK.coeffs)
+    pts = np.array([[0.3, 0.4], [0.0, 0.0], [-0.5, 0.1], [0.9, 0.3]])
+    assert np.array_equal(back.values_at(pts), disk_field.values_at(pts))
+
+
+@pytest.mark.parametrize("line, new, says", [
+    (r"phifield v2", "phifield v3", "not a phifield v2 file"),
+    (r"alpha=.*", "alfa=1", "expected alpha= on line 3"),
+    (r"origin=.*", "origin=-1.08", "origin needs two coordinates"),
+    (r"blend=\d+", "blend=0", "at least one sector"),
+])
+def test_malformed_field_file_is_a_domain_file_error(tmp_path, disk_field, line, new, says):
+    from stabletau.cli import EXIT_IO, main
+
+    path = tmp_path / "disk.pf"
+    save_field(disk_field, path)
+    text, n = re.subn(f"^{line}$", new, path.read_text(), flags=re.M)
+    assert n == 1
+    path.write_text(text)
+    with pytest.raises(DomainFileError, match=says):
+        load_field(path)
+    assert main(["hessian-scan", "--field", str(path), "--points", "halton:2"]) == EXIT_IO
 
 
 def test_field_file_rejects_truncation(tmp_path, disk_field):
