@@ -4,8 +4,10 @@ deform-sweep, cone-hunt.
 Each option is declared once, as a row of flag, type, default and whether it
 is required; argparse converts and checks every value, so a bad value is a
 usage error naming its option.  Every command accepts --builtin, --domain,
---config, --seed, --threads, --out and --format; output files carry 17
-significant digits, terminal summaries 6.  Exit codes: 0 ok, 2 domain or point
+--config, --seed, --threads, --out and --format, except that cone-hunt, which
+builds its own cone, takes no --builtin or --domain; no command uses threads,
+so --threads is checked and has no effect.  Output files carry 17 significant
+digits, terminal summaries 6.  Exit codes: 0 ok, 2 domain or point
 errors, 3 I/O, 4 usage, 5 non-converged numerics.
 """
 
@@ -111,9 +113,12 @@ def _parse_t(text: str) -> np.ndarray:
 
 def _count(text: str) -> int:
     try:
-        return int(float(text))  # counts may be written as 1e6
-    except (ValueError, OverflowError) as exc:
+        value = float(text)  # counts may be written as 1e6
+    except ValueError as exc:
         raise ArgumentTypeError(f"not a count: {text!r}") from exc
+    if not value.is_integer():  # 2.7, inf and nan are no counts
+        raise ArgumentTypeError(f"not a whole count: {text!r}")
+    return int(value)
 
 
 def _positive(cast):
@@ -159,7 +164,7 @@ def cmd_solve(ns) -> int:
     cfg = _checked("--walks, --ball-fraction or --max-steps", WalkConfig,
                    n_walks=ns.walks, ball_fraction=ns.ball_fraction,
                    max_steps=ns.max_steps, seed=ns.seed)
-    est = estimate_phi(dom, p, ns.at, cfg, n_threads=ns.threads)
+    est = estimate_phi(dom, p, ns.at, cfg)
     print(f"mean={est.mean:.6g} stderr={est.std_error:.6g} walks={est.n_walks} "
           f"truncated={est.truncated} mean_steps={est.mean_steps:.6g}")
     if est.truncated:
@@ -178,7 +183,7 @@ def cmd_field_build(ns) -> int:
     cfg = _checked("--walks-per-node, --ball-fraction or --max-steps", WalkConfig,
                    n_walks=ns.walks_per_node, ball_fraction=ns.ball_fraction,
                    max_steps=ns.max_steps, seed=ns.seed)
-    field = build_field(dom, p, ns.spacing, cfg, n_threads=ns.threads, domain_ref=ref)
+    field = build_field(dom, p, ns.spacing, cfg, domain_ref=ref)
     save_field(field, ns.out)
     n_nodes = int(np.count_nonzero(field.reliable))
     print(f"field written to {ns.out}: {n_nodes} estimated nodes, spacing={ns.spacing:.6g}, "
@@ -190,12 +195,14 @@ def cmd_hessian_scan(ns) -> int:
     dom, ref = _resolve_domain(ns)
     ctx = _phi_context(ns, dom, ref)
     (region, size), n_points = ns.region, ns.points
+    if ns.include_reflected and region == "slab":
+        raise UsageError("--include-reflected: slab points lie on x3 = 0 and have no reflection")
     if region == "cylinder":
         pts = _checked("--region", analysis.cylinder_points, size, n_points)
     else:
         pts = _checked("--region", analysis.slab_points, ctx.dom, n_points, margin=size)
     descriptor = f"{region} {_REGIONS[region][0]}={size:g}, halton {n_points}"
-    if ns.include_reflected and region == "cylinder":
+    if ns.include_reflected:
         pts = np.concatenate([pts, pts * np.array([1.0, 1.0, -1.0])])
         descriptor += " + reflected"
     which, eps, b = ns.which
@@ -236,8 +243,7 @@ def cmd_cone_hunt(ns) -> int:
     cone = _checked("--theta or --dim", ConeDomain, ns.theta, ns.dim)
     p = _checked("--alpha", StableParams, ns.alpha, ns.dim)
     cfg = _checked("--walks", WalkConfig, n_walks=ns.walks, seed=ns.seed)
-    rep = _checked("--alpha", analysis.cone_nonconcavity_hunt, cone, p, cfg,
-                   n_threads=ns.threads)
+    rep = _checked("--alpha", analysis.cone_nonconcavity_hunt, cone, p, cfg)
     print(rep.summary())
     if rep.witnesses:
         best = max(rep.witnesses, key=lambda w: w["value"])
@@ -254,7 +260,8 @@ def cmd_cone_hunt(ns) -> int:
 # -- options: flag, type, default, required -----------------------------------------------
 # A default is text that argparse parses with the option's type, as if it had
 # been given; a type of None makes a flag, and a tuple lists the choices.  A
-# command's own row replaces the common row of the same flag.
+# command's own row replaces the common row of the same flag, and a command
+# takes no common row that _NOT_COMMON lists for it.
 
 _COMMON = [
     ("--builtin", str, "disk", False),
@@ -265,6 +272,7 @@ _COMMON = [
     ("--out", str, None, False),
     ("--format", ("csv", "json"), "csv", False),
 ]
+_NOT_COMMON = {"cone-hunt": ("--builtin", "--domain")}  # the hunt builds its own cone
 _WALK = [("--ball-fraction", float, "0.5", False), ("--max-steps", _count, "10000", False)]
 
 _COMMANDS = {
@@ -294,8 +302,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        own = {flag for flag, *_ in options}
-        for flag, kind, default, _ in options + [o for o in _COMMON if o[0] not in own]:
+        skip = {flag for flag, *_ in options}.union(_NOT_COMMON.get(name, ()))
+        for flag, kind, default, _ in options + [o for o in _COMMON if o[0] not in skip]:
             if kind is None:
                 sp.add_argument(flag, action="store_true")
             elif isinstance(kind, tuple):

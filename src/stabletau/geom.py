@@ -361,7 +361,7 @@ class SupportDomain:
         cs, sn = self._tab_u
         return self._tab_cols[1].take(k) + x1 * sn.take(k) - x2 * cs.take(k)
 
-    def _signed_distance_foot(self, pts: np.ndarray, seed=None):
+    def _signed_distance_foot(self, pts: np.ndarray, seed=None, deep=None):
         """Vectorised signed distance plus the minimising normal angle: the one exact query.
 
         The disk returns its closed form.  Elsewhere g(theta) = h - x.u has
@@ -374,7 +374,9 @@ class SupportDomain:
 
         Newton starts from seed, by default the best cell-corner foot angle
         of the lattice, and may take steps up to _ROLL_CAP, since the
-        certificate does not depend on where it converges.  A row is accepted
+        certificate does not depend on where it converges.  deep, the rows'
+        deep-cell flags, is looked up when not given (upper_foot returns both
+        with the seed).  A row is accepted
         if its last step is below _NEWTON_TOL, its value is not above the
         seed's and lies _ROLL_MARGIN below r0.  Other rows, and every row of a
         domain with r0 = 0, run the search (_search_foot).  A row in a deep
@@ -394,7 +396,7 @@ class SupportDomain:
         lattice = self._lattice()
         if seed is None:
             _, seed, deep = lattice.upper_foot(pts)
-        else:
+        elif deep is None:
             deep = lattice.deep.take(lattice._cell(pts)[0])
         if deep.all():
             val, theta = self._search_foot(pts)
@@ -443,18 +445,19 @@ class SupportDomain:
         steps on it; of the rest, near the boundary or outside, a row whose
         upper bound is at most cut reports that, and the others query the
         exact distance (_signed_distance_foot, seeded at the upper bound's
-        foot angle).
+        foot angle and given the rows' deep-cell flags).
         """
         r = self.lower_distance(pts)
         if self._disk_radius is not None:  # exact
             return r
         rows = np.nonzero(r <= max(_EXACT_BELOW, cut))[0]
         if rows.size:
-            r[rows], seed, _ = self._lattice().upper_foot(pts.take(rows, axis=0))
+            r[rows], seed, deep = self._lattice().upper_foot(pts.take(rows, axis=0))
             exact = r[rows] > cut
             rows = rows[exact]
             if rows.size:
-                r[rows], _ = self._signed_distance_foot(pts.take(rows, axis=0), seed[exact])
+                r[rows], _ = self._signed_distance_foot(pts.take(rows, axis=0), seed[exact],
+                                                        deep[exact])
         return r
 
     def _lattice(self) -> "_DistanceLattice":

@@ -18,7 +18,11 @@ Randomness is counter-based: at step k, the walks of batch b still alive
 draw one block of uniforms at a Philox counter derived from (b, k) under key
 (seed, stream), and the j-th live walk in walk order reads column j.  The
 live set is itself a deterministic function of the inputs, so runs are
-bitwise reproducible for any thread count.
+bitwise reproducible.  Up to _RUN consecutive batches of a call form a run:
+each batch advances alone until few of its walks are live, and the parked
+tails then share rounds, each batch still drawing its own block at its own
+step (_run_batch), so the sharing changes no walk's uniforms.  The walks
+run on the calling thread.
 
 A round's array passes are kept few: the batch holds its live walks'
 positions as (dim, n) coordinate rows, the directions come as the same rows,
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,7 @@ from .errors import DomainFileError, GridTooCoarseError, PointOutsideError
 from .geom import _BOUNDARY_TOL, SupportDomain, builtin_domain, load_domain
 
 _BATCH = 16384
+_RUN = 8  # batches advanced together: a run's per-walk state stays about 2 MB
 _MASK64 = (1 << 64) - 1
 _SHELL = 1e-8  # absorption shell of the alpha = 2 walks
 
@@ -318,83 +322,120 @@ def sample_exit(ball: BallSpec, p: StableParams, rng: Generator):
 
 def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
                collect_finals, group_of=None, n_groups=1):
-    """Advance one batch of walks to termination.
+    """Advance a run of consecutive batches of walks to termination.
 
-    pos0 holds each walk's start and delta0 its boundary distance, which the
-    caller has already queried; later steps use the domain's step_distance,
-    a certified lower bound of the distance away from the boundary.
-    group_of (optional) maps walks to result groups.  Returns per-group
-    (sum_t, sum_t^2, truncated, steps) arrays plus the final exit points
-    when requested.
+    pos0 holds one start row per walk and delta0 its boundary distance, which
+    the caller has already queried (either may be a broadcast view); later
+    steps use the domain's step_distance, a certified lower bound of the
+    distance away from the boundary.  Walks b _BATCH to (b + 1) _BATCH - 1 of
+    the run form its batch b, whose Philox counters start at
+    batch_start + b _BATCH.  group_of (optional) maps walks to result groups.
+    Returns an array of shape (4, n_batches, n_groups): each batch's per-group
+    sum_t, sum_t^2, truncated walks and steps, which the caller adds up in
+    batch order; plus the final exit points when requested.
 
     Only live walks are carried: ids maps them to walk indices in increasing
-    order, and at step k the j-th live walk reads column j of the step's
-    (width, n_live) uniform block.  Positions are held as (dim, n_live)
-    coordinate rows.  A walk's time and step count are written back when it
-    exits; walks still live after cfg.max_steps keep their accrued time and
-    count as truncated.
+    order, and each batch at its step k draws a (width, n_live) uniform block
+    whose column j its j-th live walk reads.  Positions are held as
+    (dim, n_live) coordinate rows.  Each batch first advances alone until at
+    most _BATCH // n_batches of its walks are live and is then parked; the
+    parked tails then advance as one live set, in batch order, each batch at
+    its own step counter.  So no round holds more than _BATCH rows, and every
+    walk reads the uniforms it would read in a batch of its own.  A walk's
+    time and step count are written back when it exits; walks still live
+    after cfg.max_steps keep their accrued time and count as truncated.
     """
-    batch_size, dim = pos0.shape
-    tacc = np.zeros(batch_size)
-    steps = np.full(batch_size, cfg.max_steps, dtype=np.int64)
-    finals = np.full((batch_size, dim), np.nan) if collect_finals else None
-    ids = np.arange(batch_size)
-    pos = np.array(np.transpose(pos0), dtype=float, order="C")
-    # the step distance is carried forward so each round queries it once
-    delta = np.array(delta0, dtype=float)
-    t = np.zeros(batch_size)
+    n, dim = pos0.shape
+    n_batches = -(-n // _BATCH)
+    tacc = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    truncated = np.zeros(n, dtype=bool)
+    finals = np.full((n, dim), np.nan) if collect_finals else None
     cb = ball_exit_constant(p)
     exit_cut = _SHELL if p.alpha == 2.0 else 1e-12
-    gen = Generator(Philox(0))  # reset to each step's counter by _uniform_block
-    for k in range(cfg.max_steps):
-        if ids.size == 0:
-            break
-        uni = _uniform_block(cfg.seed, stream, batch_start, k, width, ids.size, gen)
-        s = cfg.ball_fraction * delta
-        t += cb * s ** p.alpha
-        rho = s * law.factor(uni[0])
-        pos += _directions(uni[1:], dim) * rho
-        delta = dom.step_distance(pos.T, exit_cut)
-        exited = delta <= exit_cut
-        gone = np.flatnonzero(exited)
-        if gone.size:
-            done = ids.take(gone)
-            tacc[done] = t.take(gone)
-            steps[done] = k + 1
+    gen = Generator(Philox(0))  # reset to each block's counter by _uniform_block
+    firsts = np.arange(n_batches + 1) * _BATCH  # each batch's first walk
+    k = [0] * n_batches  # steps each batch has taken
+
+    def advance(ids, pos, delta, t, until):
+        """Step the live walks until at most `until` are live, and return them.
+        A walk adds the rounds taken here to its steps when it leaves the live
+        set, or at the end if it is still live.  The step distance is carried
+        forward so each round queries it once."""
+        off = np.searchsorted(ids, firsts).tolist()  # each batch's first live row
+        r = 0
+        while ids.size > until:
+            r += 1
+            blocks, capped = [], []
+            for b in range(n_batches):
+                if off[b + 1] > off[b]:
+                    blocks.append(_uniform_block(cfg.seed, stream, batch_start + b * _BATCH,
+                                                 k[b], width, off[b + 1] - off[b], gen))
+                    k[b] += 1
+                    if k[b] == cfg.max_steps:
+                        capped.append(b)
+            uni = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+            s = cfg.ball_fraction * delta
+            t += cb * s ** p.alpha
+            rho = s * law.factor(uni[0])
+            pos += _directions(uni[1:], dim) * rho
+            delta = dom.step_distance(pos.T, exit_cut)
+            leave = delta <= exit_cut
             if collect_finals:
-                finals[done] = pos.take(gone, axis=1).T
-            live = np.flatnonzero(~exited)
-            ids, delta, t = ids.take(live), delta.take(live), t.take(live)
-            pos = pos.take(live, axis=1)
-            del live  # freed before the next round's temporaries
-    tacc[ids] = t  # truncated walks keep their accrued time
-    if group_of is None:
-        sums = (np.array([tacc.sum()]), np.array([np.dot(tacc, tacc)]),
-                np.array([ids.size]), np.array([steps.sum()]))
-    else:
-        sums = (np.bincount(group_of, weights=tacc, minlength=n_groups),
-                np.bincount(group_of, weights=tacc * tacc, minlength=n_groups),
-                np.bincount(group_of[ids], minlength=n_groups),
-                np.bincount(group_of, weights=steps, minlength=n_groups))
+                gone = np.flatnonzero(leave)
+                finals[ids.take(gone)] = pos.take(gone, axis=1).T
+            for b in capped:  # its walks still live leave truncated, with their accrued time
+                rows = slice(off[b], off[b + 1])
+                truncated[ids[rows][~leave[rows]]] = True
+                leave[rows] = True
+            gone = np.flatnonzero(leave)
+            if gone.size:
+                done = ids.take(gone)
+                tacc[done] = t.take(gone)
+                steps[done] += r
+                live = np.flatnonzero(~leave)
+                ids, delta, t = ids.take(live), delta.take(live), t.take(live)
+                pos = pos.take(live, axis=1)
+                del live  # freed before the next round's temporaries
+                off = np.searchsorted(ids, firsts).tolist()
+        if r:
+            steps[ids] += r
+        return ids, pos, delta, t
+
+    parked = []
+    for b in range(n_batches):  # each batch's start rows are built when it starts
+        lo, hi = firsts[b], min(firsts[b + 1], n)
+        parked.append(advance(np.arange(lo, hi), np.array(pos0[lo:hi].T, dtype=float, order="C"),
+                              np.array(delta0[lo:hi], dtype=float), np.zeros(hi - lo),
+                              _BATCH // n_batches))
+    tail = parked[0] if n_batches == 1 else [np.concatenate(a, axis=-1) for a in zip(*parked)]
+    del parked
+    advance(*tail, 0)
+
+    sums = np.empty((4, n_batches, n_groups))
+    for b in range(n_batches):
+        rows = slice(firsts[b], min(firsts[b + 1], n))
+        t, st = tacc[rows], steps[rows]
+        if group_of is None:
+            sums[:, b, 0] = t.sum(), np.dot(t, t), np.count_nonzero(truncated[rows]), st.sum()
+        else:
+            g = group_of[rows]
+            sums[:, b] = (np.bincount(g, weights=t, minlength=n_groups),
+                          np.bincount(g, weights=t * t, minlength=n_groups),
+                          np.bincount(g[truncated[rows]], minlength=n_groups),
+                          np.bincount(g, weights=st, minlength=n_groups))
     return sums, finals
 
 
-def _parallel_map(fn, items, n_threads: int) -> list:
-    """[fn(i) for i in items], on a pool when n_threads > 1 and len(items) > 1."""
-    if n_threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(i) for i in items]
-
-
-def _walk_starts(dom, p, starts, cfg, stream, n_threads, collect_finals=False, deltas=None):
+def _walk_starts(dom, p, starts, cfg, stream, collect_finals=False, deltas=None):
     """cfg.n_walks walks from each row of starts; walk i starts from row i // n_walks.
 
-    Batches of _BATCH walks go through _parallel_map and merge in batch
-    order, so results do not depend on n_threads.  deltas are the rows'
-    boundary distances; if omitted they are queried and every row must lie
-    inside.  Returns per-row mean, std_error, truncated and mean_steps
-    arrays, and the exit points in walk order if collect_finals.
+    Runs of up to _RUN batches of _BATCH walks go through _run_batch, which
+    builds each batch's start rows when the batch starts, and the batches'
+    sums are added in batch order.  deltas are the rows' boundary distances;
+    if omitted they are queried and every row must lie inside.  Returns
+    per-row mean, std_error, truncated and mean_steps arrays, and the exit
+    points in walk order if collect_finals.
     """
     n_starts, dim = starts.shape
     if dim != dom.dim or dim != p.dim:
@@ -407,22 +448,26 @@ def _walk_starts(dom, p, starts, cfg, stream, n_threads, collect_finals=False, d
                 f"start point {starts[np.argmin(deltas)].tolist()} lies outside the domain")
     nw = cfg.n_walks
     total = n_starts * nw
-
-    def batch(lo):  # lo, the batch's first walk, is its batch_start
-        gid = np.arange(lo, min(lo + _BATCH, total)) // nw
-        # a single start keeps the ungrouped reduction and its pairwise sum
-        return _run_batch(dom, p, starts[gid], deltas[gid], cfg, stream, lo,
-                          _exit_law(p.alpha), _uniform_width(dim), collect_finals,
-                          None if n_starts == 1 else gid, n_starts)
-
-    results = _parallel_map(batch, range(0, total, _BATCH), n_threads)
     sums = np.zeros((4, n_starts))
-    for batch_sums, _ in results:  # merged in batch order
-        sums += batch_sums
+    finals = []
+    for lo in range(0, total, _RUN * _BATCH):  # lo, the run's first walk, is its batch_start
+        n = min(_RUN * _BATCH, total - lo)
+        if n_starts == 1:  # one start keeps the ungrouped reduction and its pairwise sum
+            gid = None
+            pos0, delta0 = np.broadcast_to(starts[0], (n, dim)), np.broadcast_to(deltas[0], (n,))
+        else:
+            gid = np.arange(lo, lo + n) // nw
+            pos0, delta0 = starts[gid], deltas[gid]
+        run_sums, run_finals = _run_batch(dom, p, pos0, delta0, cfg, stream, lo,
+                                          _exit_law(p.alpha), _uniform_width(dim),
+                                          collect_finals, gid, n_starts)
+        for b in range(run_sums.shape[1]):  # in batch order
+            sums += run_sums[:, b]
+        finals.append(run_finals)
     tsum, t2sum, truncated, steps = sums
     mean = tsum / nw
     var = np.maximum(t2sum - nw * mean * mean, 0.0) / max(nw - 1, 1)
-    finals = np.concatenate([f for _, f in results]) if collect_finals else None
+    finals = np.concatenate(finals) if collect_finals else None
     return mean, np.sqrt(var / nw), truncated, steps / nw, finals
 
 
@@ -431,11 +476,11 @@ def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
     """Monte Carlo estimate of the expected exit time from x.
 
     Reproducible: the result is a deterministic function of
-    (dom, p, x, cfg, stream) regardless of n_threads.
+    (dom, p, x, cfg, stream).  n_threads has no effect and stays only for
+    callers that pass it.
     """
     mean, err, truncated, steps, finals = _walk_starts(
-        dom, p, np.asarray(x, dtype=float).reshape(1, -1), cfg, stream, n_threads,
-        return_final_points)
+        dom, p, np.asarray(x, dtype=float).reshape(1, -1), cfg, stream, return_final_points)
     est = WalkEstimate(float(mean[0]), float(err[0]), cfg.n_walks, int(truncated[0]),
                        float(steps[0]))
     return (est, finals) if return_final_points else est
@@ -589,8 +634,9 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
     """Estimate the exit-time field on a lattice and fit the boundary blend.
 
     cfg.n_walks is the per-node walk budget.  All nodes run in one grouped
-    simulation (walk i belongs to node i // n_walks), so fields are
-    reproducible and independent of n_threads.  Raises GridTooCoarseError
+    simulation (walk i belongs to node i // n_walks, and a node's walks may
+    straddle batches and runs), so fields are reproducible.  n_threads has no
+    effect and stays only for callers that pass it.  Raises GridTooCoarseError
     when the lattice has fewer than 100 interior nodes, or no reliable node
     in the band where the boundary blend is fitted.
     """
@@ -608,7 +654,7 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
         raise GridTooCoarseError(
             f"spacing {spacing:g} leaves {int(np.count_nonzero(interior))} interior nodes")
     reliable_idx = np.nonzero(d > 2.0 * spacing)[0]
-    means, errs, _, _, _ = _walk_starts(dom, p, grid[reliable_idx], cfg, 1, n_threads,
+    means, errs, _, _, _ = _walk_starts(dom, p, grid[reliable_idx], cfg, 1,
                                         deltas=d[reliable_idx])
 
     values = np.zeros(grid.shape[0])

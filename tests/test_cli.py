@@ -42,6 +42,12 @@ def test_solve_ok(capsys):
     assert "mean=0.6" in out and "truncated=0" in out
 
 
+@pytest.mark.parametrize("walks", ["2e3", "2000.0", "2000"])
+def test_counts_may_be_written_as_floats(walks, capsys):
+    assert run(SOLVE + ["--alpha", "1", "--walks", walks]) == EXIT_OK
+    assert "walks=2000 " in capsys.readouterr().out
+
+
 def test_solve_point_outside():
     assert run(["solve", "--builtin", "disk", "--alpha", "1", "--at", "2,0",
                 "--walks", "10"]) == EXIT_DOMAIN
@@ -148,6 +154,16 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
         SOLVE + ["--alpha", "1"],
         ["field-build", "--alpha", "1", "--spacing", "0.2"],
         ["cone-hunt", "--alpha", "1.5", "--theta", "0.1"])],
+    # a count that is not a whole number
+    (SOLVE + ["--alpha", "1", "--walks", "2.7"], "--walks"),
+    (["field-build", "--alpha", "1", "--spacing", "0.2", "--walks-per-node", "150.5"],
+     "--walks-per-node"),
+    (SOLVE + ["--alpha", "1", "--max-steps", "12.5"], "--max-steps"),
+    # options that the command would otherwise accept and ignore
+    (["hessian-scan", "--region", "slab", "--points", "halton:2", "--include-reflected"],
+     "--include-reflected"),
+    (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--builtin", "disk"], "--builtin"),
+    (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--domain", "cone.sf"], "--domain"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE

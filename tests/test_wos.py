@@ -421,9 +421,9 @@ def test_estimate_phi_queries_start_once(monkeypatch):
     queried = []
     query = dom._signed_distance_foot
 
-    def counting(pts, seed=None):
+    def counting(pts, *lattice_reads):
         queried.append(pts.copy())
-        return query(pts, seed)
+        return query(pts, *lattice_reads)
 
     monkeypatch.setattr(dom, "_signed_distance_foot", counting)
     est = estimate_phi(dom, CAUCHY, [0.3, 0.1], WalkConfig(n_walks=20000, seed=2))
@@ -644,41 +644,57 @@ def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
     return tacc, steps, finals, live
 
 
+def _reference_run(dom, p, pos0, delta0, cfg, stream, batch_start):
+    """_reference_walks batch by batch: walks b _BATCH onwards form batch b, whose
+    counters start at batch_start + b _BATCH."""
+    parts = [(lo, _reference_walks(dom, p, pos0[lo:lo + wos._BATCH], delta0[lo:lo + wos._BATCH],
+                                   cfg, stream, batch_start + lo))
+             for lo in range(0, len(pos0), wos._BATCH)]
+    return (np.concatenate([ref[0] for _, ref in parts]),
+            np.concatenate([ref[1] for _, ref in parts]),
+            np.concatenate([ref[2] for _, ref in parts]),
+            [w + lo for lo, ref in parts for w in ref[3]])
+
+
 def _check_batch_against_reference(dom, p, pos0, cfg, stream, batch_start, group_of=None):
+    """_run_batch on pos0 against _reference_run: per walk, and in its per-batch sums."""
     delta0 = dom.boundary_distance_batch(pos0)
-    tacc, steps, finals, live = _reference_walks(dom, p, pos0, delta0, cfg, stream,
-                                                 batch_start)
+    tacc, steps, finals, live = _reference_run(dom, p, pos0, delta0, cfg, stream, batch_start)
     n = len(pos0)
+    batches = [slice(lo, lo + wos._BATCH) for lo in range(0, n, wos._BATCH)]
     args = (dom, p, pos0, delta0, cfg, stream, batch_start, wos._exit_law(p.alpha),
             wos._uniform_width(p.dim))
     # one group per walk gives the per-walk times, truncation flags and steps
-    (t1, t2, tr, st), fin = wos._run_batch(*args, True, np.arange(n), n)
+    sums, fin = wos._run_batch(*args, True, np.arange(n), n)
+    t1, t2, tr, st = np.concatenate([sums[:, b, rows] for b, rows in enumerate(batches)], axis=1)
     assert t1.tobytes() == tacc.tobytes()
     assert t2.tobytes() == (tacc * tacc).tobytes()
     assert np.array_equal(np.nonzero(tr)[0], live)
     assert np.array_equal(st, steps)
     assert fin.tobytes() == finals.tobytes()
-    if group_of is None:
-        want = (np.array([tacc.sum()]), np.array([np.dot(tacc, tacc)]),
-                np.array([len(live)]), np.array([steps.sum()]))
-        sums, _ = wos._run_batch(*args, False)
-    else:
-        g = group_of.max() + 1
-        want = (np.bincount(group_of, weights=tacc, minlength=g),
-                np.bincount(group_of, weights=tacc * tacc, minlength=g),
-                np.bincount(group_of[live], minlength=g),
-                np.bincount(group_of, weights=steps, minlength=g))
-        sums, _ = wos._run_batch(*args, False, group_of, g)
-    for got, ref in zip(sums, want):
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    return tacc, steps, finals, live
+    g = 1 if group_of is None else group_of.max() + 1
+    want = np.empty((4, len(batches), g))
+    cut = np.isin(np.arange(n), live)
+    for b, rows in enumerate(batches):
+        t = tacc[rows]
+        if group_of is None:
+            want[:, b, 0] = t.sum(), np.dot(t, t), np.count_nonzero(cut[rows]), steps[rows].sum()
+        else:
+            gb = group_of[rows]
+            want[:, b] = (np.bincount(gb, weights=t, minlength=g),
+                          np.bincount(gb, weights=t * t, minlength=g),
+                          np.bincount(gb[cut[rows]], minlength=g),
+                          np.bincount(gb, weights=steps[rows], minlength=g))
+    sums, _ = wos._run_batch(*args, False, group_of, g)
+    assert sums.tobytes() == want.tobytes()
+    return tacc, steps, finals, live, want
 
 
 def test_run_batch_matches_per_walk_reference_disk():
     p = StableParams(1.5, 2)
     x = np.array([0.3, 0.2])
     cfg = WalkConfig(n_walks=400, seed=17)
-    tacc, steps, finals, live = _check_batch_against_reference(
+    tacc, steps, finals, live, _ = _check_batch_against_reference(
         DISK, p, np.tile(x, (400, 1)), cfg, stream=0, batch_start=0)
     assert not live and steps.max() > 20  # the heavy step tail is covered
     est, fin = estimate_phi(DISK, p, x, cfg, return_final_points=True)
@@ -689,7 +705,7 @@ def test_run_batch_matches_per_walk_reference_disk():
 
 def test_run_batch_matches_per_walk_reference_truncated():
     cfg = WalkConfig(n_walks=400, max_steps=3, seed=5)
-    _, steps, _, live = _check_batch_against_reference(
+    _, steps, _, live, _ = _check_batch_against_reference(
         DISK, StableParams(1.5, 2), np.zeros((400, 2)), cfg, stream=0, batch_start=0)
     assert 0 < len(live) < 400
     assert np.all(steps[live] == 3)
@@ -711,9 +727,121 @@ def test_run_batch_matches_per_walk_reference_grouped_ellipse():
     (DISK, StableParams(0.5, 2), [0.3, 0.2], 400)])
 def test_run_batch_matches_per_walk_reference_other_paths(dom, p, x, n):
     cfg = WalkConfig(n_walks=n, seed=23)
-    _, steps, _, live = _check_batch_against_reference(dom, p, np.tile(x, (n, 1)), cfg,
+    _, steps, _, live, _ = _check_batch_against_reference(dom, p, np.tile(x, (n, 1)), cfg,
                                                        stream=2, batch_start=0)
     assert not live and steps.max() > 1
+
+
+# -- shared walk tails: the batches of a run advance their parked tails together ------------
+
+@pytest.fixture
+def block_log(monkeypatch):
+    """Batches of 128 walks, so that small calls span several batches and runs,
+    and the (batch_start, step) of every uniform block drawn, in draw order."""
+    monkeypatch.setattr(wos, "_BATCH", 128)
+    block, log = wos._uniform_block, []
+
+    def logging(seed, stream, batch_start, step, *args):
+        log.append((batch_start, step))
+        return block(seed, stream, batch_start, step, *args)
+
+    monkeypatch.setattr(wos, "_uniform_block", logging)
+    return log
+
+
+def _shared_rounds(log):
+    """Each batch's steps taken alone, and the shared rounds as lists of (batch_start, step).
+
+    A batch's lone steps draw consecutively; the shared rounds start at the first
+    draw whose batch precedes the previous draw's, and a round starts again at
+    each draw whose batch does not follow the previous draw's."""
+    first = next(i for i in range(1, len(log)) if log[i][0] < log[i - 1][0])
+    alone = {}
+    for batch_start, _ in log[:first]:
+        alone[batch_start] = alone.get(batch_start, 0) + 1
+    rounds = []
+    for i in range(first, len(log)):
+        if i == first or log[i][0] <= log[i - 1][0]:
+            rounds.append([])
+        rounds[-1].append(log[i])
+    return alone, rounds
+
+
+def _moments(want, nw):
+    """_walk_starts' per-start mean, std_error, truncated and mean_steps from the
+    per-batch sums added in batch order."""
+    sums = np.zeros((4, want.shape[2]))
+    for b in range(want.shape[1]):
+        sums += want[:, b]
+    tsum, t2sum, truncated, steps = sums
+    mean = tsum / nw
+    var = np.maximum(t2sum - nw * mean * mean, 0.0) / max(nw - 1, 1)
+    return mean, np.sqrt(var / nw), truncated, steps / nw
+
+
+def test_shared_tails_match_per_walk_reference_disk(block_log):
+    p, x = StableParams(1.5, 2), [0.3, 0.2]
+    cfg = WalkConfig(n_walks=400, seed=17)
+    tacc, steps, finals, live, want = _check_batch_against_reference(
+        DISK, p, np.tile(x, (400, 1)), cfg, stream=0, batch_start=0)
+    assert want.shape[1] == 4 and not live
+    block_log.clear()
+    est, fin = estimate_phi(DISK, p, x, cfg, return_final_points=True)
+    alone, rounds = _shared_rounds(block_log)
+    # the last batch, 16 walks, is parked at once; all four tails share rounds
+    assert sorted(alone) == [0, 128, 256] and max(len(r) for r in rounds) == 4
+    assert fin.tobytes() == finals.tobytes()
+    mean, err, truncated, mean_steps = _moments(want, 400)
+    assert (est.mean, est.std_error, est.truncated, est.mean_steps) == \
+        (mean[0], err[0], truncated[0], mean_steps[0])
+
+
+def test_shared_tails_match_per_walk_reference_grouped_ellipse(block_log):
+    # 250 walks per start: groups straddle the batch edges, and the 1 250 walks
+    # are ten batches in two runs
+    dom = SupportDomain.ellipse(0.8, 0.5)
+    starts = np.array([[0.0, 0.0], [0.5, 0.1], [-0.3, -0.3], [0.1, 0.4], [-0.6, 0.05]])
+    cfg = WalkConfig(n_walks=250, seed=9)
+    group_of = np.repeat(np.arange(5), 250)
+    *_, want = _check_batch_against_reference(dom, CAUCHY, starts[group_of], cfg, stream=1,
+                                              batch_start=0, group_of=group_of)
+    assert want.shape[1] == 10 > wos._RUN
+    got = wos._walk_starts(dom, CAUCHY, starts, cfg, 1)
+    for g, w in zip(got, _moments(want, 250)):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_shared_tails_truncate_each_batch_at_its_own_cap(block_log):
+    p, x = StableParams(0.5, 2), [0.3, 0.2]
+    cfg = WalkConfig(n_walks=512, max_steps=4, seed=1)
+    _, steps, _, live, want = _check_batch_against_reference(
+        DISK, p, np.tile(x, (512, 1)), cfg, stream=0, batch_start=0)
+    assert len(np.unique(np.array(live) // 128)) == 4 and np.all(steps[live] == 4)
+    block_log.clear()
+    est = estimate_phi(DISK, p, x, cfg)
+    alone, rounds = _shared_rounds(block_log)
+    # the batches were parked after different numbers of steps, so their last
+    # steps fall in different shared rounds
+    assert len(set(alone.values())) > 1
+    last = {batch_start: i for i, r in enumerate(rounds) for batch_start, step in r if step == 3}
+    assert sorted(last) == [0, 128, 256, 384] and len(set(last.values())) > 1
+    mean, err, truncated, mean_steps = _moments(want, 512)
+    assert est.truncated == len(live) == truncated[0]
+    assert (est.mean, est.std_error, est.mean_steps) == (mean[0], err[0], mean_steps[0])
+
+
+def test_shared_tails_independent_of_n_threads(block_log):
+    dom = SupportDomain.ellipse(0.8, 0.5)
+    p = StableParams(1.5, 2)
+    runs = []
+    for n_threads in (1, 2):
+        est, fin = estimate_phi(dom, p, [0.2, -0.1], WalkConfig(n_walks=1500, seed=13),
+                                n_threads=n_threads, return_final_points=True)
+        field = build_field(dom, CAUCHY, 0.1, WalkConfig(n_walks=25, seed=14),
+                            n_threads=n_threads)
+        runs.append((est, fin.tobytes(), field.values.tobytes(), field.stderr.tobytes()))
+    assert runs[0] == runs[1]
+    assert max(batch_start for batch_start, _ in block_log) >= wos._RUN * 128  # several runs
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
