@@ -435,7 +435,7 @@ def scaling_inequality_check(dom, p: StableParams, phi_eval, n_cases: int, tol: 
 
 
 def cone_nonconcavity_hunt(cone: ConeDomain, p: StableParams, cfg: WalkConfig, *,
-                           scales=None, n_threads: int = 1) -> ScanReport:
+                           scales=None) -> ScanReport:
     """Search axis triples of a cone for midpoint-concavity violations.
 
     A witness is a triple whose midpoint deficit exceeds five combined
@@ -451,7 +451,7 @@ def cone_nonconcavity_hunt(cone: ConeDomain, p: StableParams, cfg: WalkConfig, *
     def phi_at(t, stream):
         x = axis.copy()
         x[0] = t
-        est = estimate_phi(cone, p, x, cfg, stream=stream, n_threads=n_threads)
+        est = estimate_phi(cone, p, x, cfg, stream=stream)
         return est.mean, est.std_error
 
     rows, vals, verdicts = [], [], []

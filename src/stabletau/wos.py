@@ -325,7 +325,8 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     """Advance a run of consecutive batches of walks to termination.
 
     pos0 holds one start row per walk and delta0 its boundary distance, which
-    the caller has already queried (either may be a broadcast view); later
+    the caller has already queried (either may be a broadcast view or a
+    _RunRows, which is read one batch slice at a time); later
     steps use the domain's step_distance, a certified lower bound of the
     distance away from the boundary.  Walks b _BATCH to (b + 1) _BATCH - 1 of
     the run form its batch b, whose Philox counters start at
@@ -427,15 +428,31 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     return sums, finals
 
 
+class _RunRows:
+    """The rows src[(lo + i) // n_walks] for the walks i of a run, gathered a
+    slice at a time, so that a grouped run copies each batch's start rows,
+    distances and group ids only when the batch starts."""
+
+    def __init__(self, src, lo, n, n_walks):
+        self.src, self.lo, self.n_walks = src, lo, n_walks
+        self.shape = (n,) + src.shape[1:]
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice):
+        return self.src[np.arange(self.lo + rows.start, self.lo + rows.stop) // self.n_walks]
+
+
 def _walk_starts(dom, p, starts, cfg, stream, collect_finals=False, deltas=None):
     """cfg.n_walks walks from each row of starts; walk i starts from row i // n_walks.
 
     Runs of up to _RUN batches of _BATCH walks go through _run_batch, which
-    builds each batch's start rows when the batch starts, and the batches'
-    sums are added in batch order.  deltas are the rows' boundary distances;
-    if omitted they are queried and every row must lie inside.  Returns
-    per-row mean, std_error, truncated and mean_steps arrays, and the exit
-    points in walk order if collect_finals.
+    builds each batch's start rows, distances and group ids when the batch
+    starts, and the batches' sums are added in batch order.  deltas are the
+    rows' boundary distances; if omitted they are queried and every row must
+    lie inside.  Returns per-row mean, std_error, truncated and mean_steps
+    arrays, and the exit points in walk order if collect_finals.
     """
     n_starts, dim = starts.shape
     if dim != dom.dim or dim != p.dim:
@@ -456,8 +473,7 @@ def _walk_starts(dom, p, starts, cfg, stream, collect_finals=False, deltas=None)
             gid = None
             pos0, delta0 = np.broadcast_to(starts[0], (n, dim)), np.broadcast_to(deltas[0], (n,))
         else:
-            gid = np.arange(lo, lo + n) // nw
-            pos0, delta0 = starts[gid], deltas[gid]
+            gid, pos0, delta0 = (_RunRows(a, lo, n, nw) for a in (np.arange(n_starts), starts, deltas))
         run_sums, run_finals = _run_batch(dom, p, pos0, delta0, cfg, stream, lo,
                                           _exit_law(p.alpha), _uniform_width(dim),
                                           collect_finals, gid, n_starts)

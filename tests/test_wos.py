@@ -170,18 +170,22 @@ def test_every_ball_stays_inside_the_ellipse(alpha):
     assert np.count_nonzero(r[step] < exact[step]) > 0.4 * np.count_nonzero(step)
 
 
-def test_ellipse_walks_independent_of_threads():
-    cfg = WalkConfig(n_walks=40000, seed=13)  # three batches
+def test_ellipse_walks_independent_of_threads(monkeypatch):
+    # n_threads has no effect: at full size the 40 000 walks are three batches
+    # of one run, and with 128-walk batches the calls span several runs
     p = StableParams(1.5, 2)
-    runs = []
-    for n_threads in (1, 2):
-        dom = SupportDomain.ellipse(0.8, 0.5)  # each run builds its lattice inside the pool
-        est, fin = estimate_phi(dom, p, [0.2, -0.1], cfg, n_threads=n_threads,
-                                return_final_points=True)
-        field = build_field(dom, CAUCHY, 0.1, WalkConfig(n_walks=120, seed=14),
-                            n_threads=n_threads)
-        runs.append((est, fin.tobytes(), field.values.tobytes(), field.stderr.tobytes()))
-    assert runs[0] == runs[1]
+    for batch, n_walks, node_walks, n_runs in ((wos._BATCH, 40000, 120, 1), (128, 1500, 25, 2)):
+        monkeypatch.setattr(wos, "_BATCH", batch)
+        assert -(-n_walks // (batch * wos._RUN)) == n_runs
+        runs = []
+        for n_threads in (1, 2):
+            dom = SupportDomain.ellipse(0.8, 0.5)  # each run builds its own lattice
+            est, fin = estimate_phi(dom, p, [0.2, -0.1], WalkConfig(n_walks=n_walks, seed=13),
+                                    n_threads=n_threads, return_final_points=True)
+            field = build_field(dom, CAUCHY, 0.1, WalkConfig(n_walks=node_walks, seed=14),
+                                n_threads=n_threads)
+            runs.append((est, fin.tobytes(), field.values.tobytes(), field.stderr.tobytes()))
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("dom, p, x", [
@@ -828,20 +832,6 @@ def test_shared_tails_truncate_each_batch_at_its_own_cap(block_log):
     mean, err, truncated, mean_steps = _moments(want, 512)
     assert est.truncated == len(live) == truncated[0]
     assert (est.mean, est.std_error, est.mean_steps) == (mean[0], err[0], mean_steps[0])
-
-
-def test_shared_tails_independent_of_n_threads(block_log):
-    dom = SupportDomain.ellipse(0.8, 0.5)
-    p = StableParams(1.5, 2)
-    runs = []
-    for n_threads in (1, 2):
-        est, fin = estimate_phi(dom, p, [0.2, -0.1], WalkConfig(n_walks=1500, seed=13),
-                                n_threads=n_threads, return_final_points=True)
-        field = build_field(dom, CAUCHY, 0.1, WalkConfig(n_walks=25, seed=14),
-                            n_threads=n_threads)
-        runs.append((est, fin.tobytes(), field.values.tobytes(), field.stderr.tobytes()))
-    assert runs[0] == runs[1]
-    assert max(batch_start for batch_start, _ in block_log) >= wos._RUN * 128  # several runs
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
