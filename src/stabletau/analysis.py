@@ -9,7 +9,10 @@ time, so reruns stay byte-identical.
 The experiments share their parts: the Hessian scans map one per-point worker
 over the points (_scan_rows), the concavity check and both parts of the
 general-alpha inequality test one weighted chord (_chord_rows), and interior
-and slab points come from one rejection fill (_fill_interior).
+and slab points come from one rejection fill (_fill_interior).  Every scan
+reads extension's sample of u; the targets built on it, v^eps (veps_shift)
+and the blends psi_b (psi_blend), add closed-form Hessians here.  A number
+that is not finite is written as null in JSON.
 """
 
 from __future__ import annotations
@@ -21,14 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .closedform import StableParams
+from .closedform import EPS_QUADRATIC_HESS, StableParams, aux_w_hess
 from .errors import InsufficientRangeError
 from .extension import (
     ExtensionContext,
+    HessianSample,
     eval_hessian,
     eval_u3_slab,
+    hessian_sample,
     local_frame_hessian,
-    psi_blend,
 )
 from .geom import ConeDomain, SupportDomain, deform, domain_gap, _unit
 from .wos import WalkConfig, estimate_phi
@@ -168,7 +172,7 @@ def _json_dump(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return pad + fmt17(obj)
+        return pad + (fmt17(obj) if math.isfinite(obj) else "null")
     return pad + '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -291,19 +295,43 @@ def _verdict(det, err, sig, converged):
     return _FAIL
 
 
+def veps_shift(s: HessianSample, eps: float) -> HessianSample:
+    """Sample of v^eps = u + eps q from a sample s of u; q is closed-form, so
+    the shift keeps the entry errors of u."""
+    return hessian_sample(s.x, s.hess + eps * EPS_QUADRATIC_HESS, s.entry_err, s.converged)
+
+
+def psi_blend(s: HessianSample, b: float) -> HessianSample:
+    """Sample of the blend psi_b = (1 - b) u + b w from a sample s of u.
+
+    The companion w is closed-form, so the blend's entry errors are (1 - b)
+    times those of u, and its det error follows from them.
+    """
+    return hessian_sample(s.x, (1.0 - b) * s.hess + b * aux_w_hess(s.x),
+                          (1.0 - b) * s.entry_err, s.converged)
+
+
 def hessian_scan(ctx: ExtensionContext, points: np.ndarray, which: str = "u", *,
                  eps: float = 0.0, b: float = 0.0, descriptor: str = "custom",
                  n_threads: int = 1) -> ScanReport:
-    """Determinant positivity and signature (1,2,0) at each point.
+    """Determinant positivity and signature (1,2,0) of u, of v^eps = u + eps q
+    or of the blend psi_b at each point.
 
     A point passes when det > 10x its propagated error estimate with the
     right signature; |det| within 10x the estimate is indeterminate, not a
-    failure (Monte Carlo fields cannot certify strict inequalities).  Points
+    failure (Monte Carlo fields cannot certify strict inequalities).  An
+    unknown which raises ValueError before any point is evaluated.  Points
     run in order; n_threads has no effect and stays only for callers that
     still pass it.
     """
+    targets = {"u": lambda s: s, "veps": lambda s: veps_shift(s, eps),
+               "psib": lambda s: psi_blend(s, b)}
+    if which not in targets:
+        raise ValueError(f"unknown hessian target {which!r}")
+    target = targets[which]
+
     def worker(x):
-        s = eval_hessian(ctx, x, which, eps=eps, b=b)
+        s = target(eval_hessian(ctx, x))
         h = s.hess
         row = [h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2],
                s.det, s.trace, s.signature[0], s.signature[1], s.det_err]
@@ -326,7 +354,7 @@ def psi_b_scan(ctx: ExtensionContext, b_grid, points: np.ndarray, *,
     b_grid = np.asarray(b_grid, dtype=float)
 
     def worker(x):
-        u = eval_hessian(ctx, x, "u")
+        u = eval_hessian(ctx, x)
         blends = [psi_blend(u, bb) for bb in b_grid]
         worst = int(np.argmin([s.det for s in blends]))
         s = blends[worst]
@@ -545,7 +573,7 @@ def boundary_exponent_fit(ctx: ExtensionContext, probe: str, quantity: str,
             a1, a3 = _S_LOCAL[probe]
             xy = y0 + a1 * h * n_in
             x = np.array([xy[0], xy[1], a3 * h])
-            sample = eval_hessian(ctx, x, "u")
+            sample = eval_hessian(ctx, x)
             loc = local_frame_hessian(sample.hess, psi)
             vals[i] = loc[_HESSIAN_ENTRIES[quantity]]
     slope, stderr = _ols_loglog(h_values, vals)

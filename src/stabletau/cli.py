@@ -4,9 +4,8 @@ deform-sweep, cone-hunt.
 Each option is declared once, as a row of flag, type, default and whether it
 is required; argparse converts and checks every value, so a bad value is a
 usage error naming its option.  Every command accepts --builtin, --domain,
---config, --seed, --threads, --out and --format, except that cone-hunt, which
-builds its own cone, takes no --builtin or --domain; no command uses threads,
-so --threads is checked and has no effect.  Output files carry 17 significant
+--config, --seed, --out and --format, except that cone-hunt, which builds its
+own cone, takes no --builtin or --domain.  Output files carry 17 significant
 digits, terminal summaries 6.  Exit codes: 0 ok, 2 domain or point
 errors, 3 I/O, 4 usage, 5 non-converged numerics.
 """
@@ -268,7 +267,6 @@ _COMMON = [
     ("--domain", str, None, False),
     ("--config", str, None, False),
     ("--seed", int, "0", False),
-    ("--threads", _positive(int), "1", False),
     ("--out", str, None, False),
     ("--format", ("csv", "json"), "csv", False),
 ]

@@ -16,7 +16,7 @@ differentiates in closed form; wos.PhiField differences its own values.
 
 Every integral of the field runs through one routine, _poisson: a kernel
 evaluated at the mirror image (x1, x2, |x3|), integrated on the chart that
-integrate anchors at (x1, x2).  A point and its reflection share that
+integrate anchors at that peak.  A point and its reflection share that
 integral, and the context's memo computes it once.  Outside the domain the
 slab derivative u3 = -(-Delta)^{1/2} phi is the third component of the
 gradient kernel's integral at x3 = 0, where that component is C_K / |x - y|^3.
@@ -31,13 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closedform import (
-    EPS_QUADRATIC_HESS,
-    aux_w_hess,
-    kernel_K,
-    kernel_K_grad,
-    kernel_K_hess_components,
-)
+from .closedform import kernel_K, kernel_K_grad, kernel_K_hess_components
 from .errors import NonConvergedError, OnBoundaryError, UndefinedOnCutError
 from .geom import SupportDomain
 from .quad import QuadSpec, integrate
@@ -155,13 +149,13 @@ def _offsets(x, pts) -> np.ndarray:
 def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
     """integrate's (value, err) for kernel(x' - (y, 0)) phi(y), x' = (x1, x2, |x3|).
 
-    The chart's anchor is (x1, x2): integrate makes the one nearest-boundary
-    query and, over the exterior, anchors at the foot.  The spec carries x'
-    whole, so the chart reads the kernel's length scale, the distance from
-    x' to the anchor, and maps itself when that is small (see the quad
-    module docstring).  abs_tol is floored at a quarter of the field's
-    typical error bar, below which quadrature resolves only the field's
-    noise (a closed-form field has none).  With noisy, columns
+    x' is integrate's peak: the chart is anchored at (x1, x2), or over the
+    exterior at the foot of integrate's one nearest-boundary query, and
+    reads the kernel's length scale, the distance from x' to the anchor, and
+    maps itself when that is small (see the quad module docstring).  The
+    context's spec is copied once, with abs_tol floored at a quarter of the
+    field's typical error bar, below which quadrature resolves only the
+    field's noise (a closed-form field has none).  With noisy, columns
     |kernel| * stderr follow the kernel's.  The twin on the other side of
     the slab takes the result out of the context's memo.
     """
@@ -175,8 +169,8 @@ def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
         else:
             twin = None
     if twin is None:
-        spec = ctx.quad.with_singular_center(mirror)
-        spec = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
+        spec = replace(ctx.quad,
+                       abs_tol=max(ctx.quad.abs_tol, 0.25 * float(ctx.phi.typical_stderr())))
 
         def integrand(pts):
             # a fresh C-contiguous (n, m) kernel array, scaled in place; the
@@ -189,7 +183,7 @@ def _poisson(ctx: ExtensionContext, x, kernel, noisy: bool = False):
             return np.concatenate([k * vals[:, None], np.abs(k) * errs[:, None]], axis=1)
 
         try:
-            (val, err), converged = integrate(ctx.dom, integrand, spec), True
+            (val, err), converged = integrate(ctx.dom, integrand, spec, mirror), True
         except NonConvergedError as exc:
             val, err, converged = exc.value, exc.err_estimate, False
         with ctx._memo_lock:  # a copy, as the caller may change its result in place
@@ -224,26 +218,23 @@ def eval_u_grad(ctx: ExtensionContext, x) -> np.ndarray:
     return g
 
 
-def _sample(x, h, entry_err, converged) -> HessianSample:
-    return HessianSample(
-        x=x, hess=h, det=float(np.linalg.det(h)), trace=float(np.trace(h)),
-        signature=hessian_signature(h), det_err=_det_error(h, entry_err),
-        entry_err=entry_err, converged=converged)
+def hessian_sample(x, h, entry_err, converged) -> HessianSample:
+    """The sample of Hessian h at x, with its det, trace, signature and det error.
 
-
-def psi_blend(s: HessianSample, b: float) -> HessianSample:
-    """Sample of the blend psi_b = (1 - b) u + b w from a sample s of u.
-
-    The companion w is closed-form, so the blend's entry errors are (1 - b)
-    times those of u, and its det error follows from them.
+    A Hessian or entry error that is not finite is not converged, and its
+    signature is (0, 0, 3): such a sample is never a verdict.
     """
-    return _sample(s.x, (1.0 - b) * s.hess + b * aux_w_hess(s.x), (1.0 - b) * s.entry_err,
-                   s.converged)
+    finite = bool(np.isfinite(h).all() and np.isfinite(entry_err).all())
+    return HessianSample(
+        x=x, hess=h, det=float(np.linalg.det(h)) if finite else math.nan,
+        trace=float(np.trace(h)),
+        signature=hessian_signature(h) if finite else (0, 0, 3),
+        det_err=_det_error(h, entry_err), entry_err=entry_err,
+        converged=converged and finite)
 
 
-def eval_hessian(ctx: ExtensionContext, x, which: str = "u", *,
-                 eps: float = 0.0, b: float = 0.0) -> HessianSample:
-    """Hessian sample of u, of v^eps = u + eps q, or of the blend psi_b.
+def eval_hessian(ctx: ExtensionContext, x) -> HessianSample:
+    """Hessian sample of u at x.
 
     Off the slab the entries are integrals of the kernel's second
     derivatives against the field, with the (13, 23) sign flips below it;
@@ -265,14 +256,7 @@ def eval_hessian(ctx: ExtensionContext, x, which: str = "u", *,
             entry_err = np.sqrt(entry_err ** 2 + val[6:] ** 2)
         if x[2] < 0.0:
             entries = entries * np.array([1, 1, 1, 1, -1, -1.0])
-    h = _assemble(entries)
-    if which == "u":
-        return _sample(x, h, entry_err, conv)
-    if which == "veps":
-        return _sample(x, h + eps * EPS_QUADRATIC_HESS, entry_err, conv)
-    if which == "psib":
-        return psi_blend(_sample(x, h, entry_err, conv), b)
-    raise ValueError(f"unknown hessian target {which!r}")
+    return hessian_sample(x, _assemble(entries), entry_err, conv)
 
 
 def _slab_hessian_entries(ctx: ExtensionContext, xy):

@@ -11,15 +11,15 @@ first cells are pi/4-wide psi sectors by four s bands: eight round an
 interior anchor, four over the inward half-plane psi in [n + pi/2,
 n + 3 pi/2] of a boundary anchor with outer normal angle n.
 
-A kernel peaked at height h over the singular centre x (QuadSpec's
-singular_height) has the length scale eps = |(x, h) - (c, 0)| at the anchor
-c.  When eps is below _MAP_BELOW (1/8) of the domain's size (max_support),
-the chart is mapped: with eps floored at _SCALE_FLOOR (1e-3) of the size,
-e = eps / R(psi) and A = asinh(1 / e), a node sits at
-rho = e sinh(A g(s)), g the graded map above, and the Jacobian's rho' is
-e A cosh(A g) g'.  Nodes then grade geometrically from eps at the anchor to
-the rim, where the map still ends at rho = 1: the sinh transform for nearly
-singular integrals (Johnston & Elliott, IJNME 62, 2005).  A mapped
+A kernel peaked at height h over the point x (integrate's peak (x1, x2, h))
+has the length scale eps = |(x, h) - (c, 0)| at the anchor c.  When eps is
+below _MAP_BELOW (1/8) of the domain's size (max_support), the chart is
+mapped: with eps floored at _SCALE_FLOOR (1e-3) of the size, e = eps / R(psi)
+and A = asinh(1 / e), a node sits at rho = e sinh(A g(s)), g the graded map
+above, and the Jacobian's rho' is e A cosh(A g) g'.  Nodes then grade
+geometrically from eps at the anchor to the rim, where the map still ends at
+rho = 1: the sinh transform for nearly singular integrals (Johnston &
+Elliott, IJNME 62, 2005).  A mapped
 boundary-anchored chart also starts with sectors eps / size, 4 eps / size
 and 16 eps / size from each tangent ray (those below pi/4), where R(psi)
 falls to the kernel's scale.  Every other chart is the graded one.
@@ -36,14 +36,15 @@ raises every component's error estimate while that estimate is below 1e-10
 of the value resolves only the integrand's rounding noise, which grows as
 graded nodes near an edge: it is undone, and the cell is not split again.
 Rounds stop when the component-wise tolerance is met or the cell budget runs
-out.
+out, and at once when a total is not finite: a NaN or inf is never returned
+as a value.
 
 R(psi) is found by geom's bracketed Newton, the distance search's
 (_PolarChart): a per-chart table of the polar angle of the boundary point
 b(theta) - c, which turns monotonically with the normal angle theta,
-brackets each ray, so no global search over angles runs.  A singular centre
-outside the domain anchors the chart at its nearest boundary point, found by
-one query of the domain's distance oracle (nearest_boundary).
+brackets each ray, so no global search over angles runs.  A peak outside
+the domain anchors the chart at its nearest boundary point, found by one
+query of the domain's distance oracle (nearest_boundary).
 
 Integrands must be vectorised: f maps an (n, 2) array of points to (n,), or to
 (n, m) for a vector integrand whose components then share one adaptive mesh.
@@ -55,7 +56,7 @@ memory layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,25 +103,12 @@ class QuadSpec:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-10
     max_cells: int = 4096
-    singular_center: tuple | None = None
-    singular_height: float | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_cells < 64:
             raise ValueError("max_cells must be >= 64")
-        if self.singular_height is not None:
-            if not (math.isfinite(self.singular_height) and self.singular_height >= 0.0):
-                raise ValueError("singular_height must be finite and >= 0")
-            if self.singular_center is None:
-                raise ValueError("singular_height needs a singular_center")
-
-    def with_singular_center(self, c) -> "QuadSpec":
-        """The spec anchored at c = (x1, x2), or at a kernel's peak (x1, x2, h)
-        a height h >= 0 above the plane, whose scale the chart then reads."""
-        height = float(c[2]) if len(c) > 2 else None
-        return replace(self, singular_center=(float(c[0]), float(c[1])), singular_height=height)
 
 
 class _PolarChart:
@@ -293,7 +281,7 @@ def _largest(key, k):
     """Indices of the k largest keys, largest first and ties in index order:
     np.argsort(-key, kind="stable")[:k], sorting only those k.
 
-    Keys hold no NaN (integrate returns before a NaN error is refined).
+    Keys hold no NaN (integrate raises before a non-finite error is refined).
     """
     if key.size > k:
         kth = np.partition(key, key.size - k)[key.size - k]
@@ -304,25 +292,31 @@ def _largest(key, k):
     return pick[np.argsort(-key[pick], kind="stable")]
 
 
-def integrate(dom, f, spec: QuadSpec | None = None):
+def integrate(dom, f, spec: QuadSpec | None = None, peak=None):
     """Adaptively integrate f over dom to the spec's component-wise tolerance.
 
-    Returns (value, err_estimate); floats for scalar integrands, arrays of
-    matching length for vector integrands.  Raises NonConvergedError (carrying
-    the best value and estimate) if the cell budget is exhausted first.
+    peak anchors the chart at (x1, x2), or at a kernel's peak (x1, x2, h) a
+    height h >= 0 above the plane, whose scale the chart then reads; without
+    it the chart is anchored at the origin.  Returns (value, err_estimate);
+    floats for scalar integrands, arrays of matching length for vector
+    integrands.  Raises NonConvergedError (carrying the best value and
+    estimate) if the cell budget is exhausted first or a total is not finite.
     """
     spec = spec or QuadSpec()
     center, normal, scale = np.zeros(2), None, None
-    if spec.singular_center is not None:
-        peak = np.asarray(spec.singular_center, dtype=float)
-        foot, theta, d = dom.nearest_boundary(peak)
+    if peak is not None:
+        height = float(peak[2]) if len(peak) > 2 else None
+        if height is not None and not (math.isfinite(height) and height >= 0.0):
+            raise ValueError(f"peak height must be finite and >= 0, got {height!r}")
+        xy = np.array([float(peak[0]), float(peak[1])])
+        foot, theta, d = dom.nearest_boundary(xy)
         if d <= 0.0:  # anchor the chart at the nearest boundary point
             center, normal = foot, theta
         else:
-            center = peak
-        if spec.singular_height is not None:
+            center = xy
+        if height is not None:
             size = dom.max_support()
-            eps = math.hypot(float(np.hypot(*(peak - center))), spec.singular_height)
+            eps = math.hypot(float(np.hypot(*(xy - center))), height)
             if eps < _MAP_BELOW * size:
                 scale = max(eps, _SCALE_FLOOR * size)
     chart = _PolarChart(dom, center, normal, scale)
@@ -345,6 +339,8 @@ def integrate(dom, f, spec: QuadSpec | None = None):
         total_val, total_err = vals.sum(axis=0), errs.sum(axis=0)
         result = ((float(total_val[0]), float(total_err[0])) if vals.shape[1] == 1
                   else (total_val, total_err))
+        if not (np.isfinite(total_val).all() and np.isfinite(total_err).all()):
+            raise NonConvergedError(*result, "quadrature total is not finite")
         tol = np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
         if not np.any(total_err > tol):
             return result

@@ -745,7 +745,8 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
     """Load a `phifield v2` file; the reloaded field evaluates bitwise as saved.
 
     The node lines must list each node of the reloaded field's reliable mask
-    once, and no other node.
+    once, and no other node.  Node values and blend rows must be finite, node
+    stderrs finite and >= 0, the spacing finite and > 0, and alpha in (0, 2].
 
     If dom is not given the domain reference is resolved:
     `builtin:...` specs directly, anything else as a path relative to the
@@ -794,6 +795,15 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
             raise ValueError("the blend needs at least one sector")
         blend = np.array([[float(t) for t in lines[row + 1 + k].split()[1:]]
                           for k in range(n_blend)]).reshape(n_blend, 3)
+        checks = {f"alpha={alpha:g} lies outside (0, 2]": 0.0 < alpha <= 2.0,
+                  f"spacing={spacing:g} is not finite and > 0": 0.0 < spacing < math.inf,
+                  "a node value is not finite": np.isfinite(values).all(),
+                  "a node stderr is not finite and >= 0":
+                      ((stderr >= 0.0) & (stderr < math.inf)).all(),
+                  "a blend row is not finite": np.isfinite(blend).all()}
+        for what, ok in checks.items():
+            if not ok:
+                raise ValueError(what)
     except (ValueError, IndexError) as exc:
         raise DomainFileError(f"{path}: malformed or truncated phifield v2 file ({exc})") from exc
     if dom is None:

@@ -295,7 +295,7 @@ def test_psi_b_scan_scores_the_worst_blend_by_its_own_error(ctx):
     rep = an.psi_b_scan(ctx, np.linspace(0, 1, 5), pts)
     det, b, err = (rep.columns.index(c) for c in ("min_det", "argmin_b", "det_err"))
     for x, row in zip(pts, rep.values):
-        blend = an.eval_hessian(ctx, x, "psib", b=row[b])
+        blend = an.psi_blend(an.eval_hessian(ctx, x), row[b])
         assert (row[det], row[err]) == (blend.det, blend.det_err)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +11,7 @@ from scipy.integrate import quad as quad1d
 from scipy.interpolate import PchipInterpolator
 
 from stabletau import extension
-from stabletau.analysis import cylinder_points, hessian_scan
+from stabletau.analysis import cylinder_points, hessian_scan, psi_blend, veps_shift
 from stabletau.closedform import (
     StableParams,
     aux_w_hess_det,
@@ -244,7 +245,7 @@ def test_reflection_det_exact_and_fd_crosscheck(ctx):
 def test_veps_shift(ctx):
     x = [0.3, 0.1, 0.6]
     base = eval_hessian(ctx, x)
-    shifted = eval_hessian(ctx, x, "veps", eps=0.001)
+    shifted = veps_shift(base, 0.001)
     diff = shifted.hess - base.hess
     assert np.allclose(diff, np.diag([-0.001, -0.001, 0.002]), atol=0)
     assert shifted.trace == pytest.approx(base.trace, abs=1e-15)
@@ -252,15 +253,60 @@ def test_veps_shift(ctx):
 
 def test_psib_blend(ctx):
     x = np.array([0.2, -0.4, 0.5])
-    u_h = eval_hessian(ctx, x).hess
+    u = eval_hessian(ctx, x)
+    u_h = u.hess
     for b in (0.0, 0.3, 1.0):
-        blend = eval_hessian(ctx, x, "psib", b=b)
+        blend = psi_blend(u, b)
         from stabletau.closedform import aux_w_hess
 
         want = (1 - b) * u_h + b * aux_w_hess(x)
         assert np.allclose(blend.hess, want, atol=0)
-    full = eval_hessian(ctx, x, "psib", b=1.0)
+    full = psi_blend(u, 1.0)
     assert full.det == pytest.approx(float(aux_w_hess_det(x)), rel=1e-6)
+
+
+def test_unknown_target_is_rejected_before_any_integral(monkeypatch):
+    calls = []
+    real = extension.integrate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "integrate", spy)
+    fresh = ExtensionContext(SupportDomain.disk(1.0), DiskPhi())
+    with pytest.raises(ValueError, match="bogus"):
+        hessian_scan(fresh, np.array([[0.2, 0.1, 0.5], [0.3, -0.2, 0.4]]), "bogus")
+    assert calls == []
+    hessian_scan(fresh, np.array([[0.2, 0.1, 0.5]]))
+    assert len(calls) == 1
+
+
+class _OneNanRead(DiskPhi):
+    """The disk's field, but every read returns NaN at its first point."""
+
+    def values_at(self, pts):
+        out = super().values_at(pts)
+        out[0] = np.nan
+        return out
+
+
+def test_a_nan_field_read_is_non_convergence_never_a_value():
+    dom, phi = SupportDomain.disk(1.0), _OneNanRead()
+    with pytest.raises(NonConvergedError):
+        integrate(dom, phi.values_at)
+    nan_ctx = ExtensionContext(dom, phi)
+    x = np.array([0.2, 0.1, 0.5])
+    with pytest.raises(NonConvergedError):
+        eval_u(nan_ctx, x)
+    sample = eval_hessian(nan_ctx, x)
+    assert not sample.converged and sample.signature == (0, 0, 3)
+    rep = hessian_scan(nan_ctx, np.array([x, [0.3, -0.2, 0.0]]))
+    # the slab point reads the field's closed-form block, not the NaN read
+    assert rep.verdicts == ["indeterminate", "pass"]
+    payload = json.loads(rep.json_text())  # a NaN is written as null
+    assert payload["values"][0][rep.columns.index("det")] is None
+    assert payload["values"][1][rep.columns.index("det")] == rep.values[1, 6]
 
 
 def test_u3_slab(ctx):
@@ -516,13 +562,13 @@ def test_noisy_integrand_reads_field_with_one_distance_query(monkeypatch):
     per_call = []
     real_integrate = extension.integrate
 
-    def integrate_counting(dom_, f, spec):
+    def integrate_counting(dom_, f, spec, peak):
         def g(pts):
             before = queries[0]
             out = f(pts)
             per_call.append(queries[0] - before)
             return out
-        return real_integrate(dom_, g, spec)
+        return real_integrate(dom_, g, spec, peak)
 
     monkeypatch.setattr(dom, "_signed_distance_foot", counting)
     monkeypatch.setattr(extension, "integrate", integrate_counting)
@@ -590,9 +636,9 @@ def _counting_integrate(monkeypatch):
     calls = [0]
     real_integrate = extension.integrate
 
-    def counting(dom_, f, spec):
+    def counting(dom_, f, spec, peak):
         calls[0] += 1
-        return real_integrate(dom_, f, spec)
+        return real_integrate(dom_, f, spec, peak)
 
     monkeypatch.setattr(extension, "integrate", counting)
     return calls

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,10 +62,10 @@ def test_polar_anchor_consistency(disk):
     f = lambda p: np.cos(p[:, 0]) * (1 + p[:, 1])
     spec = QuadSpec(rel_tol=1e-9)
     v0, e0 = integrate(disk, f, spec)
-    v1, e1 = integrate(disk, f, spec.with_singular_center((0.4, -0.2)))
+    v1, e1 = integrate(disk, f, spec, peak=(0.4, -0.2))
     assert v1 == pytest.approx(v0, abs=e0 + e1 + 1e-12)
     # anchors outside the domain are projected to the nearest boundary point
-    v2, e2 = integrate(disk, f, spec.with_singular_center((2.0, 0.0)))
+    v2, e2 = integrate(disk, f, spec, peak=(2.0, 0.0))
     assert v2 == pytest.approx(v0, abs=e0 + e2 + 1e-10)
 
 
@@ -107,6 +106,31 @@ def test_nonconverged_carries_value(disk):
     assert info.value.err_estimate > 0
 
 
+def _one_inf(p):
+    out = np.ones(len(p))
+    out[0] = np.inf
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf times a zero weight
+@pytest.mark.parametrize("f", [lambda p: np.full(len(p), np.nan), _one_inf],
+                         ids=["nan", "one-inf"])
+def test_non_finite_total_is_non_convergence(disk, monkeypatch, f):
+    # a NaN or inf total is never returned as a value, and nothing is refined
+    evaluated = []
+    real = quad._eval_cell
+
+    def counting(chart, g, cells):
+        evaluated.append(len(cells))
+        return real(chart, g, cells)
+
+    monkeypatch.setattr(quad, "_eval_cell", counting)
+    with pytest.raises(NonConvergedError, match="not finite") as info:
+        integrate(disk, f)
+    assert not math.isfinite(info.value.value) or not math.isfinite(info.value.err_estimate)
+    assert evaluated == [32]  # the first cells only
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=0.0)
@@ -115,19 +139,13 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("height", [-1e-3, -1e-300, math.nan, math.inf, -math.inf])
-def test_spec_rejects_bad_height(height):
-    with pytest.raises(ValueError, match="singular_height"):
-        QuadSpec().with_singular_center((0.1, 0.2, height))
-    with pytest.raises(ValueError, match="singular_height"):
-        QuadSpec(singular_center=(0.1, 0.2), singular_height=height)
-
-
-def test_spec_height_needs_a_center():
-    with pytest.raises(ValueError, match="singular_center"):
-        QuadSpec(singular_height=0.1)
-    spec = QuadSpec().with_singular_center((0.1, 0.2, 0.0))
-    assert spec.singular_center == (0.1, 0.2) and spec.singular_height == 0.0
-    assert QuadSpec().with_singular_center((0.1, 0.2)).singular_height is None
+def test_spec_rejects_bad_height(disk, monkeypatch, height):
+    # the peak's height is checked before any integrand evaluation
+    calls = []
+    monkeypatch.setattr(quad, "_eval_cell", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="peak height"):
+        integrate(disk, lambda p: np.ones(len(p)), QuadSpec(), peak=(0.1, 0.2, height))
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -371,12 +389,11 @@ _PEAKS = {"interior": lambda eps: (0.3, -0.2, eps), "boundary": lambda eps: (1.0
 @pytest.mark.parametrize("peak", list(_PEAKS))
 def test_mapped_chart_area_and_dome(disk, monkeypatch, eps, peak):
     seen = _scales(monkeypatch)
-    spec = QuadSpec().with_singular_center(_PEAKS[peak](eps))
-    val, err = integrate(disk, lambda p: np.ones(len(p)), spec)
+    val, err = integrate(disk, lambda p: np.ones(len(p)), peak=_PEAKS[peak](eps))
     assert val == pytest.approx(math.pi, abs=1e-10)
     assert abs(val - math.pi) <= max(err, 1e-12)
     val, err = integrate(disk, lambda p: np.sqrt(np.maximum(1 - _r2(p), 0.0)),
-                         replace(spec, rel_tol=1e-9))
+                         QuadSpec(rel_tol=1e-9), _PEAKS[peak](eps))
     assert val == pytest.approx(2 * math.pi / 3, abs=1e-8)
     assert abs(val - 2 * math.pi / 3) <= err
     assert [chart.scale for chart, _ in seen] == [pytest.approx(eps, rel=1e-12)] * 2
@@ -387,7 +404,7 @@ def test_chart_maps_only_below_the_threshold(disk, monkeypatch):
     f = lambda p: np.ones(len(p))
     for c in [(0.3, -0.2), (0.3, -0.2, 0.125), (0.3, -0.2, 1e-5), (1.05, 0.0, 0.05),
               (1.2, 0.0, 0.0)]:
-        integrate(disk, f, QuadSpec().with_singular_center(c))
+        integrate(disk, f, peak=c)
     # no height, the threshold (1/8 of the disk's radius), a floored scale,
     # an exterior peak at hypot(0.05, 0.05) from its foot, one 0.2 from it
     scales = [chart.scale for chart, _ in seen]
@@ -399,8 +416,8 @@ def test_chart_maps_only_below_the_threshold(disk, monkeypatch):
 def test_boundary_chart_starts_resolved_at_the_kernel_scale(disk, monkeypatch):
     seen = _scales(monkeypatch)
     f = lambda p: np.ones(len(p))
-    integrate(disk, f, QuadSpec().with_singular_center((1.01, 0.0, 0.0)))
-    integrate(disk, f, QuadSpec().with_singular_center((1.01, 0.0)))
+    integrate(disk, f, peak=(1.01, 0.0, 0.0))
+    integrate(disk, f, peak=(1.01, 0.0))
     (mapped, first), (plain, plain_first) = seen
     assert plain.scale is None and len(plain_first) == 16
     # sectors from each tangent ray at 0.01, 0.04 and 0.16 (0.64 > pi/4 is not added)

@@ -522,6 +522,16 @@ def test_field_file_domain_path_is_relative_to_the_field_file(tmp_path, disk_fie
     (r"alpha=.*", "alfa=1", "expected alpha= on line 3"),
     (r"origin=.*", "origin=-1.08", "origin needs two coordinates"),
     (r"blend=\d+", "blend=0", "at least one sector"),
+    # the numbers are checked too: a node value, a node stderr, a blend row
+    (r"(nodes=\d+\n\d+ \d+) \S+( \S+)", r"\1 nan\2", "node value is not finite"),
+    (r"(nodes=\d+\n\d+ \d+ \S+) \S+", r"\1 -0.1", "node stderr is not finite"),
+    (r"(nodes=\d+\n\d+ \d+ \S+) \S+", r"\1 inf", "node stderr is not finite"),
+    (r"(blend=\d+\n\S+) \S+( .*)", r"\1 nan\2", "blend row is not finite"),
+    (r"spacing=.*", "spacing=0", "spacing=0 is not finite and > 0"),
+    (r"spacing=.*", "spacing=-0.1", "spacing=-0.1 is not finite and > 0"),
+    (r"spacing=.*", "spacing=inf", "spacing=inf is not finite and > 0"),
+    (r"alpha=.*", "alpha=7", r"alpha=7 lies outside \(0, 2\]"),
+    (r"alpha=.*", "alpha=0", r"alpha=0 lies outside \(0, 2\]"),
 ])
 def test_malformed_field_file_is_a_domain_file_error(tmp_path, disk_field, line, new, says):
     from stabletau.cli import EXIT_IO, main
