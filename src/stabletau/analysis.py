@@ -278,12 +278,25 @@ def slab_points(dom, n: int, margin: float = 0.02) -> np.ndarray:
 
 def _scan_rows(points, worker):
     """(points, values, verdicts) of worker(x) -> (row, verdict) over (n, 3) points,
-    in order."""
+    rows in input order.
+
+    Points that share a mirror image (x1, x2, |x3|) run one after another, from
+    the first one's place in the input: a point and its twin across the slab
+    then meet in the context's memo while the first one's integral is still
+    the newest entry, so each pair costs one integral however many pairs the
+    scan holds.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
         raise ValueError(f"scan points must be an (n, 3) array with n >= 1, "
                          f"got shape {points.shape}")
-    results = [worker(x) for x in points]
+    mirrors = [(x1, x2, abs(x3)) for x1, x2, x3 in points.tolist()]
+    first = {}
+    for i, m in enumerate(mirrors):
+        first.setdefault(m, i)
+    results = [None] * len(points)
+    for i in sorted(range(len(points)), key=lambda i: first[mirrors[i]]):
+        results[i] = worker(points[i])
     return points, np.array([row for row, _ in results]), [v for _, v in results]
 
 

@@ -5,7 +5,8 @@ Each option is declared once, as a row of flag, type, default and whether it
 is required; argparse converts and checks every value, so a bad value is a
 usage error naming its option.  Every command accepts --builtin, --domain,
 --config, --seed, --out and --format, except that cone-hunt, which builds its
-own cone, takes no --builtin or --domain.  Output files carry 17 significant
+own cone, takes no --builtin or --domain, and a --field file names its own
+domain, so neither goes with it.  Output files carry 17 significant
 digits, terminal summaries 6.  Exit codes: 0 ok, 2 domain or point
 errors, 3 I/O, 4 usage, 5 non-converged numerics.
 """
@@ -13,6 +14,7 @@ errors, 3 I/O, 4 usage, 5 non-converged numerics.
 from __future__ import annotations
 
 import configparser
+import math
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 
@@ -38,10 +40,12 @@ class _Parser(ArgumentParser):
 
 
 def _resolve_domain(ns):
+    """The --domain file's domain, else the --builtin one, else the unit disk."""
     if ns.domain:
         return load_domain(ns.domain), ns.domain
+    spec = "disk" if ns.builtin is None else ns.builtin
     try:
-        return builtin_domain(ns.builtin), f"builtin:{ns.builtin}"
+        return builtin_domain(spec), f"builtin:{spec}"
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -63,9 +67,13 @@ def _parse_region(text: str):
     got, _, raw = param.partition("=")
     if name in _REGIONS and (not colon or got == _REGIONS[name][0]):
         try:
-            return name, float(raw) if colon else _REGIONS[name][1]
+            value = float(raw) if colon else _REGIONS[name][1]
         except ValueError:
             pass
+        else:
+            if not math.isfinite(value):
+                raise ArgumentTypeError(f"region parameter must be finite, got {raw}")
+            return name, value
     raise ArgumentTypeError(f"malformed region {text!r} (use cylinder[:M=m] or slab[:margin=m])")
 
 
@@ -80,14 +88,15 @@ def _parse_which(text: str):
     if text == "u":
         return "u", 0.0, 0.0
     kind, _, val = text.partition(":")
+    if kind not in ("veps", "psib"):
+        raise ArgumentTypeError(f"unknown value {text!r} (use u, veps:EPS or psib:B)")
     try:
-        if kind == "veps":
-            return "veps", float(val), 0.0
-        if kind == "psib":
-            return "psib", 0.0, float(val)
+        value = float(val)
     except ValueError as exc:
         raise ArgumentTypeError(f"malformed value {text!r}") from exc
-    raise ArgumentTypeError(f"unknown value {text!r} (use u, veps:EPS or psib:B)")
+    if not math.isfinite(value):
+        raise ArgumentTypeError(f"{kind}:{val}: the value must be finite")
+    return (kind, value, 0.0) if kind == "veps" else (kind, 0.0, value)
 
 
 _PROGRESSIONS = {"geometric": np.geomspace, "linear": np.linspace}
@@ -96,10 +105,13 @@ _PROGRESSIONS = {"geometric": np.geomspace, "linear": np.linspace}
 def _parse_h(text: str) -> np.ndarray:
     try:
         start, stop, kind, n = text.split(":")
-        return _PROGRESSIONS[kind](float(start), float(stop), int(n))
+        ends = float(start), float(stop)
+        if all(0 < end < math.inf for end in ends):  # then so is every h between them
+            return _PROGRESSIONS[kind](*ends, int(n))
     except (ValueError, KeyError) as exc:
         raise ArgumentTypeError(
             f"malformed spec {text!r} (use start:stop:geometric:n or start:stop:linear:n)") from exc
+    raise ArgumentTypeError(f"start and stop must be finite and positive, got {text!r}")
 
 
 def _parse_t(text: str) -> np.ndarray:
@@ -123,8 +135,8 @@ def _count(text: str) -> int:
 def _positive(cast):
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise ArgumentTypeError(f"must be finite and positive, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse names the type in its messages
@@ -142,10 +154,17 @@ def _checked(options: str, make, *args, **kwargs):
         raise UsageError(f"{options}: {exc}") from exc
 
 
-def _phi_context(ns, dom, domain_ref):
+def _phi_context(ns):
+    """The --field file's field on the domain the file names, else the
+    closed-form field of a disk domain."""
     if ns.field:
+        given = [flag for flag in ("--builtin", "--domain")
+                 if getattr(ns, flag[2:]) is not None]
+        if given:
+            raise UsageError(f"{' and '.join(given)}: the --field file names its own domain")
         phi = load_field(ns.field)
         return ExtensionContext(phi.dom, phi)
+    dom, domain_ref = _resolve_domain(ns)
     if isinstance(dom, SupportDomain) and dom._disk_radius is not None:
         return ExtensionContext(dom, DiskPhi(dom._disk_radius))
     raise UsageError(
@@ -160,9 +179,8 @@ def _save(report, ns):
 def cmd_solve(ns) -> int:
     dom, _ = _resolve_domain(ns)
     p = _checked("--alpha", StableParams, ns.alpha, ns.at.size)
-    cfg = _checked("--walks, --ball-fraction or --max-steps", WalkConfig,
-                   n_walks=ns.walks, ball_fraction=ns.ball_fraction,
-                   max_steps=ns.max_steps, seed=ns.seed)
+    cfg = _checked("--walks or --max-steps", WalkConfig,
+                   n_walks=ns.walks, max_steps=ns.max_steps, seed=ns.seed)
     est = estimate_phi(dom, p, ns.at, cfg)
     print(f"mean={est.mean:.6g} stderr={est.std_error:.6g} walks={est.n_walks} "
           f"truncated={est.truncated} mean_steps={est.mean_steps:.6g}")
@@ -179,9 +197,8 @@ def cmd_field_build(ns) -> int:
     if not isinstance(dom, SupportDomain):
         raise UsageError("field-build requires a support-function domain")
     p = _checked("--alpha", StableParams, ns.alpha, 2)
-    cfg = _checked("--walks-per-node, --ball-fraction or --max-steps", WalkConfig,
-                   n_walks=ns.walks_per_node, ball_fraction=ns.ball_fraction,
-                   max_steps=ns.max_steps, seed=ns.seed)
+    cfg = _checked("--walks-per-node or --max-steps", WalkConfig,
+                   n_walks=ns.walks_per_node, max_steps=ns.max_steps, seed=ns.seed)
     field = build_field(dom, p, ns.spacing, cfg, domain_ref=ref)
     save_field(field, ns.out)
     n_nodes = int(np.count_nonzero(field.reliable))
@@ -191,8 +208,7 @@ def cmd_field_build(ns) -> int:
 
 
 def cmd_hessian_scan(ns) -> int:
-    dom, ref = _resolve_domain(ns)
-    ctx = _phi_context(ns, dom, ref)
+    ctx = _phi_context(ns)
     (region, size), n_points = ns.region, ns.points
     if ns.include_reflected and region == "slab":
         raise UsageError("--include-reflected: slab points lie on x3 = 0 and have no reflection")
@@ -212,8 +228,7 @@ def cmd_hessian_scan(ns) -> int:
 
 
 def cmd_exponent_fit(ns) -> int:
-    dom, ref = _resolve_domain(ns)
-    ctx = _phi_context(ns, dom, ref)
+    ctx = _phi_context(ns)
     try:
         fit = _checked("--probe or --quantity", analysis.boundary_exponent_fit,
                        ctx, ns.probe, ns.quantity, ns.h)
@@ -263,7 +278,7 @@ def cmd_cone_hunt(ns) -> int:
 # takes no common row that _NOT_COMMON lists for it.
 
 _COMMON = [
-    ("--builtin", str, "disk", False),
+    ("--builtin", str, None, False),  # with no --domain either, the unit disk
     ("--domain", str, None, False),
     ("--config", str, None, False),
     ("--seed", int, "0", False),
@@ -271,15 +286,15 @@ _COMMON = [
     ("--format", ("csv", "json"), "csv", False),
 ]
 _NOT_COMMON = {"cone-hunt": ("--builtin", "--domain")}  # the hunt builds its own cone
-_WALK = [("--ball-fraction", float, "0.5", False), ("--max-steps", _count, "10000", False)]
+_MAX_STEPS = ("--max-steps", _count, "10000", False)
 
 _COMMANDS = {
     "solve": (cmd_solve, [
         ("--alpha", float, None, True), ("--at", _parse_at, None, True),
-        ("--walks", _count, "100000", False), *_WALK]),
+        ("--walks", _count, "100000", False), _MAX_STEPS]),
     "field-build": (cmd_field_build, [
         ("--alpha", float, None, True), ("--spacing", _positive(float), None, True),
-        ("--walks-per-node", _count, "10000", False), *_WALK, ("--out", str, None, True)]),
+        ("--walks-per-node", _count, "10000", False), _MAX_STEPS, ("--out", str, None, True)]),
     "hessian-scan": (cmd_hessian_scan, [
         ("--region", _parse_region, "cylinder:M=3", False),
         ("--points", _parse_points, "halton:500", False), ("--which", _parse_which, "u", False),

@@ -37,8 +37,9 @@ from .geom import SupportDomain
 from .quad import QuadSpec, integrate
 
 _SIGNATURE_CUT = 1e-9  # zero-eigenvalue threshold, relative to the largest one
-# Poisson integrals a context keeps for their mirror twins; above the 1 000
-# points of a 500-point scan with its reflections, so every mirror finds its twin
+# Poisson integrals a context keeps for their mirror twins.  A scan runs each
+# twin right after its point (analysis._scan_rows), so the cap bounds only twins
+# that come in later calls
 _MEMO_CAP = 4096
 
 
@@ -83,7 +84,9 @@ class ExtensionContext:
     takes the stored (value, err) out of it, or raises NonConvergedError
     again with the stored best value.  The memo holds at most _MEMO_CAP
     (4 096) integrals still waiting for their twin and drops the oldest
-    first.  A point evaluated again on the same side is integrated again.
+    first; a scan pairs its own twins, so the cap matters only for twins
+    that come in later calls.  A point evaluated again on the same side is
+    integrated again.
     """
 
     dom: SupportDomain

@@ -1,10 +1,11 @@
 """Kernel-exact walk-on-spheres for symmetric stable processes.
 
 Each step sits at a point x inside the domain, inscribes the ball
-B(x, kappa * r) for a step distance 0 < r <= delta_D(x), banks the ball's
-exact mean exit time C_B (kappa r)^alpha, and jumps to a sample of the ball's
-exit law.  Any centred ball inside D gives an exact step, so the estimator
-is unbiased for every such r.  The domain supplies r (step_distance): on a
+B(x, kappa * r) for a step distance 0 < r <= delta_D(x), with the walk's
+constant kappa = _BALL_FRACTION = 1/2, banks the ball's exact mean exit time
+C_B (kappa r)^alpha, and jumps to a sample of the ball's exit law.  Any
+centred ball inside D gives an exact step, so the estimator is unbiased for
+every such r.  The domain supplies r (step_distance): on a
 support-function domain other than the disk it is a certified lower bound
 of delta_D read from a lattice (geom._DistanceLattice), and the exact
 distance (SupportDomain._signed_distance_foot, which the fields also read)
@@ -52,20 +53,18 @@ _BATCH = 16384
 _RUN = 8  # batches advanced together: a run's per-walk state stays about 2 MB
 _MASK64 = (1 << 64) - 1
 _SHELL = 1e-8  # absorption shell of the alpha = 2 walks
+_BALL_FRACTION = 0.5  # kappa: each step's ball has radius kappa times its step distance
 
 
 @dataclass(frozen=True)
 class WalkConfig:
     n_walks: int
-    ball_fraction: float = 0.5
     max_steps: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if self.n_walks < 1:
             raise ValueError("n_walks must be >= 1")
-        if not 0.0 < self.ball_fraction < 1.0:
-            raise ValueError("ball_fraction must lie in (0, 1)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -376,7 +375,7 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
                     if k[b] == cfg.max_steps:
                         capped.append(b)
             uni = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-            s = cfg.ball_fraction * delta
+            s = _BALL_FRACTION * delta
             t += cb * s ** p.alpha
             rho = s * law.factor(uni[0])
             pos += _directions(uni[1:], dim) * rho
@@ -505,23 +504,33 @@ def estimate_phi(dom, p: StableParams, x, cfg: WalkConfig, *, stream: int = 0,
 # -- gridded field -------------------------------------------------------------------
 
 _N_SECTORS = 32
+_COLLAR = 2.0  # nodes deeper than this many spacings are reliable; the rest is the collar
 _FIT_BAND = (2.0, 6.0)   # blend fit uses reliable nodes with delta/spacing in this band
+
+
+def _node_grid(origin, spacing, shape):
+    """The lattice's axes xs, ys and its nodes as (nx ny, 2) rows, x-major."""
+    xs = origin[0] + spacing * np.arange(shape[0])
+    ys = origin[1] + spacing * np.arange(shape[1])
+    return xs, ys, np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 class PhiField:
     """Gridded exit-time field with a sqrt-distance boundary blend.
 
-    Values on lattice nodes deeper than twice the spacing come from the Monte
-    Carlo estimator; inside that collar the field follows c(y*) sqrt(delta)
-    with a per-sector coefficient fitted to the nearest reliable nodes (plus a
-    second-order delta^(3/2) term).  Evaluation is bicubic
+    Values on lattice nodes deeper than the collar, _COLLAR (2) spacings,
+    come from the Monte Carlo estimator; inside the collar the field follows
+    c(y*) sqrt(delta) with a per-sector coefficient fitted to the nearest
+    reliable nodes (plus a second-order delta^(3/2) term).  blend is the
+    (sectors, 3) table of rows (c, c2, c_err), sector k centred on the foot
+    angle 2 pi (k + 1/2) / sectors; the reads use contiguous copies of its
+    columns, blend_c, blend_c2 and blend_c_err.  Evaluation is bicubic
     between reliable nodes, the blend profile in the collar, and zero outside.
     foot, if given, is build_field's (distance, angle) query of the node grid.
     """
 
     def __init__(self, dom: SupportDomain, alpha: float, origin, spacing: float,
-                 values: np.ndarray, stderr: np.ndarray, blend_c: np.ndarray,
-                 blend_c2: np.ndarray, blend_c_err: np.ndarray,
+                 values: np.ndarray, stderr: np.ndarray, blend: np.ndarray,
                  domain_ref: str = "builtin:unknown", foot=None):
         from scipy.interpolate import RectBivariateSpline
 
@@ -531,29 +540,21 @@ class PhiField:
         self.spacing = float(spacing)
         self.values = np.asarray(values, dtype=float)
         self.stderr = np.asarray(stderr, dtype=float)
-        self.blend_c = np.asarray(blend_c, dtype=float)
-        self.blend_c2 = np.asarray(blend_c2, dtype=float)
-        self.blend_c_err = np.asarray(blend_c_err, dtype=float)
+        self.blend = np.asarray(blend, dtype=float)
+        self.blend_c, self.blend_c2, self.blend_c_err = (
+            np.ascontiguousarray(col) for col in self.blend.T)
         self.domain_ref = domain_ref
-        self.collar = 2.0 * self.spacing
-        nx, ny = self.values.shape
-        xs = self.origin[0] + self.spacing * np.arange(nx)
-        ys = self.origin[1] + self.spacing * np.arange(ny)
-        grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        self.collar = _COLLAR * self.spacing
+        xs, ys, grid = _node_grid(self.origin, self.spacing, self.values.shape)
         d, theta = dom._signed_distance_foot(grid) if foot is None else foot
-        d = d.reshape(nx, ny)
-        theta = theta.reshape(nx, ny)
+        d = d.reshape(self.values.shape)
+        theta = theta.reshape(self.values.shape)
         self.node_delta = d
         self.reliable = d > self.collar
         filled = np.where(self.reliable, self.values, self._blend(theta, d))
         self._spline = RectBivariateSpline(xs, ys, filled, kx=3, ky=3)
         self._err_spline = RectBivariateSpline(
             xs, ys, np.where(self.reliable, self.stderr, 0.0), kx=1, ky=1)
-
-    @property
-    def sector_thetas(self) -> np.ndarray:
-        k = np.arange(self.blend_c.size)
-        return (k + 0.5) * 2.0 * np.pi / self.blend_c.size
 
     def _sector_interp(self, coeffs, theta):
         """Periodic linear interpolation of per-sector coefficients."""
@@ -649,27 +650,28 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
                 domain_ref: str = "builtin:unknown") -> PhiField:
     """Estimate the exit-time field on a lattice and fit the boundary blend.
 
-    cfg.n_walks is the per-node walk budget.  All nodes run in one grouped
-    simulation (walk i belongs to node i // n_walks, and a node's walks may
-    straddle batches and runs), so fields are reproducible.  n_threads has no
-    effect and stays only for callers that pass it.  Raises GridTooCoarseError
-    when the lattice has fewer than 100 interior nodes, or no reliable node
-    in the band where the boundary blend is fitted.
+    The lattice is square, with origin (-half, -half) for half = the domain's
+    largest support value plus one spacing.  Nodes deeper than the collar
+    (_COLLAR spacings) are reliable and each runs cfg.n_walks walks; the
+    rest read the blend that _fit_blend fits to them.  All nodes run in one
+    grouped simulation (walk i belongs to node i // n_walks, and a node's
+    walks may straddle batches and runs), so fields are reproducible.
+    n_threads has no effect and stays only for callers that pass it.  Raises
+    GridTooCoarseError when the lattice has fewer than 100 interior nodes,
+    or no reliable node in the band where the boundary blend is fitted.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing:g}")
     half = dom.max_support() + spacing
     n_side = int(math.ceil(2 * half / spacing)) + 1
     origin = np.array([-half, -half])
-    xs = origin[0] + spacing * np.arange(n_side)
-    ys = origin[1] + spacing * np.arange(n_side)
-    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    _, _, grid = _node_grid(origin, spacing, (n_side, n_side))
     d, theta = dom._signed_distance_foot(grid)
     interior = d > 0
     if int(np.count_nonzero(interior)) < 100:
         raise GridTooCoarseError(
             f"spacing {spacing:g} leaves {int(np.count_nonzero(interior))} interior nodes")
-    reliable_idx = np.nonzero(d > 2.0 * spacing)[0]
+    reliable_idx = np.nonzero(d > _COLLAR * spacing)[0]
     means, errs, _, _, _ = _walk_starts(dom, p, grid[reliable_idx], cfg, 1,
                                         deltas=d[reliable_idx])
 
@@ -677,19 +679,19 @@ def build_field(dom: SupportDomain, p: StableParams, spacing: float,
     stderr = np.zeros(grid.shape[0])
     values[reliable_idx] = means
     stderr[reliable_idx] = errs
-    blend_c, blend_c2, blend_err = _fit_blend(d, theta, values, stderr,
-                                              reliable_idx, spacing)
+    blend = _fit_blend(d, theta, values, stderr, reliable_idx, spacing)
     return PhiField(dom, p.alpha, origin, spacing,
                     values.reshape(n_side, n_side), stderr.reshape(n_side, n_side),
-                    blend_c, blend_c2, blend_err, domain_ref=domain_ref, foot=(d, theta))
+                    blend, domain_ref=domain_ref, foot=(d, theta))
 
 
 def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):
     """Per-sector weighted fit of value ~ c sqrt(delta) + c2 delta^(3/2).
 
-    Each sector pools its neighbours; weights combine the Monte Carlo noise
-    with a delta^(5/2) model-error allowance so deep nodes cannot drag the
-    extrapolation toward the boundary off course.
+    Returns the (_N_SECTORS, 3) table of rows (c, c2, c_err), the shape the
+    field file stores.  Each sector pools its neighbours; weights combine
+    the Monte Carlo noise with a delta^(5/2) model-error allowance so deep
+    nodes cannot drag the extrapolation toward the boundary off course.
     """
     lo, hi = _FIT_BAND[0] * spacing, _FIT_BAND[1] * spacing
     band = reliable_idx[(d[reliable_idx] > lo) & (d[reliable_idx] <= hi)]
@@ -698,9 +700,7 @@ def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):
             f"spacing {spacing:g} leaves no node {_FIT_BAND[0]:g} to {_FIT_BAND[1]:g} "
             "spacings deep to fit the boundary blend")
     sector = np.floor(theta[band] * _N_SECTORS / (2 * np.pi)).astype(int) % _N_SECTORS
-    c = np.zeros(_N_SECTORS)
-    c2 = np.zeros(_N_SECTORS)
-    cerr = np.zeros(_N_SECTORS)
+    table = np.zeros((_N_SECTORS, 3))
     for k in range(_N_SECTORS):
         widen = 1
         rows = np.empty(0, dtype=np.int64)
@@ -713,12 +713,12 @@ def _fit_blend(d, theta, values, stderr, reliable_idx, spacing):
         basis = np.stack([np.sqrt(dd), dd ** 1.5], axis=1)
         w = 1.0 / (np.maximum(stderr[rows], 1e-12) + 0.05 * dd ** 2.5)
         sol, *_ = np.linalg.lstsq(basis * w[:, None], values[rows] * w, rcond=None)
-        c[k], c2[k] = sol
+        table[k, :2] = sol
         resid = values[rows] - basis @ sol
         scatter = float(np.sqrt(np.mean(resid ** 2))) / math.sqrt(max(rows.size, 1))
-        cerr[k] = scatter / math.sqrt(float(np.mean(dd))) + float(
+        table[k, 2] = scatter / math.sqrt(float(np.mean(dd))) + float(
             np.mean(stderr[rows] / np.sqrt(dd)))
-    return c, c2, cerr
+    return table
 
 
 # -- phifield v2 files -----------------------------------------------------------------
@@ -736,9 +736,10 @@ def save_field(field: PhiField, path) -> None:
         fh.write(f"nodes={len(idx)}\n")
         for i, j in idx:
             fh.write(f"{i} {j} {field.values[i, j]:.17g} {field.stderr[i, j]:.17g}\n")
-        fh.write(f"blend={field.blend_c.size}\n")
-        for row in zip(field.sector_thetas, field.blend_c, field.blend_c2, field.blend_c_err):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        n = len(field.blend)
+        fh.write(f"blend={n}\n")
+        for k, row in enumerate(field.blend):  # the sector's centre angle, then its row
+            fh.write(" ".join(f"{v:.17g}" for v in ((k + 0.5) * 2.0 * np.pi / n, *row)) + "\n")
 
 
 def load_field(path, dom: SupportDomain | None = None) -> PhiField:
@@ -815,7 +816,7 @@ def load_field(path, dom: SupportDomain | None = None) -> PhiField:
         else:
             dom = load_domain(os.path.join(os.path.dirname(os.path.abspath(path)),
                                            domain_ref))
-    field = PhiField(dom, alpha, origin, spacing, values, stderr, *blend.T,
+    field = PhiField(dom, alpha, origin, spacing, values, stderr, blend,
                      domain_ref=domain_ref)
     if not np.array_equal(listed, field.reliable):
         i, j = np.argwhere(listed != field.reliable)[0]

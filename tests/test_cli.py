@@ -107,6 +107,7 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
     (SOLVE + ["--alpha", "3"], "--alpha"),
     (SOLVE + ["--alpha", "1", "--walks", "0"], "--walks"),
     (SOLVE + ["--alpha", "1", "--max-steps", "0"], "--max-steps"),
+    # the ball fraction is the walk's constant: no command takes it
     (SOLVE + ["--alpha", "1", "--ball-fraction", "1.5"], "--ball-fraction"),
     (SOLVE + ["--alpha", "1", "--threads", "0"], "--threads"),
     (SOLVE + ["--alpha", "1", "--threads", "-3"], "--threads"),
@@ -176,6 +177,25 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
      "--include-reflected"),
     (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--builtin", "disk"], "--builtin"),
     (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--domain", "cone.sf"], "--domain"),
+    # values that are not finite
+    (["field-build", "--alpha", "1", "--spacing", "inf"], "--spacing"),
+    (["field-build", "--alpha", "1", "--spacing", "nan"], "--spacing"),
+    (["hessian-scan", "--builtin", "disk", "--region", "cylinder:M=inf",
+      "--points", "halton:5"], "--region"),
+    (["hessian-scan", "--builtin", "disk", "--region", "slab:margin=nan",
+      "--points", "halton:5"], "--region"),
+    (["exponent-fit", "--builtin", "disk", "--probe", "S1", "--quantity", "u13",
+      "--h", "0.005:inf:geometric:6"], "--h"),
+    (["exponent-fit", "--builtin", "disk", "--probe", "S1", "--quantity", "u13",
+      "--h", "-0.05:0.05:linear:6"], "--h"),
+    # the --field file names its own domain: no domain option goes with it, and
+    # neither the field file nor the domain file is read
+    *[(args + ["--field", "never_read.pf", *dom], dom[0]) for args in (
+        ["hessian-scan", "--points", "halton:2"],
+        ["exponent-fit", "--probe", "S1", "--quantity", "u13"])
+      for dom in (["--builtin", "ellipse:0.9,0.15"], ["--domain", "/nonexistent.sf"])],
+    (["hessian-scan", "--points", "halton:2", "--which", "veps:inf"], "--which"),
+    (["hessian-scan", "--points", "halton:2", "--which", "psib:nan"], "--which"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE
@@ -270,7 +290,7 @@ def test_field_build_and_scan_roundtrip(tmp_path):
                 "--seed", "5", "--out", str(fpath)]) == EXIT_OK
     assert fpath.read_text().startswith("phifield v2")
     out = tmp_path / "scan.csv"
-    assert run(["hessian-scan", "--builtin", "disk", "--field", str(fpath),
+    assert run(["hessian-scan", "--field", str(fpath),
                 "--points", "halton:4", "--out", str(out)]) == EXIT_OK
 
 
@@ -342,6 +362,8 @@ def test_config_unknown_key(tmp_path):
     ("walks = 5\n", EXIT_IO, "section"),  # no section header
     ("[solve]\nalpha = 1\nat = 0,0\nwalks = 5%\n", EXIT_USAGE, "--walks"),  # read raw
     ("[solve]\nalpha = 1\nat = 0,0\nthreads = 2\n", EXIT_USAGE, "unknown config key 'threads'"),
+    ("[solve]\nalpha = 1\nat = 0,0\nball-fraction = 0.3\n", EXIT_USAGE,
+     "unknown config key 'ball-fraction'"),
 ])
 def test_config_file_errors_exit_with_a_message(tmp_path, capsys, text, code, says):
     cfg = tmp_path / "run.cfg"

@@ -499,9 +499,8 @@ def test_stencil_slab_hessian_on_quadratic():
     xs = -half + spacing * np.arange(n)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     values = 1.0 - 0.8 * gx ** 2 - 0.5 * gy ** 2 + 0.3 * gx * gy
-    zero = np.zeros(8)
     field = PhiField(dom, 1.0, [-half, -half], spacing, values, np.zeros_like(values),
-                     zero, zero, zero)
+                     np.zeros((8, 3)))
     s = eval_hessian(ExtensionContext(dom, field), [0.1, 0.05, 0.0])
     assert s.hess[0, 0] == pytest.approx(-1.6, abs=1e-6)
     assert s.hess[1, 1] == pytest.approx(-1.0, abs=1e-6)
@@ -616,12 +615,63 @@ def test_field_integrals_stop_at_the_field_noise():
         assert abs(eval_u(ctx, x) - _exact_ellipse_u(x)) < 3 * sigma
 
 
-# -- the mirror memo: a point and its reflection cost one integral -------------------
+# -- the field protocol: every field class answers the same reads -------------------
 
 @pytest.fixture(scope="module")
 def noisy_ellipse_field():
     return build_field(SupportDomain.ellipse(0.8, 0.5), StableParams(1.0, 2), 0.1,
                        WalkConfig(n_walks=200, seed=4))
+
+
+def _stencil(phi, xy, h):
+    """(phi_11, phi_22, phi_12) by centred differences of values_at with step h,
+    in PhiField.slab_hessian's point order and arithmetic."""
+    x0, y0 = xy
+    v = phi.values_at(np.array([
+        [x0, y0], [x0 + h, y0], [x0 - h, y0], [x0, y0 + h], [x0, y0 - h],
+        [x0 + h, y0 + h], [x0 + h, y0 - h], [x0 - h, y0 + h], [x0 - h, y0 - h],
+    ]))
+    return ((v[1] - 2 * v[0] + v[2]) / h ** 2, (v[3] - 2 * v[0] + v[4]) / h ** 2,
+            (v[5] - v[6] - v[7] + v[8]) / (4 * h ** 2))
+
+
+@pytest.mark.parametrize("kind", ["DiskPhi", "PhiField"])
+def test_field_protocol(kind, request):
+    if kind == "DiskPhi":
+        dom, phi = SupportDomain.disk(1.0), DiskPhi()
+    else:
+        phi = request.getfixturevalue("noisy_ellipse_field")
+        dom = phi.dom
+    pts = np.random.default_rng(9).uniform(-1.1, 1.1, size=(3000, 2))
+    d = dom.boundary_distance_batch(pts)
+    values = phi.values_at(pts)
+    assert values.shape == (len(pts),) and np.all(values[d <= 0] == 0.0)
+    assert np.all(values[d > 0] > 0.0)
+    assert phi.values_at(pts[0]).shape == (1,)  # one point reads as one row
+    sigma = phi.typical_stderr()
+    assert isinstance(sigma, float) and sigma >= 0.0
+    if sigma > 0.0:  # a noisy field's combined read is its two separate reads, bitwise
+        for where in (d > phi.collar, (d > 0) & (d <= phi.collar), d <= 0):
+            assert np.count_nonzero(where) > 50  # interior, collar and exterior points
+        both = phi.values_and_stderr_at(pts)
+        errs = phi.stderr_at(pts)
+        assert errs.shape == (len(pts),) and np.all(errs >= 0.0)
+        assert both[0].tobytes() == values.tobytes()
+        assert both[1].tobytes() == errs.tobytes()
+    # the slab Hessian is a centred stencil of values_at: PhiField's is that
+    # stencil, DiskPhi's the exact derivatives it approaches
+    for xy in ([0.0, 0.0], [0.2, -0.15], [-0.3, 0.1]):
+        depth = float(dom.boundary_distance_batch(np.array([xy]))[0])
+        *hess, err = phi.slab_hessian(np.array(xy), depth)
+        assert err.shape == (6,) and np.all(err >= 0.0)
+        if kind == "DiskPhi":
+            assert np.allclose(hess, _stencil(phi, xy, 1e-3), rtol=1e-5, atol=1e-8)
+        else:
+            h = min(max(1e-3, 2.0 * phi.spacing), 0.45 * depth)
+            assert [float(v) for v in _stencil(phi, xy, h)] == hess
+
+
+# -- the mirror memo: a point and its reflection cost one integral -------------------
 
 
 def _bits(result):
@@ -707,7 +757,7 @@ def test_scan_with_reflections_integrates_each_pair_once(ctx, monkeypatch):
 
 
 def test_memo_keeps_at_most_its_cap(ctx, monkeypatch):
-    assert extension._MEMO_CAP >= 1024  # every mirror of a 500-point scan finds its twin
+    assert extension._MEMO_CAP >= 1024  # room for a 500-point scan's twins in a later call
     monkeypatch.setattr(extension, "_MEMO_CAP", 8)
     fresh = ExtensionContext(ctx.dom, ctx.phi)
     pts = cylinder_points(3.0, 20)
@@ -720,6 +770,21 @@ def test_memo_keeps_at_most_its_cap(ctx, monkeypatch):
     eval_u(fresh, pts[0] * [1, 1, -1])  # the oldest twins were dropped
     assert calls[0] == 1
     assert len(fresh._memo) <= 8
+
+
+def test_a_scan_pairs_its_twins_past_the_memo_cap(ctx, monkeypatch):
+    # more pairs than the memo holds: each point's twin runs right after it,
+    # so no twin is dropped before its pair arrives, and the rows keep their order
+    pts = cylinder_points(3.0, 10)
+    both = np.concatenate([pts, pts * np.array([1.0, 1.0, -1.0])])
+    want = hessian_scan(ExtensionContext(ctx.dom, ctx.phi), both)
+    monkeypatch.setattr(extension, "_MEMO_CAP", 8)
+    calls = _counting_integrate(monkeypatch)
+    got = hessian_scan(ExtensionContext(ctx.dom, ctx.phi), both)
+    assert calls[0] == len(pts)
+    assert got.points.tobytes() == both.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.json_text() == want.json_text()
 
 
 def test_memo_under_many_threads(ctx):

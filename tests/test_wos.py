@@ -41,8 +41,6 @@ def test_walk_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(n_walks=0)
     with pytest.raises(ValueError):
-        WalkConfig(n_walks=10, ball_fraction=1.0)
-    with pytest.raises(ValueError):
         WalkConfig(n_walks=10, max_steps=0)
 
 
@@ -378,17 +376,6 @@ def ellipse_field():
                        WalkConfig(n_walks=200, seed=4))
 
 
-def test_values_and_stderr_at_matches_separate_reads(ellipse_field):
-    f = ellipse_field
-    pts = np.random.default_rng(9).uniform([-0.9, -0.6], [0.9, 0.6], size=(3000, 2))
-    d = f.dom.boundary_distance_batch(pts)
-    for where in (d > f.collar, (d > 0) & (d <= f.collar), d <= 0):
-        assert np.count_nonzero(where) > 50  # interior, collar and exterior points
-    values, errs = f.values_and_stderr_at(pts)
-    assert values.tobytes() == f.values_at(pts).tobytes()
-    assert errs.tobytes() == f.stderr_at(pts).tobytes()
-
-
 def test_deep_field_reads_skip_the_oracle_bitwise(ellipse_field, monkeypatch):
     f = ellipse_field
     rng = np.random.default_rng(31)
@@ -643,7 +630,7 @@ def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
         survivors = []
         for j, w in enumerate(live):
             u = uni[:, j:j + 1]
-            s = cfg.ball_fraction * delta[w:w + 1]
+            s = wos._BALL_FRACTION * delta[w:w + 1]
             tacc[w:w + 1] += cb * s ** p.alpha
             step = wos._directions(u[1:], p.dim).T  # (dim, 1) rows as one (1, dim) point
             new = pos[w:w + 1] + (s * law.factor(u[0]))[:, None] * step
