@@ -47,7 +47,7 @@ def _resolve_domain(ns):
     try:
         return builtin_domain(spec), f"builtin:{spec}"
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"--builtin: {exc}") from exc
 
 
 # -- option types: argparse reports their errors under the option's name -----------------
@@ -130,6 +130,16 @@ def _count(text: str) -> int:
     if not value.is_integer():  # 2.7, inf and nan are no counts
         raise ArgumentTypeError(f"not a whole count: {text!r}")
     return int(value)
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ArgumentTypeError(f"not a seed: {text!r}") from exc
+    if not 0 <= value < 1 << 64:
+        raise ArgumentTypeError(f"a seed lies in [0, 2**64), got {text}")
+    return value
 
 
 def _positive(cast):
@@ -281,7 +291,7 @@ _COMMON = [
     ("--builtin", str, None, False),  # with no --domain either, the unit disk
     ("--domain", str, None, False),
     ("--config", str, None, False),
-    ("--seed", int, "0", False),
+    ("--seed", _seed, "0", False),
     ("--out", str, None, False),
     ("--format", ("csv", "json"), "csv", False),
 ]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .closedform import kernel_K, kernel_K_grad, kernel_K_hess_components
 from .errors import NonConvergedError, OnBoundaryError, UndefinedOnCutError
-from .geom import SupportDomain
+from .geom import _BOUNDARY_TOL, SupportDomain
 from .quad import QuadSpec, integrate
 
 _SIGNATURE_CUT = 1e-9  # zero-eigenvalue threshold, relative to the largest one
@@ -202,8 +202,8 @@ def eval_u(ctx: ExtensionContext, x) -> float:
     """Value of the extension at x in R^3 away from the exterior cut."""
     x = np.asarray(x, dtype=float)
     if x[2] == 0.0:
-        sd = ctx.dom.signed_distance(x[:2])
-        if sd < -1e-12:
+        sd = float(ctx.dom.boundary_distance_batch(x[None, :2])[0])
+        if sd < -_BOUNDARY_TOL:
             raise UndefinedOnCutError("u is undefined on int(D^c) x {0}")
         return float(ctx.phi.values_at(x[:2].reshape(1, 2))[0]) if sd > 0 else 0.0
     val, _ = _poisson(ctx, x, kernel_K)
@@ -263,8 +263,8 @@ def eval_hessian(ctx: ExtensionContext, x) -> HessianSample:
 
 
 def _slab_hessian_entries(ctx: ExtensionContext, xy):
-    sd = ctx.dom.signed_distance(xy)
-    if sd <= 1e-12:
+    sd = float(ctx.dom.boundary_distance_batch(xy[None])[0])
+    if sd <= _BOUNDARY_TOL:
         raise UndefinedOnCutError("slab Hessian defined only over the open domain")
     h11, h22, h12, err = ctx.phi.slab_hessian(xy, sd)
     return np.array([h11, h22, -h11 - h22, h12, 0.0, 0.0]), err
@@ -273,7 +273,7 @@ def _slab_hessian_entries(ctx: ExtensionContext, xy):
 def eval_u3_slab(ctx: ExtensionContext, xy) -> float:
     """Vertical derivative on the slab: -1 over the domain, positive outside."""
     xy = np.asarray(xy, dtype=float)
-    sd = ctx.dom.signed_distance(xy)
+    sd = float(ctx.dom.boundary_distance_batch(xy[None])[0])
     if abs(sd) <= 1e-9:
         raise OnBoundaryError("u3 jumps across the domain boundary")
     if sd > 0:

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainFileError,
-    NewtonError,
-    NonConvexError,
-    NotInUnitBallError,
-    PointOutsideError,
-)
+from .errors import DomainFileError, NewtonError, NonConvexError, NotInUnitBallError
 
 _CERT_GRID = 4096       # convexity certification grid
 _NEWTON_STEPS = 8       # Newton takes at most this many steps, until a step is below ...
@@ -129,6 +123,8 @@ class SupportDomain:
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         if coeffs.shape[1] != 2:
             raise ValueError("coeffs must have shape (n_modes, 2)")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coeffs must be finite")
         self.coeffs = coeffs.copy()
         self.coeffs.setflags(write=False)
         self.n_modes = coeffs.shape[0]
@@ -200,10 +196,6 @@ class SupportDomain:
         """h(theta) or its deriv-th derivative."""
         return _series(self.coeffs, theta, deriv)
 
-    def _support_012(self, theta):
-        """(h, h', h'') by cubic Hermite interpolation of the cached tables."""
-        return tuple(self._hermite(theta, 3))
-
     def _hermite(self, theta, m):
         """The first m of (h, h', h'') at theta, a list of arrays shaped like theta."""
         theta = np.asarray(theta, dtype=float)
@@ -263,11 +255,6 @@ class SupportDomain:
         up = _unit(np.asarray(theta, dtype=float) + np.pi / 2)
         return (h[..., None] * u + hp[..., None] * up) if u.ndim > 1 else h * u + hp * up
 
-    def signed_distance(self, x):
-        """min_theta (h - x.u): equals delta_D(x) inside and -dist(x, D) outside."""
-        d, _ = self._signed_distance_foot(np.atleast_2d(np.asarray(x, dtype=float)))
-        return d if np.ndim(x) > 1 else float(d[0])
-
     def _search_foot(self, pts: np.ndarray):
         """Vectorised signed distance plus the minimising normal angle, by branch and bound.
 
@@ -318,7 +305,7 @@ class SupportDomain:
                 a, b = self._knot_slope(k, y1, y2), self._knot_slope(k + 1, y1, y2)
                 start = k * step + step * (a / (a - b - 1e-300))  # a = b = 0 starts at k
                 def slope(t, i):  # g' and its derivative h'' + x.u
-                    _, h1, h2 = self._support_012(t)
+                    _, h1, h2 = self._hermite(t, 3)
                     z1, z2, ct, st = y1.take(i), y2.take(i), np.cos(t), np.sin(t)
                     return h1 + z1 * st - z2 * ct, h2 + z1 * ct + z2 * st
                 t = _bracketed_newton(slope, start, k * step, (k + 1) * step, "distance search")
@@ -468,7 +455,7 @@ class SupportDomain:
 
     def _newton_step(self, theta, x1, x2):
         """g = h - x.u at theta, the next angle and the step of one Newton step, capped."""
-        h, h1, h2 = self._support_012(theta)
+        h, h1, h2 = self._hermite(theta, 3)
         ct, st = np.cos(theta), np.sin(theta)
         xu = x1 * ct + x2 * st
         gp = h1 - (-x1 * st + x2 * ct)
@@ -477,31 +464,16 @@ class SupportDomain:
         step = np.clip(gp / gpp, -_ROLL_CAP, _ROLL_CAP)
         return h - xu, theta - step, step
 
-    def contains(self, x) -> bool:
-        """True iff x is interior; boundary points within 1e-12 report False."""
-        return bool(self.signed_distance(x) > _BOUNDARY_TOL)
-
-    def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self._signed_distance_foot(pts)[0] > _BOUNDARY_TOL
-
-    def boundary_distance(self, x) -> float:
-        """delta_D(x) for interior x; raises PointOutsideError otherwise."""
-        d = self.signed_distance(x)
-        if d <= _BOUNDARY_TOL:
-            raise PointOutsideError(f"point {x} is not interior")
-        return float(d)
-
     def boundary_distance_batch(self, pts: np.ndarray) -> np.ndarray:
+        """Per row, the signed distance min_theta (h - x.u): delta_D(x) inside
+        and -dist(x, D) outside."""
         return self._signed_distance_foot(pts)[0]
 
-    def nearest_boundary(self, x):
-        """(foot point, normal angle, signed distance) of the nearest boundary point."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+    def nearest_boundary(self, pts: np.ndarray):
+        """Per row, (foot point, normal angle, signed distance) of the nearest boundary point."""
+        pts = np.asarray(pts, dtype=float)
         d, theta = self._signed_distance_foot(pts)
-        foot = pts + d[:, None] * _unit(theta)
-        if np.ndim(x) == 1:
-            return foot[0], float(theta[0]), float(d[0])
-        return foot, theta, d
+        return pts + d[:, None] * _unit(theta), theta, d
 
     def curvature(self, theta):
         """Curvature at the boundary point with outer normal angle theta."""
@@ -716,12 +688,6 @@ class ConeDomain:
         self._cos = math.cos(self.theta)
         self._tan = math.tan(self.theta)
 
-    def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self.boundary_distance_batch(pts) > _BOUNDARY_TOL
-
-    def contains(self, x) -> bool:
-        return bool(self.contains_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def boundary_distance_batch(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance: min of lateral-surface and unit-sphere distances."""
         pts = np.asarray(pts, dtype=float)
@@ -734,12 +700,6 @@ class ConeDomain:
     def step_distance(self, pts: np.ndarray, cut: float) -> np.ndarray:
         """The exact distance (see SupportDomain.step_distance)."""
         return self.boundary_distance_batch(pts)
-
-    def boundary_distance(self, x) -> float:
-        d = float(self.boundary_distance_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-        if d <= _BOUNDARY_TOL:
-            raise PointOutsideError(f"point {x} is not interior to the cone")
-        return d
 
     def __repr__(self):
         return f"ConeDomain(theta={self.theta:g}, dim={self.dim})"

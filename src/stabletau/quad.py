@@ -171,7 +171,7 @@ class _PolarChart:
                                   & (self._theta[-1] - theta > 1e-12))
             psi, theta, lo, hi = psi[rays], theta[rays], lo[rays], hi[rays]
         def normal(th, i):  # N and N'
-            h, h1, h2 = dom._support_012(th)
+            h, h1, h2 = dom._hermite(th, 3)
             cth, sth, t = np.cos(th), np.sin(th), th - psi.take(i)
             ct = np.cos(t)
             g = h - (c[0] * cth + c[1] * sth)
@@ -309,7 +309,7 @@ def integrate(dom, f, spec: QuadSpec | None = None, peak=None):
         if height is not None and not (math.isfinite(height) and height >= 0.0):
             raise ValueError(f"peak height must be finite and >= 0, got {height!r}")
         xy = np.array([float(peak[0]), float(peak[1])])
-        foot, theta, d = dom.nearest_boundary(xy)
+        (foot,), (theta,), (d,) = dom.nearest_boundary(xy[None])
         if d <= 0.0:  # anchor the chart at the nearest boundary point
             center, normal = foot, theta
         else:

@@ -51,7 +51,6 @@ from .geom import _BOUNDARY_TOL, SupportDomain, builtin_domain, load_domain
 
 _BATCH = 16384
 _RUN = 8  # batches advanced together: a run's per-walk state stays about 2 MB
-_MASK64 = (1 << 64) - 1
 _SHELL = 1e-8  # absorption shell of the alpha = 2 walks
 _BALL_FRACTION = 0.5  # kappa: each step's ball has radius kappa times its step distance
 
@@ -67,6 +66,8 @@ class WalkConfig:
             raise ValueError("n_walks must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def _uniform_block(seed: int, stream: int, batch_start: int, step: int,
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.array([0, batch_start, step, 0], dtype=np.uint64),
-                  "key": np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)},
+                  "key": np.array([seed, stream], dtype=np.uint64)},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
     return gen.random((width, n))

@@ -22,11 +22,20 @@ def run(args):
     return main(args)
 
 
+def test_non_finite_domain_file_is_io_error(tmp_path, capsys):
+    for name, row in (("inf", "inf 0"), ("nan", "0.1 nan")):
+        path = tmp_path / f"{name}.sf"
+        path.write_text(f"support-fourier v1\nn_modes=2\n1 0\n{row}\n")
+        assert run(["solve", "--domain", str(path), "--alpha", "1", "--at", "0,0",
+                    "--walks", "10"]) == EXIT_IO
+        assert "coeffs must be finite" in capsys.readouterr().err
+
+
 def test_builtin_domains():
     assert builtin_domain("disk")._disk_radius == 1.0
     assert builtin_domain("disk:0.5")._disk_radius == 0.5
     ell = builtin_domain("ellipse:0.8,0.5")
-    assert ell.contains([0.79, 0.0])
+    assert ell.boundary_distance_batch(np.array([[0.79, 0.0]]))[0] > 0.0
     cone = builtin_domain("cone:0.1,3")
     assert isinstance(cone, ConeDomain) and cone.dim == 3
     for bad in ("bogus", "ellipse:0.8", "cone:2,3"):
@@ -101,6 +110,14 @@ def test_hessian_scan_without_points_is_usage_error(tmp_path, capsys):
 
 
 SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
+EVERY_COMMAND = [
+    ["hessian-scan", "--points", "halton:2"],
+    ["exponent-fit", "--probe", "S1", "--quantity", "u13"],
+    ["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1:2"],
+    SOLVE + ["--alpha", "1"],
+    ["field-build", "--alpha", "1", "--spacing", "0.2"],
+    ["cone-hunt", "--alpha", "1.5", "--theta", "0.1"],
+]
 
 
 @pytest.mark.parametrize("args, option", [
@@ -160,13 +177,7 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
     (["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1"], "--t"),
     (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--dim", "2.5"], "--dim"),
     # every command parses --seed, those without walks too
-    *[(args + ["--seed", "abc"], "--seed") for args in (
-        ["hessian-scan", "--points", "halton:2"],
-        ["exponent-fit", "--probe", "S1", "--quantity", "u13"],
-        ["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1:2"],
-        SOLVE + ["--alpha", "1"],
-        ["field-build", "--alpha", "1", "--spacing", "0.2"],
-        ["cone-hunt", "--alpha", "1.5", "--theta", "0.1"])],
+    *[(args + ["--seed", "abc"], "--seed") for args in EVERY_COMMAND],
     # a count that is not a whole number
     (SOLVE + ["--alpha", "1", "--walks", "2.7"], "--walks"),
     (["field-build", "--alpha", "1", "--spacing", "0.2", "--walks-per-node", "150.5"],
@@ -196,6 +207,12 @@ SOLVE = ["solve", "--builtin", "disk", "--at", "0,0", "--walks", "100"]
       for dom in (["--builtin", "ellipse:0.9,0.15"], ["--domain", "/nonexistent.sf"])],
     (["hessian-scan", "--points", "halton:2", "--which", "veps:inf"], "--which"),
     (["hessian-scan", "--points", "halton:2", "--which", "psib:nan"], "--which"),
+    # domain sizes that are not finite
+    *[(SOLVE[:1] + ["--builtin", spec, "--alpha", "1", "--at", "0,0", "--walks", "10"],
+       "--builtin") for spec in ("disk:inf", "ellipse:inf,0.5", "disk:nan")],
+    # a seed outside [0, 2**64), which would alias one inside it
+    *[(args + ["--seed", seed], "--seed")
+      for args in EVERY_COMMAND for seed in ("-1", str(1 << 64))],
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE

@@ -359,7 +359,7 @@ def test_exterior_u3_tangent_rays_brute_force(xy):
     1000 x 1000 midpoint grid masked by the sign of the distance oracle.
     """
     x = np.asarray(xy)
-    d = -SQUARE_DOM.signed_distance(x)
+    d = -float(SQUARE_DOM.boundary_distance_batch(x[None])[0])
     s_max = math.log(2.0 / d)  # the domain lies within 2 of x
     n = 1000
     psi = (np.arange(n) + 0.5) * (2 * math.pi / n)

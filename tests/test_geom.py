@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabletau import geom
+from stabletau.closedform import StableParams
 from stabletau.errors import (
     DomainFileError,
     NewtonError,
@@ -22,6 +23,7 @@ from stabletau.geom import (
     load_domain,
     save_domain,
 )
+from stabletau.wos import WalkConfig, estimate_phi
 
 
 @pytest.fixture(scope="module")
@@ -29,38 +31,33 @@ def ellipse():
     return SupportDomain.ellipse(0.8, 0.5)
 
 
+def _inside(dom, pts):
+    return list(dom.boundary_distance_batch(np.array(pts, dtype=float)) > geom._BOUNDARY_TOL)
+
+
 def test_contains_disk():
-    disk = SupportDomain.disk(1.0)
-    assert disk.contains([0.0, 0.0])
-    assert not disk.contains([2.0, 0.0])
-    assert not disk.contains([1.0, 0.0])  # boundary reports outside
+    # the boundary point reports outside
+    assert _inside(SupportDomain.disk(1.0), [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]) == \
+        [True, False, False]
 
 
 def test_contains_ellipse(ellipse):
     # semi-axes 0.8/0.5: x1 = 0.79 < 0.8 is interior
-    assert ellipse.contains([0.79, 0.0])
-    assert not ellipse.contains([0.81, 0.0])
-    assert ellipse.contains([0.0, 0.49])
-    assert not ellipse.contains([0.0, 0.51])
+    assert _inside(ellipse, [[0.79, 0.0], [0.81, 0.0], [0.0, 0.49], [0.0, 0.51]]) == \
+        [True, False, True, False]
 
 
 def test_boundary_distance_disk():
-    disk = SupportDomain.disk(1.0)
-    assert disk.boundary_distance([0.3, 0.0]) == pytest.approx(0.7, abs=1e-12)
-    assert disk.boundary_distance([0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+    d = SupportDomain.disk(1.0).boundary_distance_batch(np.array([[0.3, 0.0], [0.0, 0.0]]))
+    assert d == pytest.approx([0.7, 1.0], abs=1e-12)
 
 
 def test_boundary_distance_ellipse(ellipse):
     # min semi-axis; cross-checked by dense-grid minimisation
-    assert ellipse.boundary_distance([0.0, 0.0]) == pytest.approx(0.5, abs=1e-9)
+    d = ellipse.boundary_distance_batch(np.zeros((1, 2)))[0]
+    assert d == pytest.approx(0.5, abs=1e-9)
     tg = np.linspace(0, 2 * np.pi, 20000, endpoint=False)
-    dense = float(np.min(ellipse.support(tg)))
-    assert ellipse.boundary_distance([0.0, 0.0]) == pytest.approx(dense, abs=1e-7)
-
-
-def test_boundary_distance_outside_raises(ellipse):
-    with pytest.raises(PointOutsideError):
-        ellipse.boundary_distance([2.0, 0.0])
+    assert d == pytest.approx(float(np.min(ellipse.support(tg))), abs=1e-7)
 
 
 def test_curvature_disks():
@@ -168,36 +165,34 @@ def test_domain_gap_deformation_bound(ellipse):
 @given(st.floats(-0.7, 0.7), st.floats(-0.4, 0.4),
        st.floats(-0.7, 0.7), st.floats(-0.4, 0.4))
 def test_boundary_distance_lipschitz(x1, y1, x2, y2):
+    # the signed distance is 1-Lipschitz inside the domain and out
     ell = SupportDomain.ellipse(0.8, 0.5)
-    a, b = np.array([x1, y1]), np.array([x2, y2])
-    if not (ell.contains(a) and ell.contains(b)):
-        return
-    da, db = ell.boundary_distance(a), ell.boundary_distance(b)
-    assert abs(da - db) <= np.linalg.norm(a - b) + 1e-10
+    da, db = ell.boundary_distance_batch(np.array([[x1, y1], [x2, y2]]))
+    assert abs(da - db) <= math.hypot(x1 - x2, y1 - y2) + 1e-10
 
 
 def test_nearest_boundary(ellipse):
-    foot, theta, d = ellipse.nearest_boundary(np.array([0.0, 0.2]))
-    assert d == pytest.approx(0.3, abs=1e-9)
-    assert abs(ellipse.signed_distance(foot)) < 1e-8
+    foot, theta, d = ellipse.nearest_boundary(np.array([[0.0, 0.2]]))
+    assert foot.shape == (1, 2) and theta.shape == d.shape == (1,)
+    assert d[0] == pytest.approx(0.3, abs=1e-9)
+    assert abs(ellipse.boundary_distance_batch(foot)[0]) < 1e-8
     # outside: signed distance is minus the euclidean distance to the set
-    foot, theta, d = SupportDomain.disk(1.0).nearest_boundary(np.array([2.0, 0.0]))
-    assert d == pytest.approx(-1.0, abs=1e-12)
-    assert np.allclose(foot, [1.0, 0.0], atol=1e-12)
+    foot, theta, d = SupportDomain.disk(1.0).nearest_boundary(np.array([[2.0, 0.0]]))
+    assert d[0] == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(foot, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_cone_domain():
     cone = ConeDomain(0.3, 2)
-    assert cone.contains([0.5, 0.0])
-    assert not cone.contains([-0.1, 0.0])
-    assert not cone.contains([0.5, 0.5])
+    assert _inside(cone, [[0.5, 0.0], [-0.1, 0.0], [0.5, 0.5]]) == [True, False, False]
     # axis point: lateral distance x1 sin(theta), sphere distance 1 - x1
-    assert cone.boundary_distance([0.5, 0.0]) == pytest.approx(0.5 * math.sin(0.3))
-    assert cone.boundary_distance([0.99, 0.0]) == pytest.approx(0.01, abs=1e-12)
+    d = cone.boundary_distance_batch(np.array([[0.5, 0.0], [0.99, 0.0]]))
+    assert d[0] == pytest.approx(0.5 * math.sin(0.3))
+    assert d[1] == pytest.approx(0.01, abs=1e-12)
     cone3 = ConeDomain(0.3, 3)
-    assert cone3.contains([0.5, 0.0, 0.0])
-    assert cone3.boundary_distance([0.5, 0.05, 0.05]) == pytest.approx(
-        0.5 * math.sin(0.3) - math.hypot(0.05, 0.05) * math.cos(0.3))
+    d = cone3.boundary_distance_batch(np.array([[0.5, 0.0, 0.0], [0.5, 0.05, 0.05]]))
+    assert d[0] > geom._BOUNDARY_TOL
+    assert d[1] == pytest.approx(0.5 * math.sin(0.3) - math.hypot(0.05, 0.05) * math.cos(0.3))
     with pytest.raises(ValueError):
         ConeDomain(2.0, 2)
 
@@ -205,9 +200,7 @@ def test_cone_domain():
 def test_from_polygon():
     square = [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
     dom = SupportDomain.from_polygon(square)
-    assert dom.contains([0.0, 0.0])
-    assert dom.contains([0.35, 0.35])
-    assert not dom.contains([0.6, 0.0])
+    assert _inside(dom, [[0.0, 0.0], [0.35, 0.35], [0.6, 0.0]]) == [True, True, False]
     dom.classify()  # finite curvature pinching after rounding
 
 
@@ -369,7 +362,7 @@ def test_packed_hermite_table_bitwise(ellipse):
     b10 = (t3 - 2 * t2 + t) * ellipse._tab_step
     b01 = 3 * t2 - 2 * t3
     b11 = (t3 - t2) * ellipse._tab_step
-    for k, got in enumerate(ellipse._support_012(theta)):
+    for k, got in enumerate(ellipse._hermite(theta, 3)):
         want = b00 * tab[k, i] + b10 * tab[k + 1, i] + b01 * tab[k, i + 1] + b11 * tab[k + 1, i + 1]
         assert got.tobytes() == want.tobytes()
 
@@ -775,3 +768,43 @@ def test_disk_bounds_are_the_closed_form():
     d, theta = disk._signed_distance_foot(np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0]]))
     assert np.all(d == 0.7) and np.all(theta == 0.0)
     assert disk._lattice_cache is None  # the disk never builds a lattice
+
+
+# -- the domain protocol: the walk's two distance reads ----------------------------------
+
+PROTOCOL_DOMAINS = {"disk": SupportDomain.disk(1.0), "ellipse": ELLIPSE, "square": SMOOTH_SQUARE,
+                    "cone 2-D": ConeDomain(0.3, 2), "cone 3-D": ConeDomain(0.3, 3)}
+
+
+def _outside(dom, pts):
+    """Rows at least 1e-9 outside dom, from its definition and not its distance query."""
+    if isinstance(dom, ConeDomain):
+        perp = np.linalg.norm(pts[:, 1:], axis=1)
+        return ((perp > pts[:, 0] * math.tan(dom.theta) + 1e-9)
+                | (np.linalg.norm(pts, axis=1) > 1.0 + 1e-9))
+    tg = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    gap = dom.support(tg) - pts @ np.stack([np.cos(tg), np.sin(tg)])  # h - x.u >= distance
+    return gap.min(axis=1) < -1e-9
+
+
+@pytest.mark.parametrize("name", PROTOCOL_DOMAINS)
+def test_domain_protocol(name):
+    dom = PROTOCOL_DOMAINS[name]
+    pts = np.random.default_rng(17).uniform(-1.2, 1.2, size=(2000, dom.dim))
+    if isinstance(dom, ConeDomain):  # narrow: most of the box would lie outside
+        pts[:, 1:] *= 0.3
+    d = dom.boundary_distance_batch(pts)
+    assert d.shape == (len(pts),) and d.dtype == float
+    outside = _outside(dom, pts)
+    assert np.count_nonzero(outside) > 200 and np.all(d[outside] < 0.0)
+    for cut in (1e-12, 1e-8, 0.05):
+        r = dom.step_distance(pts, cut)
+        assert r.shape == (len(pts),) and r.dtype == float
+        deep = d > cut
+        assert np.count_nonzero(deep) > 20 and np.all(r[deep] <= d[deep])
+        assert np.array_equal(r <= cut, ~deep)  # the walk has left D iff r <= cut
+        if name == "disk" or isinstance(dom, ConeDomain):
+            assert r.tobytes() == d.tobytes()
+    on_boundary = np.eye(dom.dim)[0] if isinstance(dom, ConeDomain) else dom.boundary_point(0.7)
+    with pytest.raises(PointOutsideError, match="outside"):
+        estimate_phi(dom, StableParams(1.0, dom.dim), on_boundary, WalkConfig(n_walks=10))

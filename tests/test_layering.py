@@ -57,6 +57,45 @@ def test_no_unused_imports():
     assert {k: v for k, v in unused.items() if v} == {}
 
 
+# The private attributes of SupportDomain and ConeDomain that other modules
+# read, by module.  A new read across the layer line fails the test below
+# until it is added here on purpose.
+DOMAIN_PRIVATE_READS = {
+    "wos": {"_signed_distance_foot"},  # bench/ traces and probes this name
+    "quad": {"_disk_radius", "_hermite"},
+    "analysis": {"_disk_radius", "_lattice"},
+    "cli": {"_disk_radius"},
+}
+
+
+def _domain_private_names(geom_tree):
+    """The private names the two domain classes define: methods and self._x stores."""
+    names = set()
+    for cls in geom_tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("SupportDomain", "ConeDomain"):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_domain_private_reads_are_the_allowlist():
+    pkg = Path(stabletau.__file__).parent
+    private = _domain_private_names(ast.parse((pkg / "geom.py").read_text()))
+    assert {"_signed_distance_foot", "_disk_radius", "_hermite", "_lattice"} <= private
+    reads = {}
+    for path in sorted(pkg.glob("*.py")):
+        if path.stem != "geom":
+            found = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr in private}
+            if found:
+                reads[path.stem] = found
+    assert reads == DOMAIN_PRIVATE_READS
+
+
 def test_cross_layer_names_are_the_definitions():
     # bench/layers.py times the layers by rebinding each of these names at
     # both sites, and its traced run fails if the two ever differ

@@ -262,7 +262,7 @@ def test_radial_extent_next_to_a_boundary_anchors_tangents(dom):
         psi = np.concatenate([n + 0.5 * np.pi + offsets, n + 1.5 * np.pi - offsets])
         R = chart.radial_extent(psi)
         end = c + R[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-        assert np.max(np.abs(dom.signed_distance(end))) < 1e-11, n
+        assert np.max(np.abs(dom.boundary_distance_batch(end))) < 1e-11, n
 
 
 def test_radial_extent_raises_when_newton_stalls(monkeypatch):
@@ -326,7 +326,7 @@ def _cell_sets(normal=None):
 
 def _boundary_anchor():
     ell = SupportDomain.ellipse(0.8, 0.5)
-    foot, theta, _ = ell.nearest_boundary(np.array([0.9, 0.6]))
+    (foot,), (theta,), _ = ell.nearest_boundary(np.array([[0.9, 0.6]]))
     return ell, foot, theta
 
 

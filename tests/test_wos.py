@@ -42,6 +42,9 @@ def test_walk_config_validation():
         WalkConfig(n_walks=0)
     with pytest.raises(ValueError):
         WalkConfig(n_walks=10, max_steps=0)
+    for seed in (-1, 1 << 64):  # Philox keys are 64 bits: these would alias 2**64 - 1 and 0
+        with pytest.raises(ValueError, match="seed"):
+            WalkConfig(n_walks=10, seed=seed)
 
 
 def test_exit_law_cauchy_quantiles():
@@ -205,7 +208,7 @@ def test_termination_is_exact_for_jumps():
                                return_final_points=True)
     assert est.truncated == 0
     assert len(finals) == 5000
-    assert not np.any(DISK.contains_batch(finals))
+    assert np.all(DISK.boundary_distance_batch(finals) <= geom._BOUNDARY_TOL)
 
 
 def test_truncation_reported():
@@ -446,7 +449,6 @@ def test_every_exact_distance_is_the_one_query(name):
                           b[1000:] - (10.0 ** rng.uniform(-9, -3, (1000, 1))
                                       * rng.choice([-1.0, 1.0], (1000, 1))) * normal[1000:]])
     d, foot = dom._signed_distance_foot(pts)
-    assert dom.signed_distance(pts).tobytes() == d.tobytes()
     assert dom.boundary_distance_batch(pts).tobytes() == d.tobytes()
     near, angle, dist = dom.nearest_boundary(pts)
     assert dist.tobytes() == d.tobytes() and angle.tobytes() == foot.tobytes()
@@ -849,12 +851,11 @@ def test_every_uniform_drawn_is_used(monkeypatch, alpha):
 
 @pytest.mark.parametrize("seed, stream, batch_start, step",
                          [(0, 0, 0, 0), (3, 1, 16384, 7), (2 ** 62 + 5, 0, 49152, 9999),
-                          (-1, 2, 0, 1)])
+                          (2 ** 64 - 1, 2, 0, 1)])
 def test_uniform_block_reuses_generator_bitwise(seed, stream, batch_start, step):
     gen = Generator(Philox(0))
     gen.random(11)  # a used generator, mid-buffer
-    mask = (1 << 64) - 1
-    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     fresh = Generator(Philox(key=key, counter=(step << 128) | (batch_start << 64)))
     want = fresh.random((3, 1001))
     assert wos._uniform_block(seed, stream, batch_start, step, 3, 1001, gen).tobytes() \
