@@ -9,7 +9,6 @@ from .closedform import (
     aux_w_hess_det,
     ball_exit_constant,
     ball_phi,
-    disk_h,
     disk_poisson_density,
     eps_quadratic,
     kernel_K,
@@ -42,7 +41,6 @@ from .wos import (
     build_field,
     estimate_phi,
     load_field,
-    sample_exit,
     save_field,
 )
 
@@ -51,11 +49,11 @@ __all__ = [
     "ExtensionContext", "HessianSample", "PhiField", "QuadSpec",
     "StableParams", "SupportDomain", "WalkConfig", "WalkEstimate",
     "aux_w", "aux_w_hess_det", "ball_exit_constant", "ball_phi",
-    "build_field", "deform", "disk_h", "disk_poisson_density",
+    "build_field", "deform", "disk_poisson_density",
     "domain_gap", "eps_quadratic", "estimate_phi", "eval_hessian",
     "eval_u", "eval_u3_slab", "integrate",
     "kernel_K", "kernel_K_grad", "kernel_K_hess", "load_domain",
-    "load_field", "sample_exit", "save_domain", "save_field",
+    "load_field", "save_domain", "save_field",
 ]
 
 __version__ = "0.1.0"

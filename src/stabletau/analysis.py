@@ -263,7 +263,7 @@ def cylinder_points(m: float, n: int) -> np.ndarray:
     return np.stack([r * np.cos(ang), r * np.sin(ang), m * u[:, 2]], axis=1)
 
 
-def slab_points(dom, n: int, margin: float = 0.02) -> np.ndarray:
+def slab_points(dom, n: int, margin: float) -> np.ndarray:
     """Halton points of the open slab over the domain, kept margin-deep; the margin
     must lie below the disk's radius or the largest node distance of the lattice."""
     deepest = dom._disk_radius or float(dom._lattice().delta.max())

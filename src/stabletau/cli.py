@@ -2,19 +2,19 @@
 deform-sweep, cone-hunt.
 
 Each option is declared once, as a row of flag, type, default and whether it
-is required; argparse converts and checks every value, so a bad value is a
-usage error naming its option.  Every command accepts --builtin, --domain,
---config, --seed, --out and --format, except that cone-hunt, which builds its
-own cone, takes no --builtin or --domain, and a --field file names its own
-domain, so neither goes with it.  Output files carry 17 significant
-digits, terminal summaries 6.  Exit codes: 0 ok, 2 domain or point
-errors, 3 I/O, 4 usage, 5 non-converged numerics.
+is required, and a command takes exactly the options it reads, plus --config;
+argparse converts and checks every value, so a bad value, or an option the
+command would not read, is a usage error naming its option.  A --field file
+names its own domain, so neither --builtin nor --domain goes with it.  Output
+files carry 17 significant digits, terminal summaries 6.  Exit codes: 0 ok,
+2 domain or point errors, 3 I/O, 4 usage, 5 non-converged numerics.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import os
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 
@@ -168,8 +168,8 @@ def _phi_context(ns):
     """The --field file's field on the domain the file names, else the
     closed-form field of a disk domain."""
     if ns.field:
-        given = [flag for flag in ("--builtin", "--domain")
-                 if getattr(ns, flag[2:]) is not None]
+        given = [flag for flag, value in (("--builtin", ns.builtin), ("--domain", ns.domain))
+                 if value is not None]
         if given:
             raise UsageError(f"{' and '.join(given)}: the --field file names its own domain")
         phi = load_field(ns.field)
@@ -209,6 +209,8 @@ def cmd_field_build(ns) -> int:
     p = _checked("--alpha", StableParams, ns.alpha, 2)
     cfg = _checked("--walks-per-node or --max-steps", WalkConfig,
                    n_walks=ns.walks_per_node, max_steps=ns.max_steps, seed=ns.seed)
+    if ns.domain:  # the field file names its domain relative to itself
+        ref = os.path.relpath(ns.domain, os.path.dirname(os.path.abspath(ns.out)))
     field = build_field(dom, p, ns.spacing, cfg, domain_ref=ref)
     save_field(field, ns.out)
     n_nodes = int(np.count_nonzero(field.reliable))
@@ -283,39 +285,37 @@ def cmd_cone_hunt(ns) -> int:
 
 # -- options: flag, type, default, required -----------------------------------------------
 # A default is text that argparse parses with the option's type, as if it had
-# been given; a type of None makes a flag, and a tuple lists the choices.  A
-# command's own row replaces the common row of the same flag, and a command
-# takes no common row that _NOT_COMMON lists for it.
+# been given; a type of None makes a flag, and a tuple lists the choices.
 
-_COMMON = [
+_DOMAIN = [
     ("--builtin", str, None, False),  # with no --domain either, the unit disk
     ("--domain", str, None, False),
-    ("--config", str, None, False),
-    ("--seed", _seed, "0", False),
-    ("--out", str, None, False),
-    ("--format", ("csv", "json"), "csv", False),
 ]
-_NOT_COMMON = {"cone-hunt": ("--builtin", "--domain")}  # the hunt builds its own cone
+_SEED = [("--seed", _seed, "0", False)]
+_OUT = [("--out", str, None, False), ("--format", ("csv", "json"), "csv", False)]
 _MAX_STEPS = ("--max-steps", _count, "10000", False)
 
 _COMMANDS = {
     "solve": (cmd_solve, [
         ("--alpha", float, None, True), ("--at", _parse_at, None, True),
-        ("--walks", _count, "100000", False), _MAX_STEPS]),
+        ("--walks", _count, "100000", False), _MAX_STEPS, *_DOMAIN, *_SEED, *_OUT]),
     "field-build": (cmd_field_build, [
         ("--alpha", float, None, True), ("--spacing", _positive(float), None, True),
-        ("--walks-per-node", _count, "10000", False), _MAX_STEPS, ("--out", str, None, True)]),
+        ("--walks-per-node", _count, "10000", False), _MAX_STEPS, ("--out", str, None, True),
+        *_DOMAIN, *_SEED]),
     "hessian-scan": (cmd_hessian_scan, [
-        ("--region", _parse_region, "cylinder:M=3", False),
+        ("--region", _parse_region, "cylinder", False),
         ("--points", _parse_points, "halton:500", False), ("--which", _parse_which, "u", False),
-        ("--field", str, None, False), ("--include-reflected", None, None, False)]),
+        ("--field", str, None, False), ("--include-reflected", None, None, False),
+        *_DOMAIN, *_OUT]),
     "exponent-fit": (cmd_exponent_fit, [
         ("--probe", str, None, True), ("--quantity", str, None, True),
-        ("--h", _parse_h, "0.005:0.05:geometric:6", False), ("--field", str, None, False)]),
-    "deform-sweep": (cmd_deform_sweep, [("--t", _parse_t, "0:1:11", False)]),
-    "cone-hunt": (cmd_cone_hunt, [
+        ("--h", _parse_h, "0.005:0.05:geometric:6", False), ("--field", str, None, False),
+        *_DOMAIN, *_OUT]),
+    "deform-sweep": (cmd_deform_sweep, [("--t", _parse_t, "0:1:11", False), *_DOMAIN, *_OUT]),
+    "cone-hunt": (cmd_cone_hunt, [  # the hunt builds its own cone: no domain options
         ("--alpha", float, None, True), ("--theta", float, None, True),
-        ("--dim", int, "2", False), ("--walks", _count, "100000", False)]),
+        ("--dim", int, "2", False), ("--walks", _count, "100000", False), *_SEED, *_OUT]),
 }
 
 
@@ -325,8 +325,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        skip = {flag for flag, *_ in options}.union(_NOT_COMMON.get(name, ()))
-        for flag, kind, default, _ in options + [o for o in _COMMON if o[0] not in skip]:
+        for flag, kind, default, _ in [*options, ("--config", str, None, False)]:
             if kind is None:
                 sp.add_argument(flag, action="store_true")
             elif isinstance(kind, tuple):

@@ -28,12 +28,7 @@ W_SHIFT = math.sqrt(1.5)      # pole offset of the auxiliary kernel
 
 @dataclass(frozen=True)
 class StableParams:
-    """Stability index alpha in (0, 2] and ambient dimension d >= 1.
-
-    `norm_const` is the standard normalisation A_{d,-alpha} of the fractional
-    Laplacian; it is carried for documentation and never enters a solver (the
-    exit-time closed forms absorb it).
-    """
+    """Stability index alpha in (0, 2] and ambient dimension d >= 1."""
 
     alpha: float
     dim: int = 2
@@ -43,14 +38,6 @@ class StableParams:
             raise ValueError("alpha must lie in (0, 2]")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-
-    @property
-    def norm_const(self) -> float:
-        if self.alpha == 2.0:
-            return float("nan")  # local operator; constant not defined this way
-        a, d = self.alpha, self.dim
-        return (2.0 ** a * math.gamma((d + a) / 2.0)
-                / (math.pi ** (d / 2.0) * abs(math.gamma(-a / 2.0))))
 
 
 @dataclass(frozen=True)
@@ -85,18 +72,6 @@ def ball_phi(p: StableParams, r: float, x) -> float:
     return ball_exit_constant(p) * gap ** (p.alpha / 2.0)
 
 
-def disk_h(ball: BallSpec, x) -> float:
-    """Inhomogeneous part (2/pi) (s^2 - |x-z|^2)^(1/2) of the disk representation."""
-    x = np.asarray(x, dtype=float)
-    gap = ball.radius ** 2 - float(np.sum((x - ball.center) ** 2))
-    if gap < 0:
-        if gap > -1e-15 * ball.radius ** 2:
-            gap = 0.0
-        else:
-            raise OutsideBallError("x outside the ball")
-    return (2.0 / math.pi) * math.sqrt(gap)
-
-
 def disk_poisson_density(ball: BallSpec, x, y) -> float:
     """Exit density of the planar Cauchy process from B(z, s), x inside, y outside."""
     x = np.asarray(x, dtype=float)
@@ -107,12 +82,6 @@ def disk_poisson_density(ball: BallSpec, x, y) -> float:
     if in_gap <= 0 or out_gap <= 0:
         raise BadGeometryError("need |x-z| < s and |y-z| > s")
     return C_P * math.sqrt(in_gap) / (math.sqrt(out_gap) * float(np.sum((x - y) ** 2)))
-
-
-def disk_exit_radial_cdf(s: float, R) -> np.ndarray:
-    """P(exit radius <= R) from the centre of B(z, s) for alpha=1, d=2."""
-    R = np.asarray(R, dtype=float)
-    return np.where(R <= s, 0.0, (2.0 / math.pi) * np.arccos(np.minimum(s / np.maximum(R, s), 1.0)))
 
 
 # -- half-space kernel K and its derivative table ---------------------------------

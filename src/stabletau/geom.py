@@ -43,6 +43,8 @@ _SPLIT = 16             # the search splits a cell into this many: three splits 
                         # circle reach the knots of the Hermite table
 _FINE_SPLITS = 4        # at most this many more split a knot cell without a convexity
                         # certificate, on the Hermite table
+_MODES = 64             # Fourier modes of a projected support function
+_POLYGON_ROUNDING = 1e-3  # radius of the disk a smoothed polygon is Minkowski-summed with
 
 
 def _unit(theta):
@@ -98,14 +100,14 @@ def _bisect_bracket(fn, rows, lo, hi, what):
     raise NewtonError(f"{what}: bisection did not converge on {np.count_nonzero(wide)} rows")
 
 
-def _project_coeffs(fn, n_modes: int, n_fft: int | None = None) -> np.ndarray:
-    n_fft = n_fft or max(8 * n_modes, 1024)
+def _project_coeffs(fn, n_fft: int = 1024) -> np.ndarray:
+    """The first _MODES Fourier coefficients of fn, from n_fft samples."""
     t = np.linspace(0.0, 2 * np.pi, n_fft, endpoint=False)
     spec = np.fft.rfft(np.asarray(fn(t), dtype=float)) / n_fft
-    coeffs = np.zeros((n_modes, 2))
+    coeffs = np.zeros((_MODES, 2))
     coeffs[0, 0] = spec[0].real
-    coeffs[1:, 0] = 2 * spec[1:n_modes].real
-    coeffs[1:, 1] = -2 * spec[1:n_modes].imag
+    coeffs[1:, 0] = 2 * spec[1:_MODES].real
+    coeffs[1:, 1] = -2 * spec[1:_MODES].imag
     return coeffs
 
 
@@ -158,36 +160,36 @@ class SupportDomain:
 
     @staticmethod
     def disk(radius: float = 1.0) -> "SupportDomain":
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"disk radius must be finite and > 0, got {radius}")
         return SupportDomain(np.array([[float(radius), 0.0]]))
 
     @staticmethod
-    def ellipse(a: float, b: float, n_modes: int = 64) -> "SupportDomain":
+    def ellipse(a: float, b: float) -> "SupportDomain":
         """Ellipse with semi-axes a (x) and b (y), h = sqrt(a^2 cos^2 + b^2 sin^2)."""
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # before the projection
+            raise ValueError(f"ellipse semi-axes must be finite and > 0, got {a}, {b}")
         return SupportDomain.from_function(
-            lambda t: np.sqrt(a * a * np.cos(t) ** 2 + b * b * np.sin(t) ** 2),
-            n_modes=n_modes,
-        )
+            lambda t: np.sqrt(a * a * np.cos(t) ** 2 + b * b * np.sin(t) ** 2))
 
     @staticmethod
-    def from_function(fn, n_modes: int = 64) -> "SupportDomain":
+    def from_function(fn) -> "SupportDomain":
         """Project a periodic support function onto the Fourier basis."""
-        return SupportDomain(_project_coeffs(fn, n_modes))
+        return SupportDomain(_project_coeffs(fn))
 
     @staticmethod
-    def from_polygon(vertices, n_modes: int = 64, rounding: float = 1e-3) -> "SupportDomain":
+    def from_polygon(vertices) -> "SupportDomain":
         """Smooth a convex polygon: Fejer-weighted projection plus a small disk.
 
         Fejer weights keep h + h'' nonnegative (the polygon's curvature measure
         is convolved with a nonnegative kernel); the Minkowski disk of radius
-        `rounding` then makes the curvature strictly positive.  The dense DFT
-        keeps aliasing (amplified by j^2 in h'') below the rounding radius.
+        _POLYGON_ROUNDING then makes the curvature strictly positive.  The dense
+        DFT keeps aliasing (amplified by j^2 in h'') below the rounding radius.
         """
         verts = np.asarray(vertices, dtype=float)
-        coeffs = _project_coeffs(lambda t: np.max(verts @ _unit(t).T, axis=0),
-                                 n_modes, 1 << 17)
-        j = np.arange(n_modes)
-        coeffs *= (1.0 - j / n_modes)[:, None]
-        coeffs[0, 0] += rounding
+        coeffs = _project_coeffs(lambda t: np.max(verts @ _unit(t).T, axis=0), 1 << 17)
+        coeffs *= (1.0 - np.arange(_MODES) / _MODES)[:, None]
+        coeffs[0, 0] += _POLYGON_ROUNDING
         return SupportDomain(coeffs)
 
     # -- support function and certification -----------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import betainc, betaincinv
 
-from .closedform import BallSpec, StableParams, ball_exit_constant
+from .closedform import StableParams, ball_exit_constant
 from .errors import DomainFileError, GridTooCoarseError, PointOutsideError
 from .geom import _BOUNDARY_TOL, SupportDomain, builtin_domain, load_domain
 
@@ -304,20 +304,6 @@ def _directions(uni: np.ndarray, dim: int) -> np.ndarray:
         g[2 * i:2 * i + 2] *= r
     g = g[:dim]
     return g / np.maximum(np.linalg.norm(g, axis=0), 1e-300)
-
-
-def sample_exit(ball: BallSpec, p: StableParams, rng: Generator):
-    """One exit-position sample from the centre of the ball.
-
-    The walk itself derives randomness from counter-based substreams; this is
-    the standalone sampler for the same law.
-    """
-    law = _exit_law(p.alpha)
-    width = _uniform_width(p.dim)
-    u = rng.random(width).reshape(width, 1)
-    rho = float(ball.radius * law.factor(u[0])[0])
-    direction = _directions(u[1:], p.dim)[:, 0]
-    return np.asarray(ball.center, dtype=float) + rho * direction
 
 
 def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,

@@ -1,11 +1,14 @@
+import ast
 import csv
+import inspect
 import json
 import filecmp
+import textwrap
 
 import numpy as np
 import pytest
 
-from stabletau import analysis
+from stabletau import analysis, cli
 from stabletau.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -176,7 +179,7 @@ EVERY_COMMAND = [
     (["exponent-fit", "--probe", "S1", "--quantity", "u13", "--h", "0.01:0.1:cubic:6"], "--h"),
     (["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1"], "--t"),
     (["cone-hunt", "--alpha", "1.5", "--theta", "0.1", "--dim", "2.5"], "--dim"),
-    # every command parses --seed, those without walks too
+    # --seed is parsed where it is read, and refused where it is not
     *[(args + ["--seed", "abc"], "--seed") for args in EVERY_COMMAND],
     # a count that is not a whole number
     (SOLVE + ["--alpha", "1", "--walks", "2.7"], "--walks"),
@@ -213,11 +216,51 @@ EVERY_COMMAND = [
     # a seed outside [0, 2**64), which would alias one inside it
     *[(args + ["--seed", seed], "--seed")
       for args in EVERY_COMMAND for seed in ("-1", str(1 << 64))],
+    # domain sizes that are not positive are checked before the projection
+    *[(SOLVE[:1] + ["--builtin", spec, "--alpha", "1", "--at", "0.1,0", "--walks", "10"],
+       "--builtin") for spec in ("ellipse:-0.8,0.5", "disk:-1", "ellipse:0,0.5")],
+    # options that the command does not read
+    (["hessian-scan", "--points", "halton:2", "--seed", "1"], "--seed"),
+    (["field-build", "--alpha", "1", "--spacing", "0.2", "--out", "never_written.pf",
+      "--format", "json"], "--format"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and option in err, err
+
+
+def _ns_reads(fn):
+    """The ns.<name> attributes that fn reads, with those of the cli helpers
+    that it passes ns to."""
+    reads = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ns":
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and any(getattr(a, "id", None) == "ns"
+                                                for a in node.args):
+            reads |= _ns_reads(getattr(cli, node.func.id))
+    return reads
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_declared_option_is_read(name):
+    # main reads --config, which every command takes
+    _, commands = cli._build_parser()
+    declared = {a.dest for a in commands[name]._actions if a.option_strings}
+    assert declared - {"help", "config"} == _ns_reads(cli._COMMANDS[name][0])
+
+
+def test_field_file_names_its_domain_relative_to_itself(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_domain(SupportDomain.disk(1.0), "dom.sf")
+    (tmp_path / "sub").mkdir()
+    build = ["field-build", "--domain", "dom.sf", "--alpha", "1", "--spacing", "0.16",
+             "--walks-per-node", "50"]
+    for out, ref in (("x.pf", "dom.sf"), ("sub/x.pf", "../dom.sf")):
+        assert run(build + ["--out", out]) == EXIT_OK
+        assert (tmp_path / out).read_text().splitlines()[1] == f"domain={ref}"
+        assert run(["hessian-scan", "--field", out, "--points", "halton:2"]) == EXIT_OK
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -373,6 +416,14 @@ def test_config_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[solve]\nalpha = 1\nat = 0,0\nbogus_key = 3\n")
     assert run(["solve", "--builtin", "disk", "--config", str(cfg)]) == EXIT_USAGE
+
+
+def test_config_key_of_an_option_the_command_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[deform-sweep]\nseed = 1\n")
+    assert run(["deform-sweep", "--builtin", "ellipse:0.8,0.5", "--t", "0:1:2",
+                "--config", str(cfg)]) == EXIT_USAGE
+    assert "unknown config key 'seed' in [deform-sweep]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, code, says", [

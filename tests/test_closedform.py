@@ -16,8 +16,6 @@ from stabletau.closedform import (
     aux_w_hess_det,
     ball_exit_constant,
     ball_phi,
-    disk_exit_radial_cdf,
-    disk_h,
     disk_poisson_density,
     eps_quadratic,
     EPS_QUADRATIC_HESS,
@@ -32,6 +30,7 @@ from stabletau.errors import (
     OriginSingularError,
     OutsideBallError,
 )
+from stabletau.wos import ExitRadiusLaw
 
 
 def test_ball_phi_cauchy_center():
@@ -69,14 +68,6 @@ def test_ball_phi_scaling(alpha, a, frac):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
-def test_disk_h():
-    ball = BallSpec(np.zeros(2), 1.0)
-    assert disk_h(ball, [0.0, 0.0]) == pytest.approx(2.0 / math.pi)
-    assert disk_h(ball, [1.0, 0.0]) == 0.0
-    assert disk_h(ball, [0.6, 0.0]) == pytest.approx((2 / math.pi) * 0.8, rel=1e-14)
-    assert disk_h(BallSpec([1.0, 1.0], 2.0), [1.0, 1.0]) == pytest.approx(4 / math.pi)
-
-
 def test_disk_poisson_center_value():
     s = 0.7
     ball = BallSpec(np.zeros(2), s)
@@ -103,9 +94,10 @@ def test_disk_poisson_boundary_blowup():
 
 
 def test_disk_poisson_normalisation_quadrature():
-    # radial quadrature of the kernel reproduces the arccos law; mass 1 at
-    # infinity.  Substituting w = sqrt(rho^2 - s^2) removes the edge
-    # singularity so ordinary adaptive quadrature is a fair oracle.
+    # radial quadrature of the kernel reproduces the walk's alpha = 1 exit
+    # radius law (the arccos law); mass 1 at infinity.  Substituting
+    # w = sqrt(rho^2 - s^2) removes the edge singularity so ordinary adaptive
+    # quadrature is a fair oracle.
     s = 1.0
     ball = BallSpec(np.zeros(2), s)
 
@@ -116,7 +108,7 @@ def test_disk_poisson_normalisation_quadrature():
 
     for r_cap in (1.5, 2.0, 5.0, 50.0):
         val, err = quad1d(integrand, 0.0, math.sqrt(r_cap**2 - s * s))
-        want = float(disk_exit_radial_cdf(s, np.array([r_cap]))[0])
+        want = float(ExitRadiusLaw(1.0).cdf(np.array([r_cap / s]))[0])
         assert val == pytest.approx(want, abs=1e-10 + 5 * err)
     full, err = quad1d(integrand, 0.0, np.inf)
     assert full == pytest.approx(1.0, abs=1e-8)
@@ -282,10 +274,3 @@ def test_eps_quadratic():
     assert eps_quadratic(np.array([1.0, 1.0, 1.0])) == 0.0
     assert np.trace(EPS_QUADRATIC_HESS) == 0.0
     assert np.allclose(np.diag(EPS_QUADRATIC_HESS), [-1, -1, 2])
-
-
-def test_norm_const_documented():
-    # A_{2,-1} coincides with 1/(2 pi), the half-space kernel constant
-    assert StableParams(1.0, 2).norm_const == pytest.approx(1 / (2 * math.pi), rel=1e-12)
-    assert math.isnan(StableParams(2.0, 2).norm_const)
-

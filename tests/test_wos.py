@@ -20,7 +20,6 @@ from stabletau.wos import (
     build_field,
     estimate_phi,
     load_field,
-    sample_exit,
     save_field,
 )
 
@@ -85,17 +84,6 @@ def test_exit_law_table_matches_exact():
     u = Generator(Philox(key=3)).random(50000)
     rel = np.abs(law.factor(u) - law.factor_exact(u)) / law.factor_exact(u)
     assert np.max(rel) < 1e-6
-
-
-def test_sample_exit_lands_outside():
-    from stabletau.closedform import BallSpec
-
-    rng = Generator(Philox(key=5))
-    for alpha, d in [(1.0, 2), (1.5, 2), (0.7, 3)]:
-        ball = BallSpec(np.zeros(d), 0.5)
-        for _ in range(200):
-            y = sample_exit(ball, StableParams(alpha, d), rng)
-            assert np.linalg.norm(y) >= 0.5 * (1 - 1e-12)
 
 
 def test_estimate_disk_center():
