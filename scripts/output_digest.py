@@ -133,7 +133,8 @@ def _digest(*parts) -> str:
 
 
 def _field_arrays(f):
-    return (f.values, f.stderr, f.blend_c, f.blend_c2, f.blend_c_err, f.node_delta)
+    # the blend's columns c, c2 and c_err, each hashed as a contiguous row
+    return (f.values, f.stderr, *f.blend.T, f.node_delta)
 
 
 def _estimate_arrays(est, finals):

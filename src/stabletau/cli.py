@@ -13,6 +13,7 @@ files carry 17 significant digits, terminal summaries 6.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import configparser
+import errno
 import math
 import os
 import sys
@@ -181,6 +182,15 @@ def _phi_context(ns):
         f"{domain_ref}: no closed-form field; build one with field-build and pass --field")
 
 
+def _check_out(path):
+    """Raise the OSError that opening path for writing would, if its directory
+    is missing or it is a directory; creates no file."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _save(report, ns):
     if ns.out:
         report.to_json(ns.out) if ns.format == "json" else report.to_csv(ns.out)
@@ -189,8 +199,7 @@ def _save(report, ns):
 def cmd_solve(ns) -> int:
     dom, _ = _resolve_domain(ns)
     p = _checked("--alpha", StableParams, ns.alpha, ns.at.size)
-    cfg = _checked("--walks or --max-steps", WalkConfig,
-                   n_walks=ns.walks, max_steps=ns.max_steps, seed=ns.seed)
+    cfg = _checked("--walks", WalkConfig, n_walks=ns.walks, seed=ns.seed)
     est = estimate_phi(dom, p, ns.at, cfg)
     print(f"mean={est.mean:.6g} stderr={est.std_error:.6g} walks={est.n_walks} "
           f"truncated={est.truncated} mean_steps={est.mean_steps:.6g}")
@@ -207,8 +216,7 @@ def cmd_field_build(ns) -> int:
     if not isinstance(dom, SupportDomain):
         raise UsageError("field-build requires a support-function domain")
     p = _checked("--alpha", StableParams, ns.alpha, 2)
-    cfg = _checked("--walks-per-node or --max-steps", WalkConfig,
-                   n_walks=ns.walks_per_node, max_steps=ns.max_steps, seed=ns.seed)
+    cfg = _checked("--walks-per-node", WalkConfig, n_walks=ns.walks_per_node, seed=ns.seed)
     if ns.domain:  # the field file names its domain relative to itself
         ref = os.path.relpath(ns.domain, os.path.dirname(os.path.abspath(ns.out)))
     field = build_field(dom, p, ns.spacing, cfg, domain_ref=ref)
@@ -293,15 +301,14 @@ _DOMAIN = [
 ]
 _SEED = [("--seed", _seed, "0", False)]
 _OUT = [("--out", str, None, False), ("--format", ("csv", "json"), "csv", False)]
-_MAX_STEPS = ("--max-steps", _count, "10000", False)
 
 _COMMANDS = {
     "solve": (cmd_solve, [
         ("--alpha", float, None, True), ("--at", _parse_at, None, True),
-        ("--walks", _count, "100000", False), _MAX_STEPS, *_DOMAIN, *_SEED, *_OUT]),
+        ("--walks", _count, "100000", False), *_DOMAIN, *_SEED, *_OUT]),
     "field-build": (cmd_field_build, [
         ("--alpha", float, None, True), ("--spacing", _positive(float), None, True),
-        ("--walks-per-node", _count, "10000", False), _MAX_STEPS, ("--out", str, None, True),
+        ("--walks-per-node", _count, "10000", False), ("--out", str, None, True),
         *_DOMAIN, *_SEED]),
     "hessian-scan": (cmd_hessian_scan, [
         ("--region", _parse_region, "cylinder", False),
@@ -372,6 +379,8 @@ def main(argv=None) -> int:
         for flag, _, _, required in options:  # checked here: the file may supply them
             if required and getattr(ns, flag[2:].replace("-", "_")) is None:
                 raise UsageError(f"missing required option {flag}")
+        if ns.out is not None:  # before any work: an output that cannot be written costs none
+            _check_out(ns.out)
         return command(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -45,6 +45,10 @@ _FINE_SPLITS = 4        # at most this many more split a knot cell without a con
                         # certificate, on the Hermite table
 _MODES = 64             # Fourier modes of a projected support function
 _POLYGON_ROUNDING = 1e-3  # radius of the disk a smoothed polygon is Minkowski-summed with
+# the Hermite table's knots, the same for every domain, with their step and unit vectors
+_KNOTS = np.linspace(0.0, 2 * np.pi, _TABLE_GRID + 1)
+_KNOT_STEP = 2 * np.pi / _TABLE_GRID
+_KNOT_U = np.stack([np.cos(_KNOTS), np.sin(_KNOTS)])
 
 
 def _unit(theta):
@@ -134,17 +138,13 @@ class SupportDomain:
         # cubic-Hermite tables of h, h', h'' on a fine grid: the walk and
         # quadrature hot paths evaluate these instead of summing the series.
         # Row k of _tab_cols holds the k-th derivative (h, h', h'', h''') at
-        # every knot, so a lookup gathers from contiguous rows.
-        nt = _TABLE_GRID
-        tt = np.linspace(0.0, 2 * np.pi, nt + 1)
-        self._tab_step = 2 * np.pi / nt
-        self._tab_cols = np.stack([_series(self.coeffs, tt, k) for k in range(4)])
-        self._tab_u = np.stack([np.cos(tt), np.sin(tt)])
+        # every knot of _KNOTS, so a lookup gathers from contiguous rows.
+        self._tab_cols = np.stack([_series(self.coeffs, _KNOTS, k) for k in range(4)])
         # certified bounds of h + h'' (the knots are the 4096-angle grid of
         # _certify): on each cell of w knots of the search, its least and
         # greatest knot value less and plus _rc_dip
         rc = self._tab_cols[0] + self._tab_cols[2]
-        self._rc_cells, w = {}, nt
+        self._rc_cells, w = {}, _TABLE_GRID
         while w > 1:
             w //= _SPLIT
             cells = np.concatenate([rc[:-1].reshape(-1, w), rc[w::w, None]], axis=1)
@@ -201,15 +201,15 @@ class SupportDomain:
     def _hermite(self, theta, m):
         """The first m of (h, h', h'') at theta, a list of arrays shaped like theta."""
         theta = np.asarray(theta, dtype=float)
-        pos = np.mod(theta, 2 * np.pi) / self._tab_step
+        pos = np.mod(theta, 2 * np.pi) / _KNOT_STEP
         i = np.minimum(pos.astype(np.int64), _TABLE_GRID - 1)
         t = pos - i
         t2 = t * t
         t3 = t2 * t
         b00 = 2 * t3 - 3 * t2 + 1
-        b10 = (t3 - 2 * t2 + t) * self._tab_step
+        b10 = (t3 - 2 * t2 + t) * _KNOT_STEP
         b01 = 3 * t2 - 2 * t3
-        b11 = (t3 - t2) * self._tab_step
+        b11 = (t3 - t2) * _KNOT_STEP
         i1 = i + 1
         at = [(col.take(i), col.take(i1)) for col in self._tab_cols[:m + 1]]
         return [b00 * at[k][0] + b10 * at[k + 1][0] + b01 * at[k][1] + b11 * at[k + 1][1]
@@ -276,9 +276,9 @@ class SupportDomain:
         or _FINE_SPLITS splits are done; their samples are candidates.  Each
         row takes its least candidate, so its bits do not depend on other rows.
         """
-        n, step = len(pts), self._tab_step
+        n, step = len(pts), _KNOT_STEP
         x1, x2 = pts[:, 0], pts[:, 1]
-        h, (cs, sn) = self._tab_cols[0], self._tab_u
+        h, (cs, sn) = self._tab_cols[0], _KNOT_U
 
         def knot_g(r, k):
             return h.take(k) - x1.take(r) * cs.take(k) - x2.take(r) * sn.take(k)
@@ -347,7 +347,7 @@ class SupportDomain:
 
     def _knot_slope(self, k, x1, x2):
         """g' = h' + x1 sin - x2 cos at knots k, exact."""
-        cs, sn = self._tab_u
+        cs, sn = _KNOT_U
         return self._tab_cols[1].take(k) + x1 * sn.take(k) - x2 * cs.take(k)
 
     def _signed_distance_foot(self, pts: np.ndarray, seed=None, deep=None):
@@ -688,7 +688,6 @@ class ConeDomain:
         self.dim = int(dim)
         self._sin = math.sin(self.theta)
         self._cos = math.cos(self.theta)
-        self._tan = math.tan(self.theta)
 
     def boundary_distance_batch(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance: min of lateral-surface and unit-sphere distances."""

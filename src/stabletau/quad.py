@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergedError
-from .geom import _TABLE_GRID, _bracketed_newton, _series
+from .geom import _KNOTS, _TABLE_GRID, _bracketed_newton, _series
 
 # QUADPACK Gauss-Kronrod 7/15 nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -143,7 +143,7 @@ class _PolarChart:
         if dom._disk_radius is not None:
             return
         start = 0.0 if normal is None else float(normal)
-        self._theta = start + np.linspace(0.0, 2 * np.pi, _TABLE_GRID + 1)
+        self._theta = start + _KNOTS
         h, h1 = dom._hermite(self._theta, 2)
         c, s = np.cos(self._theta), np.sin(self._theta)
         turn = np.arctan2(h * s + h1 * c - self.center[1], h * c - h1 * s - self.center[0])
@@ -209,7 +209,7 @@ def _graded(s):
     return s * (1.0 + s * t), t * (1.0 + 3.0 * s)
 
 
-def _splittable(cells, margin=0.0):
+def _splittable(cells, margin):
     """A (c, 2) mask: whether each cell may be bisected in psi and in s.
 
     Either split must keep the children's Kronrod nodes off their edges in
@@ -232,9 +232,10 @@ def _eval_cell(chart, f, cells):
     """Kronrod/Gauss pairs on a (c, 4) array of chart rectangles (psi0, psi1, s0, s1).
 
     Evaluates f once on all c * 225 nodes.  Returns per-cell (value, error,
-    split_axis) of shapes (c, m), (c, m) and (c,); split_axis picks the
-    direction whose one-axis Gauss downgrade loses the most accuracy
-    (0 = psi, 1 = s).
+    split_axis) of shapes (c, m), (c, m) and (c,); of the axes _splittable
+    allows under the chart's margin, split_axis is psi (0) if its one-axis
+    Gauss downgrade loses at least as much as s's or s is not allowed, else
+    s (1), and -1 if neither is allowed.
     """
     p0, p1, s0, s1 = cells.T
     ph, sh = 0.5 * (p1 - p0), 0.5 * (s1 - s0)
@@ -273,7 +274,8 @@ def _eval_cell(chart, f, cells):
     diff = np.abs(w[:, :1] - w[:, 1:])
     err = np.max(diff, axis=1)
     loss = np.max(diff[:, 1:], axis=2)  # (cell, axis)
-    axis = (loss[:, 0] < loss[:, 1]).astype(int)
+    psi, s = _splittable(cells, 0.0 if chart.scale is None else _MAPPED_MARGIN).T
+    axis = np.where(psi & ((loss[:, 0] >= loss[:, 1]) | ~s), 0, np.where(s, 1, -1))
     return vk, err, axis
 
 
@@ -331,8 +333,6 @@ def integrate(dom, f, spec: QuadSpec | None = None, peak=None):
     i, j = np.divmod(np.arange(4 * (edges.size - 1)), 4)
     cells = np.stack([edges[i], edges[i + 1], j / 4, (j + 1) / 4], axis=1)
     vals, errs, axes = _eval_cell(chart, f, cells)
-    margin = 0.0 if scale is None else _MAPPED_MARGIN
-    can = _splittable(cells, margin)
     while True:
         # totals are re-summed in array order each round, so results are
         # bitwise deterministic
@@ -344,7 +344,7 @@ def integrate(dom, f, spec: QuadSpec | None = None, peak=None):
         tol = np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
         if not np.any(total_err > tol):
             return result
-        live = np.flatnonzero(can[:, 0] | can[:, 1])
+        live = np.flatnonzero(axes >= 0)
         budget = min(_ROUND, spec.max_cells - len(cells))
         if budget <= 0 or live.size == 0:
             raise NonConvergedError(*result)
@@ -354,8 +354,7 @@ def integrate(dom, f, spec: QuadSpec | None = None, peak=None):
         enough = np.all(left <= 0.5 * tol, axis=1)
         split = order[:np.argmax(enough) + 1] if enough.any() else order
 
-        by_psi = ((axes[split] == 0) & can[split, 0]) | ~can[split, 1]
-        lo = np.where(by_psi, 0, 2)
+        lo = 2 * axes[split]
         rows = np.arange(len(split))
         first, second = cells[split], cells[split]
         mid = 0.5 * (first[rows, lo] + first[rows, lo + 1])
@@ -370,7 +369,7 @@ def integrate(dom, f, spec: QuadSpec | None = None, peak=None):
         noise = np.all((pair_err >= errs[split]) & (pair_err <= _ROUNDING * np.abs(pair_val)),
                        axis=1)
         if noise.any():
-            can[split[noise]] = False
+            axes[split[noise]] = -1
             split, took = split[~noise], np.tile(~noise, 2)
             children, c_vals, c_errs, c_axes = (children[took], c_vals[took], c_errs[took],
                                                 c_axes[took])
@@ -380,4 +379,3 @@ def integrate(dom, f, spec: QuadSpec | None = None, peak=None):
         vals = np.concatenate([vals[keep], c_vals])
         errs = np.concatenate([errs[keep], c_errs])
         axes = np.concatenate([axes[keep], c_axes])
-        can = np.concatenate([can[keep], _splittable(children, margin)])

@@ -53,19 +53,17 @@ _BATCH = 16384
 _RUN = 8  # batches advanced together: a run's per-walk state stays about 2 MB
 _SHELL = 1e-8  # absorption shell of the alpha = 2 walks
 _BALL_FRACTION = 0.5  # kappa: each step's ball has radius kappa times its step distance
+_MAX_STEPS = 10_000  # walks still live after this many steps are truncated
 
 
 @dataclass(frozen=True)
 class WalkConfig:
     n_walks: int
-    max_steps: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if self.n_walks < 1:
             raise ValueError("n_walks must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -77,10 +75,6 @@ class WalkEstimate:
     n_walks: int
     truncated: int
     mean_steps: float
-
-    @property
-    def biased_low(self) -> bool:
-        return self.truncated > 0
 
 
 class ExitRadiusLaw:
@@ -306,8 +300,8 @@ def _directions(uni: np.ndarray, dim: int) -> np.ndarray:
     return g / np.maximum(np.linalg.norm(g, axis=0), 1e-300)
 
 
-def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
-               collect_finals, group_of=None, n_groups=1):
+def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, collect_finals,
+               group_of=None, n_groups=1):
     """Advance a run of consecutive batches of walks to termination.
 
     pos0 holds one start row per walk and delta0 its boundary distance, which
@@ -330,7 +324,7 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     its own step counter.  So no round holds more than _BATCH rows, and every
     walk reads the uniforms it would read in a batch of its own.  A walk's
     time and step count are written back when it exits; walks still live
-    after cfg.max_steps keep their accrued time and count as truncated.
+    after _MAX_STEPS steps keep their accrued time and count as truncated.
     """
     n, dim = pos0.shape
     n_batches = -(-n // _BATCH)
@@ -338,6 +332,7 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
     steps = np.zeros(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
     finals = np.full((n, dim), np.nan) if collect_finals else None
+    law, width = _exit_law(p.alpha), _uniform_width(dim)
     cb = ball_exit_constant(p)
     exit_cut = _SHELL if p.alpha == 2.0 else 1e-12
     gen = Generator(Philox(0))  # reset to each block's counter by _uniform_block
@@ -359,7 +354,7 @@ def _run_batch(dom, p, pos0, delta0, cfg, stream, batch_start, law, width,
                     blocks.append(_uniform_block(cfg.seed, stream, batch_start + b * _BATCH,
                                                  k[b], width, off[b + 1] - off[b], gen))
                     k[b] += 1
-                    if k[b] == cfg.max_steps:
+                    if k[b] == _MAX_STEPS:
                         capped.append(b)
             uni = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
             s = _BALL_FRACTION * delta
@@ -461,7 +456,6 @@ def _walk_starts(dom, p, starts, cfg, stream, collect_finals=False, deltas=None)
         else:
             gid, pos0, delta0 = (_RunRows(a, lo, n, nw) for a in (np.arange(n_starts), starts, deltas))
         run_sums, run_finals = _run_batch(dom, p, pos0, delta0, cfg, stream, lo,
-                                          _exit_law(p.alpha), _uniform_width(dim),
                                           collect_finals, gid, n_starts)
         for b in range(run_sums.shape[1]):  # in batch order
             sums += run_sums[:, b]
@@ -510,9 +504,8 @@ class PhiField:
     c(y*) sqrt(delta) with a per-sector coefficient fitted to the nearest
     reliable nodes (plus a second-order delta^(3/2) term).  blend is the
     (sectors, 3) table of rows (c, c2, c_err), sector k centred on the foot
-    angle 2 pi (k + 1/2) / sectors; the reads use contiguous copies of its
-    columns, blend_c, blend_c2 and blend_c_err.  Evaluation is bicubic
-    between reliable nodes, the blend profile in the collar, and zero outside.
+    angle 2 pi (k + 1/2) / sectors.  Evaluation is bicubic between reliable
+    nodes, the blend profile in the collar, and zero outside.
     foot, if given, is build_field's (distance, angle) query of the node grid.
     """
 
@@ -528,8 +521,6 @@ class PhiField:
         self.values = np.asarray(values, dtype=float)
         self.stderr = np.asarray(stderr, dtype=float)
         self.blend = np.asarray(blend, dtype=float)
-        self.blend_c, self.blend_c2, self.blend_c_err = (
-            np.ascontiguousarray(col) for col in self.blend.T)
         self.domain_ref = domain_ref
         self.collar = _COLLAR * self.spacing
         xs, ys, grid = _node_grid(self.origin, self.spacing, self.values.shape)
@@ -553,8 +544,8 @@ class PhiField:
 
     def _blend(self, theta, delta):
         d = np.maximum(delta, 0.0)
-        c = self._sector_interp(self.blend_c, theta)
-        c2 = self._sector_interp(self.blend_c2, theta)
+        c = self._sector_interp(self.blend[:, 0], theta)
+        c2 = self._sector_interp(self.blend[:, 1], theta)
         return c * np.sqrt(d) + c2 * d ** 1.5
 
     def _foot(self, pts):
@@ -593,7 +584,7 @@ class PhiField:
         """Error bars of values_at; foot as there."""
         return self._read(
             pts, foot,
-            lambda theta, d: self._sector_interp(self.blend_c_err, theta) * np.sqrt(d),
+            lambda theta, d: self._sector_interp(self.blend[:, 2], theta) * np.sqrt(d),
             lambda x1, x2: np.abs(self._err_spline.ev(x1, x2)))
 
     def values_and_stderr_at(self, pts):

@@ -174,7 +174,7 @@ def test_exponent_fit_phi_n(ctx):
     h = 0.0005 * 2.0 ** np.arange(6)
     fit = an.boundary_exponent_fit(ctx, "normal-slab", "phi_n", h)
     assert fit.slope == pytest.approx(-0.5, abs=0.05)
-    assert fit.sign_consistent() and fit.signs[0] > 0
+    assert np.all(fit.signs == fit.signs[0]) and fit.signs[0] > 0
     assert not fit.low_confidence
 
 

@@ -223,6 +223,9 @@ EVERY_COMMAND = [
     (["hessian-scan", "--points", "halton:2", "--seed", "1"], "--seed"),
     (["field-build", "--alpha", "1", "--spacing", "0.2", "--out", "never_written.pf",
       "--format", "json"], "--format"),
+    # the step cap is the walk's constant: no command takes it
+    (["field-build", "--alpha", "1", "--spacing", "0.2", "--out", "never_written.pf",
+      "--max-steps", "5"], "--max-steps"),
 ])
 def test_out_of_range_value_is_usage_error(args, option, capsys):
     assert run(args) == EXIT_USAGE
@@ -432,6 +435,8 @@ def test_config_key_of_an_option_the_command_does_not_read(tmp_path, capsys):
     ("[solve]\nalpha = 1\nat = 0,0\nthreads = 2\n", EXIT_USAGE, "unknown config key 'threads'"),
     ("[solve]\nalpha = 1\nat = 0,0\nball-fraction = 0.3\n", EXIT_USAGE,
      "unknown config key 'ball-fraction'"),
+    ("[solve]\nalpha = 1\nat = 0,0\nmax-steps = 5\n", EXIT_USAGE,
+     "unknown config key 'max-steps'"),
 ])
 def test_config_file_errors_exit_with_a_message(tmp_path, capsys, text, code, says):
     cfg = tmp_path / "run.cfg"
@@ -486,6 +491,26 @@ def test_required_option_may_come_from_the_config_file(tmp_path, capsys):
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert run(["solve", "--config", str(tmp_path / "absent.cfg")]) == EXIT_IO
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, work", [
+    (["hessian-scan", "--points", "halton:20"], (analysis, "hessian_scan")),
+    (["exponent-fit", "--probe", "S1", "--quantity", "u13"], (analysis, "boundary_exponent_fit")),
+    (["deform-sweep", "--t", "0:1:3"], (analysis, "deformation_sweep")),
+    (["solve", "--alpha", "1", "--at", "0.1,0", "--walks", "1000"], (cli, "estimate_phi")),
+    (["field-build", "--alpha", "1", "--spacing", "0.2"], (cli, "build_field")),
+    (["cone-hunt", "--alpha", "1.5", "--theta", "0.1"], (analysis, "cone_nonconcavity_hunt")),
+])
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys, args, work):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before checking --out")
+
+    monkeypatch.setattr(*work, never)
+    for out in (tmp_path / "nodir" / "x.csv", tmp_path):  # a missing directory; a directory
+        assert run(args + ["--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and str(out) in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nonconverged_numerics_exit_5(monkeypatch, capsys):

@@ -353,15 +353,15 @@ def test_packed_hermite_table_bitwise(ellipse):
     theta = np.random.default_rng(7).uniform(-7.0, 7.0, size=5000)
     theta[:3] = [0.0, 2 * np.pi, 2 * np.pi - 1e-17]
     tab = ellipse._tab_cols  # (4, K+1): one row per derivative
-    pos = np.mod(theta, 2 * np.pi) / ellipse._tab_step
+    pos = np.mod(theta, 2 * np.pi) / geom._KNOT_STEP
     i = np.minimum(pos.astype(np.int64), geom._TABLE_GRID - 1)
     t = pos - i
     t2 = t * t
     t3 = t2 * t
     b00 = 2 * t3 - 3 * t2 + 1
-    b10 = (t3 - 2 * t2 + t) * ellipse._tab_step
+    b10 = (t3 - 2 * t2 + t) * geom._KNOT_STEP
     b01 = 3 * t2 - 2 * t3
-    b11 = (t3 - t2) * ellipse._tab_step
+    b11 = (t3 - t2) * geom._KNOT_STEP
     for k, got in enumerate(ellipse._hermite(theta, 3)):
         want = b00 * tab[k, i] + b10 * tab[k + 1, i] + b01 * tab[k, i + 1] + b11 * tab[k + 1, i + 1]
         assert got.tobytes() == want.tobytes()

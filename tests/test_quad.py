@@ -277,7 +277,11 @@ def _eval_cell_reference(chart, f, cells):
 
     Chart coordinates (psi, s) map to y = c + rho(s) R(psi) u(psi) with
     rho = s + s^2 - s^3, written in Horner form, and Jacobian
-    rho R^2 rho'(s), rho' = (1 - s)(1 + 3 s).
+    rho R^2 rho'(s), rho' = (1 - s)(1 + 3 s).  The split axis follows the
+    rule on its own: psi may be split on cells at least 1e-12 wide, s where
+    both halves' outermost Kronrod nodes clear their ends in rho by more than
+    the chart's margin (relative); psi is taken if it may be split and loses
+    at least as much as s or s may not be split, else s if it may be, else -1.
     """
     p0, p1, s0, s1 = cells.T
     ph, sh = 0.5 * (p1 - p0), 0.5 * (s1 - s0)
@@ -299,7 +303,16 @@ def _eval_cell_reference(chart, f, cells):
     err_psi = np.abs(vk - v_gpsi)
     err_s = np.abs(vk - v_gs)
     err = np.maximum(np.abs(vk - vg), np.maximum(err_psi, err_s))
-    axis = (np.max(err_psi, axis=1) < np.max(err_s, axis=1)).astype(int)
+    margin = 0.0 if chart.scale is None else quad._MAPPED_MARGIN
+    can_psi, can_s, mid = p1 - p0 >= 1e-12, np.ones(len(cells), dtype=bool), 0.5 * (s0 + s1)
+    for a, b in ((s0, mid), (mid, s1)):
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        r0, r1, r2, r3 = (x * (1.0 + x * (1.0 - x))
+                          for x in (a, c + h * quad._XGK[0], c + h * quad._XGK[-1], b))
+        can_s &= (r1 - r0 > margin * r1) & (r3 - r2 > margin * r3)
+    axis = np.full(len(cells), -1)
+    axis[can_s] = 1
+    axis[can_psi & ((np.max(err_psi, axis=1) >= np.max(err_s, axis=1)) | ~can_s)] = 0
     return vk, err, axis
 
 
@@ -318,10 +331,19 @@ def _cell_sets(normal=None):
     wide = rng.integers(1, 3, 64) * (2 * np.pi / 80)
     r0 = rng.integers(0, 8, 64) / 8
     many = np.stack([lo, lo + wide, r0, r0 + rng.integers(1, 3, 64) / 16], axis=1)
+    # cells that may not be split in psi (narrower than 1e-12, or of no width,
+    # where the losses tie at 0 and psi is preferred), in s (at the rim, where
+    # the children's outermost nodes round onto their ends), or either
+    psi0 = rng.uniform(0.0, 2 * np.pi, 12)
+    narrow = np.choose(np.arange(12) % 3, [2 * np.pi / 40, 0.0, 10.0 ** rng.uniform(-16, -12.5, 12)])
+    rim = 1.0 - 0.5 ** rng.integers(30, 52, 12)
+    s0 = np.where(np.arange(12) % 2 == 0, rim, rng.integers(0, 8, 12) / 8)
+    stuck = np.stack([psi0, psi0 + narrow, s0, np.where(s0 == rim, 1.0, s0 + 1 / 8)], axis=1)
     if normal is not None:  # squeeze psi in [0, 2 pi] onto the inward half
-        for cells in (edges, many):
+        for cells in (edges, many, stuck):
             cells[:, :2] = start + 0.5 * cells[:, :2]
-    return {"first": first, "one edge": edges, "one cell": first[5:6], "64 cells": many}
+    return {"first": first, "one edge": edges, "one cell": first[5:6], "64 cells": many,
+            "unsplittable": stuck}
 
 
 def _boundary_anchor():
@@ -454,6 +476,13 @@ def test_mapped_s_split_keeps_nodes_off_edges(chart):
     cells = np.concatenate([np.full((len(s), 1), psi0), np.full((len(s), 1), psi1), s], axis=1)
     can = quad._splittable(cells, quad._MAPPED_MARGIN)[:, 1]
     assert can.any() and not can.all()
+    # with no psi width, where the losses tie at 0, _eval_cell splits these
+    # cells in s exactly where the chart's margin allows; 0 would allow more
+    flat = cells.copy()
+    flat[:, 1] = psi0
+    axes = quad._eval_cell(chart, lambda p: np.ones(len(p)), flat)[2]
+    assert np.array_equal(axes, np.where(can, 1, -1))
+    assert np.any(quad._splittable(cells, 0.0)[:, 1] & ~can)
     for s0, s1 in s[can]:
         mid = 0.5 * (s0 + s1)
         for lo, hi in ((s0, mid), (mid, s1)):
@@ -463,3 +492,33 @@ def test_mapped_s_split_keeps_nodes_off_edges(chart):
             assert np.all(r[:, 1] > r[:, 0]) and np.all(r[:, 2] < r[:, 3]), (lo, hi)
             if hi == 1.0:  # the outermost node stays inside the boundary itself
                 assert np.all(r[:, 2] < R), (lo, hi)
+
+
+def test_cell_undone_as_rounding_noise_is_not_split_again(disk, monkeypatch):
+    # the dome's estimates reach rounding level, where bisections are undone;
+    # a cell is bisected at most once, so an undone one is never picked again
+    # (checked as each round's children come, since picking it again may loop)
+    errs, parents, undone = {}, set(), []
+    real = quad._eval_cell
+
+    def recording(chart, f, cells):
+        vals, err, axes = real(chart, f, cells)
+        if errs:  # children: each parent's first halves, then its second halves
+            k = len(cells) // 2
+            a, b = cells[:k], cells[k:]
+            cut = np.stack([a[:, 0], b[:, 1], a[:, 2], b[:, 3]], axis=1)
+            was = np.array([errs[c.tobytes()] for c in cut])
+            pair_val, pair_err = vals[:k] + vals[k:], err[:k] + err[k:]
+            undone.extend(np.all((pair_err >= was)
+                                 & (pair_err <= quad._ROUNDING * np.abs(pair_val)), axis=1))
+            for c in cut:
+                assert c.tobytes() not in parents, c
+                parents.add(c.tobytes())
+        errs.update((c.tobytes(), e) for c, e in zip(cells, err))
+        return vals, err, axes
+
+    monkeypatch.setattr(quad, "_eval_cell", recording)
+    with pytest.raises(NonConvergedError):
+        integrate(disk, lambda p: np.sqrt(np.maximum(1 - _r2(p), 0.0)),
+                  QuadSpec(rel_tol=1e-15, abs_tol=1e-300))
+    assert sum(undone) > 0

@@ -39,8 +39,6 @@ def ks_distance(samples, cdf):
 def test_walk_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(n_walks=0)
-    with pytest.raises(ValueError):
-        WalkConfig(n_walks=10, max_steps=0)
     for seed in (-1, 1 << 64):  # Philox keys are 64 bits: these would alias 2**64 - 1 and 0
         with pytest.raises(ValueError, match="seed"):
             WalkConfig(n_walks=10, seed=seed)
@@ -199,17 +197,16 @@ def test_termination_is_exact_for_jumps():
     assert np.all(DISK.boundary_distance_batch(finals) <= geom._BOUNDARY_TOL)
 
 
-def test_truncation_reported():
-    est = estimate_phi(DISK, CAUCHY, [0.0, 0.0],
-                       WalkConfig(n_walks=2000, max_steps=1, seed=2))
+def test_truncation_reported(monkeypatch):
+    monkeypatch.setattr(wos, "_MAX_STEPS", 1)
+    est = estimate_phi(DISK, CAUCHY, [0.0, 0.0], WalkConfig(n_walks=2000, seed=2))
     assert est.truncated > 0
-    assert est.biased_low
     assert est.mean_steps == 1.0
 
 
 def test_truncation_negligible_at_default_depth():
     est = estimate_phi(DISK, CAUCHY, [0.0, 0.0],
-                       WalkConfig(n_walks=100000, max_steps=10000, seed=4))
+                       WalkConfig(n_walks=100000, seed=4))
     assert est.truncated / est.n_walks < 1e-4
 
 
@@ -613,7 +610,7 @@ def _reference_walks(dom, p, pos0, delta0, cfg, stream, batch_start):
     steps = np.zeros(n, dtype=np.int64)
     finals = np.full(pos.shape, np.nan)
     live = list(range(n))
-    for k in range(cfg.max_steps):
+    for k in range(wos._MAX_STEPS):
         if not live:
             break
         uni = wos._uniform_block(cfg.seed, stream, batch_start, k, width, len(live))
@@ -653,8 +650,7 @@ def _check_batch_against_reference(dom, p, pos0, cfg, stream, batch_start, group
     tacc, steps, finals, live = _reference_run(dom, p, pos0, delta0, cfg, stream, batch_start)
     n = len(pos0)
     batches = [slice(lo, lo + wos._BATCH) for lo in range(0, n, wos._BATCH)]
-    args = (dom, p, pos0, delta0, cfg, stream, batch_start, wos._exit_law(p.alpha),
-            wos._uniform_width(p.dim))
+    args = (dom, p, pos0, delta0, cfg, stream, batch_start)
     # one group per walk gives the per-walk times, truncation flags and steps
     sums, fin = wos._run_batch(*args, True, np.arange(n), n)
     t1, t2, tr, st = np.concatenate([sums[:, b, rows] for b, rows in enumerate(batches)], axis=1)
@@ -694,8 +690,9 @@ def test_run_batch_matches_per_walk_reference_disk():
     assert est.truncated == 0
 
 
-def test_run_batch_matches_per_walk_reference_truncated():
-    cfg = WalkConfig(n_walks=400, max_steps=3, seed=5)
+def test_run_batch_matches_per_walk_reference_truncated(monkeypatch):
+    monkeypatch.setattr(wos, "_MAX_STEPS", 3)
+    cfg = WalkConfig(n_walks=400, seed=5)
     _, steps, _, live, _ = _check_batch_against_reference(
         DISK, StableParams(1.5, 2), np.zeros((400, 2)), cfg, stream=0, batch_start=0)
     assert 0 < len(live) < 400
@@ -802,9 +799,10 @@ def test_shared_tails_match_per_walk_reference_grouped_ellipse(block_log):
         assert g.tobytes() == w.tobytes()
 
 
-def test_shared_tails_truncate_each_batch_at_its_own_cap(block_log):
+def test_shared_tails_truncate_each_batch_at_its_own_cap(block_log, monkeypatch):
+    monkeypatch.setattr(wos, "_MAX_STEPS", 4)
     p, x = StableParams(0.5, 2), [0.3, 0.2]
-    cfg = WalkConfig(n_walks=512, max_steps=4, seed=1)
+    cfg = WalkConfig(n_walks=512, seed=1)
     _, steps, _, live, want = _check_batch_against_reference(
         DISK, p, np.tile(x, (512, 1)), cfg, stream=0, batch_start=0)
     assert len(np.unique(np.array(live) // 128)) == 4 and np.all(steps[live] == 4)
